@@ -19,7 +19,6 @@ from .contour import (
     optimize_a,
     predicted_nodes,
     stability_constant,
-    stability_constant_loose,
     truncation_fixed_point,
 )
 from .errors import (
@@ -41,7 +40,6 @@ from .numerics import (
     eigenvalues,
     reference_solution,
     resolvent_cond,
-    resolvent_solve,
     smallest_singular_value,
 )
 from .problems import (

@@ -235,8 +235,14 @@ _CONFIG_TYPES = {
 }
 
 
-# Hard defaults, applied after the config file so that explicit flags win.
-_DEFAULTS = {"eps1": 1e-9, "eps2": 1e-13, "grid": 100, "nmax": 1024, "validate": False}
+# SolveOptions defaults, applied after the config file so that explicit flags win.
+_DEFAULTS = {
+    "eps1": SolveOptions.eps1,
+    "eps2": SolveOptions.eps2,
+    "grid": SolveOptions.grid_pts,
+    "nmax": SolveOptions.n_max,
+    "validate": SolveOptions.validate,
+}
 
 
 def _apply_config(args, parser):

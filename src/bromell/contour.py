@@ -16,9 +16,16 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import ArccosDomainError, ConvergenceError, GeometryError
-from .numerics import ShiftedSystem, resolvent_cond
+from .numerics import resolvent_cond, transformed_solution
 
 TWO_PI = 2.0 * math.pi
+# Points this far outside an ellipse's boundary still count as enclosed.
+ENCLOSE_SLACK = 1e-12
+
+
+def _ellipse_form(p: complex, z_l: float, A: float, B: float) -> float:
+    """(Re p - z_l)^2 / A^2 + (Im p)^2 / B^2; at most 1 inside the (A, B) ellipse at z_l."""
+    return (p.real - z_l) ** 2 / A**2 + p.imag**2 / B**2
 
 
 @dataclass(frozen=True)
@@ -60,11 +67,9 @@ class InnerEllipse:
         return self.r / s
 
     def quadratic_form(self, p: complex) -> float:
-        px = (p.real - self.z_l) / self.semi_major
-        py = p.imag / self.semi_minor
-        return px * px + py * py
+        return _ellipse_form(p, self.z_l, self.semi_major, self.semi_minor)
 
-    def encloses(self, p: complex, slack: float = 1e-12) -> bool:
+    def encloses(self, p: complex, slack: float = ENCLOSE_SLACK) -> bool:
         return self.quadratic_form(complex(p)) <= 1.0 + slack
 
     def boundary_points(self, m: int = 181) -> np.ndarray:
@@ -84,15 +89,14 @@ def candidate_encloses(z_l: float, z_r: float, focus_x: float, p: complex) -> bo
     A = z_r - z_l
     fd = focus_x - z_l
     B = math.sqrt(A * A - fd * fd)
-    p = complex(p)
-    return (p.real - z_l) ** 2 / A**2 + p.imag**2 / B**2 <= 1.0 + 1e-12
+    return _ellipse_form(complex(p), z_l, A, B) <= 1.0 + ENCLOSE_SLACK
 
 
 def _first_violation(points, z_l, A, B):
     """Rightmost point (by real part) outside the (A, B) ellipse, or None."""
     worst = None
     for p in sorted(points, key=lambda q: -q.real):
-        if (p.real - z_l) ** 2 / A**2 + p.imag**2 / B**2 > 1.0 + 1e-12:
+        if _ellipse_form(p, z_l, A, B) > 1.0 + ENCLOSE_SLACK:
             worst = p
             break
     return worst
@@ -301,12 +305,10 @@ def truncation_fixed_point(
     """
     if prec <= 0 or K_init <= 0:
         raise ValueError("need prec > 0 and K_init > 0")
-    A = problem.operator
-    u0 = problem.u0
 
     def k_update(c):
         z, dz = conformal_map(params, c * math.pi)
-        uhat = ShiftedSystem(A, z).solve(u0 + problem.bhat(z))
+        uhat = transformed_solution(problem, z)
         return float(np.linalg.norm(uhat) * abs(dz) / TWO_PI)
 
     K_prev = float(K_init)
@@ -332,11 +334,6 @@ def stability_constant(params: ContourParams, c: float, t: float) -> float:
     return 2.0 * params.a2 * c * math.exp((params.a1 + params.a2 + params.A3) * t)
 
 
-def stability_constant_loose(params: ContourParams, c: float, t: float) -> float:
-    """Same constant written as c (A1 + A2) e^{(A1 + A3) t} (diagnostic form)."""
-    return c * (params.A1 + params.A2) * math.exp((params.A1 + params.A3) * t)
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Outcome of the attainable-precision check along the arc."""
@@ -346,6 +343,12 @@ class FeasibilityReport:
     max_cond: float
     stability: float
     tol: float
+
+    @classmethod
+    def forecast(cls, max_cond: float, stability: float, tol: float) -> "FeasibilityReport":
+        """Round-off forecast: stability constant x unit roundoff x worst condition number."""
+        achievable = stability * (np.finfo(float).eps / 2.0) * max_cond
+        return cls(achievable <= tol, achievable, max_cond, stability, tol)
 
     def __str__(self):
         verdict = "pass" if self.passed else "fail"
@@ -372,7 +375,4 @@ def feasibility_check(
     xs = np.linspace(-c * math.pi, c * math.pi, n_samples)
     conds = [resolvent_cond(problem.operator, conformal_map(params, x)[0]) for x in xs]
     max_cond = float(np.max(conds))
-    stab = stability_constant(params, c, t)
-    unit_roundoff = np.finfo(float).eps / 2.0
-    achievable = stab * unit_roundoff * max_cond
-    return FeasibilityReport(achievable <= tol, achievable, max_cond, stab, tol)
+    return FeasibilityReport.forecast(max_cond, stability_constant(params, c, t), tol)

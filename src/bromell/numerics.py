@@ -1,9 +1,11 @@
 """Dense complex linear-algebra kernels.
 
 Everything downstream (pseudospectral grids, contour selection, quadrature)
-is built on the four operations here: shifted solves (zI - A)x = b, smallest
-singular values, dense eigenvalues, and a matrix-exponential reference
-evolution used as validation oracle.
+is built on the operations here: shifted solves (zI - A)x = b, the resolvent
+apply uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) that every quadrature node,
+truncation step and bound sample evaluates, smallest singular values, dense
+eigenvalues, and a matrix-exponential reference evolution used as validation
+oracle.
 
 All functions are pure and deterministic; inputs are never mutated.
 """
@@ -103,9 +105,6 @@ class ShiftedSystem:
             )
         return x
 
-    def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
-        return sla.lu_solve((self._lu, self._piv), np.asarray(rhs), trans=2)
-
     def cond_estimate(self) -> float:
         """1-norm condition-number estimate of (zI - A) from the LU factors."""
         if self._anorm == 0.0:
@@ -117,13 +116,12 @@ class ShiftedSystem:
         return 1.0 / rcond
 
 
-def resolvent_solve(A, z: complex, rhs: np.ndarray) -> np.ndarray:
-    """Solve (zI - A) x = rhs by pivoted dense LU.
+def transformed_solution(problem, z: complex) -> np.ndarray:
+    """Laplace-transformed state uhat(z) = (zI - A)^{-1} (u0 + bhat(z)).
 
     Raises SingularSystemError when z is (numerically) an eigenvalue of A.
-    For repeated right-hand sides at the same z build a ShiftedSystem instead.
     """
-    return ShiftedSystem(A, z).solve(rhs)
+    return ShiftedSystem(problem.operator, z).solve(problem.u0 + problem.bhat(z))
 
 
 def resolvent_cond(A, z: complex) -> float:

@@ -106,13 +106,6 @@ class LaplaceProblem:
             out += self.extra_bhat(z)
         return out
 
-    def source_value(self, t: float) -> np.ndarray:
-        """Time-domain source b(t) (closed-form modes only)."""
-        out = np.zeros(self.dim, dtype=complex if not self.is_real else float)
-        for term in self.source_terms:
-            out = out + term.vector * np.exp(-term.rate * t)
-        return out
-
 
 def chebyshev_points(n: int) -> np.ndarray:
     """Collocation points cos(j pi / n), j = 0..n (descending from 1 to -1)."""

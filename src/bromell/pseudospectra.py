@@ -88,10 +88,6 @@ class LevelCurve:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    @property
-    def points(self):
-        return list(zip(self.xs, self.ys))
-
 
 @dataclass(frozen=True)
 class SingularitySet:

@@ -36,11 +36,10 @@ from .contour import (
 )
 from .errors import GeometryError, SingularSystemError, StageError
 from .numerics import (
-    ShiftedSystem,
     eigenvalues,
     reference_solution,
-    resolvent_cond,
     smallest_singular_value,
+    transformed_solution,
 )
 from .pseudospectra import GridSpec, SingularitySet, compute_grid, critical_curve, level_curve
 
@@ -95,8 +94,7 @@ class NodeCache:
                     f"quadrature node z = {z} sits on source pole {pole}; "
                     "the contour is misplaced"
                 )
-        rhs = self.problem.u0 + self.problem.bhat(z)
-        uhat = ShiftedSystem(self.problem.operator, z).solve(rhs)
+        uhat = transformed_solution(self.problem, z)
         self.solve_count += 1
         data = _Node(complex(z), complex(dz), uhat)
         self.entries[key] = data
@@ -121,8 +119,7 @@ class QuadratureResult:
 def integrand(problem, params: ContourParams, x, t: float) -> np.ndarray:
     """G at one strip coordinate (real on the arc, complex for diagnostics)."""
     z, dz = conformal_map(params, x)
-    uhat = ShiftedSystem(problem.operator, z).solve(problem.u0 + problem.bhat(z))
-    return np.exp(z * t) * uhat * dz
+    return np.exp(z * t) * transformed_solution(problem, z) * dz
 
 
 def trapezoid_sum(
@@ -147,7 +144,7 @@ def trapezoid_sum(
         raise GeometryError("node cache belongs to a different truncation width")
 
     datas = [cache.node(j, N) for j in range(1, N)]
-    xs = np.array([cache.node_x(j // gcd(j, N), N // gcd(j, N)) for j in range(1, N)])
+    xs = np.array([cache.node_x(j, N) for j in range(1, N)])
     values = []
     for data in datas:
         values.append(np.exp(data.z * t) * data.uhat * data.dz)
@@ -192,11 +189,10 @@ def full_sum(result: QuadratureResult) -> np.ndarray:
 # error models
 
 
-def error_model(params: ContourParams, c: float, t: float, N: int, tol: float = None) -> float:
+def error_model(params: ContourParams, c: float, t: float, N: int) -> float:
     """Leading-order quadrature error 2 pi c e^{D t - (a/c) N}.
 
-    The inverse of the node-count prediction; ``tol`` is accepted only for
-    signature symmetry and does not enter the value.
+    The inverse of the node-count prediction.
     """
     return TWO_PI * c * math.exp(params.D * t - (params.a / c) * N)
 
@@ -234,9 +230,7 @@ def estimate_delta(problem, params: ContourParams, c: float, t: float, N: int, s
     for x0 in (PI / 2 - delta, -(PI / 2 - delta)):
         for y in ys:
             z, dz = conformal_map(params, complex(x0, y))
-            uhat = ShiftedSystem(problem.operator, z).solve(
-                problem.u0 + problem.bhat(z)
-            )
+            uhat = transformed_solution(problem, z)
             best = max(best, float(np.linalg.norm(uhat) * abs(dz)))
     return 2.0 * best
 
@@ -256,9 +250,7 @@ def estimate_k_ell(problem, params: ContourParams, t: float, samples: int = 32, 
         start = complex(params.A3, sign * params.A2)
         for s in ss:
             z = start - s + 1j * (sign * slope * s)
-            uhat = ShiftedSystem(problem.operator, z).solve(
-                problem.u0 + problem.bhat(z)
-            )
+            uhat = transformed_solution(problem, z)
             best = max(best, float(np.linalg.norm(uhat) * abs(dz)))
         if problem.is_real:
             break  # mirror line gives the same norms
@@ -344,13 +336,8 @@ class SolveOptions:
     eps1: float = 1e-9
     eps2: float = 1e-13
     grid_pts: int = 100
-    grid_ymax: float = None
-    m_ell: int = 1000
-    a_max: float = 1.0
     prec: float = 0.1
-    k_init: float = 100.0
     n_max: int = 1024
-    n_start: int = None
     validate: bool = False
     force: bool = False
 
@@ -383,6 +370,37 @@ class SolveReport:
     @property
     def ok(self) -> bool:
         return self.reached_tol and self.feasibility.passed
+
+
+def _refine(problem, cache: NodeCache, t: float, tol: float, N: int, n_max: int, reference):
+    """Double the N-point rule on the cache's arc until the stopping signal meets tol.
+
+    The signal is the measured error against ``reference`` when one is given,
+    the model estimate otherwise; doubling stops once 2N would exceed n_max.
+    Returns the quadrature fields of a SolveReport.
+    """
+    q = trapezoid_sum(problem, cache.params, cache.c, t, N, cache=cache)
+    table = []
+    while True:
+        measured = None
+        if reference is not None:
+            measured = float(np.linalg.norm(q.approx - reference))
+        table.append((q.N, measured, q.est_error, q.B_term))
+        signal = measured if measured is not None else q.est_error
+        if signal <= tol or 2 * q.N > n_max:
+            break
+        q = refine_doubling(q, problem, cache.params, t)
+    fields = dict(
+        result=q,
+        errors_table=tuple(table),
+        reached_tol=signal <= tol,
+        solve_count=cache.solve_count,
+        reuse_count=cache.reuse_count,
+    )
+    if reference is not None:
+        fields["reference_error"] = measured
+        fields["reference_error_inf"] = float(np.max(np.abs(q.approx - reference)))
+    return fields
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -435,7 +453,6 @@ class PipelinePrep:
     c1: object
     c2: object
     critical: object
-    phi: SingularitySet
     inner: InnerEllipse
     contour: ContourParams
 
@@ -457,10 +474,8 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
     if not z_l < z_r:
         raise StageError("box", GeometryError(f"z_l = {z_l} must be < z_r = {z_r}"))
     strip_eigs = [complex(v) for v in eigs if z_l <= v.real <= z_r]
-    ymax = opts.grid_ymax
-    if ymax is None:
-        eig_reach = max((abs(v.imag) for v in strip_eigs), default=0.0)
-        ymax = max(1.0, 0.25 * (z_r - z_l), 1.2 * eig_reach)
+    eig_reach = max((abs(v.imag) for v in strip_eigs), default=0.0)
+    ymax = max(1.0, 0.25 * (z_r - z_l), 1.2 * eig_reach)
     spec = GridSpec(z_l, z_r, -ymax, ymax, opts.grid_pts)
     grid = _stage("grid", compute_grid, problem.operator, spec)
     c1 = _stage("curves", level_curve, grid, opts.eps1, t_weight)
@@ -477,10 +492,10 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
         eigenvalues=strip_eigs,
         source_poles=problem.singularities,
     )
-    inner = _stage("inner-ellipse", build_inner_ellipse, phi, z_l, z_r, opts.m_ell)
-    a = _stage("optimize-a", optimize_a, inner, t_opt, tol, opts.a_max)
+    inner = _stage("inner-ellipse", build_inner_ellipse, phi, z_l, z_r)
+    a = _stage("optimize-a", optimize_a, inner, t_opt, tol)
     params = _stage("contour", contour_from_a, inner, a)
-    return PipelinePrep(z_l, z_r, grid, c1, c2, crit, phi, inner, params)
+    return PipelinePrep(z_l, z_r, grid, c1, c2, crit, inner, params)
 
 
 def solve(problem, t: float, tol: float, opts: SolveOptions = None) -> SolveReport:
@@ -499,16 +514,7 @@ def solve(problem, t: float, tol: float, opts: SolveOptions = None) -> SolveRepo
     opts = opts or SolveOptions()
     prep = prepare_contour(problem, t, t, tol, opts)
     inner, params = prep.inner, prep.contour
-    trunc = _stage(
-        "truncation",
-        truncation_fixed_point,
-        problem,
-        params,
-        t,
-        tol,
-        opts.prec,
-        opts.k_init,
-    )
+    trunc = _stage("truncation", truncation_fixed_point, problem, params, t, tol, opts.prec)
     feas = _stage("feasibility", feasibility_check, problem, params, trunc.c, t, tol)
     stab = stability_constant(params, trunc.c, t)
     base = dict(
@@ -529,40 +535,13 @@ def solve(problem, t: float, tol: float, opts: SolveOptions = None) -> SolveRepo
         reference = _stage("reference", reference_solution, problem, t)
 
     n_pred = predicted_nodes(params.a, trunc.c, params.D, t, tol)
-    n0 = opts.n_start if opts.n_start is not None else max(5, math.ceil(n_pred / 4))
-    q = _stage("quadrature", trapezoid_sum, problem, params, trunc.c, t, max(2, n0))
-    table = []
-    reached = False
-    while True:
-        measured = None
-        if reference is not None:
-            measured = float(np.linalg.norm(q.approx - reference))
-        table.append((q.N, measured, q.est_error, q.B_term))
-        signal = measured if measured is not None else q.est_error
-        if signal <= tol:
-            reached = True
-            break
-        if 2 * q.N > opts.n_max:
-            break
-        q = _stage("quadrature", refine_doubling, q, problem, params, t)
+    n0 = max(5, math.ceil(n_pred / 4))
+    cache = NodeCache(problem, params, trunc.c)
+    quad = _stage("quadrature", _refine, problem, cache, t, tol, n0, opts.n_max, reference)
 
     k_ell = _stage("truncation-bound", estimate_k_ell, problem, params, t)
     t_bound = truncation_bound(params, trunc.c, t, k_ell, tol)
-    ref_err = ref_err_inf = None
-    if reference is not None:
-        ref_err = float(np.linalg.norm(q.approx - reference))
-        ref_err_inf = float(np.max(np.abs(q.approx - reference)))
-    return SolveReport(
-        **base,
-        result=q,
-        errors_table=tuple(table),
-        reference_error=ref_err,
-        reference_error_inf=ref_err_inf,
-        truncation_bound=t_bound,
-        reached_tol=reached,
-        solve_count=q.cache.solve_count,
-        reuse_count=q.cache.reuse_count,
-    )
+    return SolveReport(**base, **quad, truncation_bound=t_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -608,22 +587,15 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
     opts = opts or SolveOptions()
     prep = prepare_contour(problem, t0, t1, tol, opts)
     inner, params = prep.inner, prep.contour
-    trunc0 = _stage(
-        "truncation", truncation_fixed_point, problem, params, t0, tol, opts.prec, opts.k_init
-    )
+    trunc0 = _stage("truncation", truncation_fixed_point, problem, params, t0, tol, opts.prec)
     if t1 == t0:
         trunc1 = trunc0
     else:
-        trunc1 = _stage(
-            "truncation", truncation_fixed_point, problem, params, t1, tol, opts.prec, opts.k_init
-        )
+        trunc1 = _stage("truncation", truncation_fixed_point, problem, params, t1, tol, opts.prec)
     c_grid = max(trunc0.c, trunc1.c)
     n_nodes = max(2, math.ceil(window_objective(inner, params.a, t1, tol)))
     cache = NodeCache(problem, params, c_grid)
-    xs = np.linspace(-c_grid * PI, c_grid * PI, 10)
-    max_cond = float(
-        np.max([resolvent_cond(problem.operator, conformal_map(params, x)[0]) for x in xs])
-    )
+    feas = _stage("feasibility", feasibility_check, problem, params, c_grid, t1, tol)
     return TimeWindowPlan(
         float(t0),
         float(t1),
@@ -635,7 +607,7 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
         c_grid,
         n_nodes,
         cache,
-        max_cond,
+        feas.max_cond,
         problem.label,
     )
 
@@ -646,7 +618,7 @@ def solve_at(
     t: float,
     tol: float = None,
     validate: bool = False,
-    n_max: int = 1024,
+    n_max: int = SolveOptions.n_max,
 ) -> SolveReport:
     """Evaluate the window plan at one time, reusing all cached node solves.
 
@@ -661,31 +633,10 @@ def solve_at(
     k_t = plan.k_at(t)
     trunc_t = TruncationResult(c_t, k_t, 0)
     stab = stability_constant(plan.contour, c_t, t)
-    unit_roundoff = np.finfo(float).eps / 2.0
-    achievable = stab * unit_roundoff * plan.max_cond
-    feas = FeasibilityReport(achievable <= tol, achievable, plan.max_cond, stab, tol)
+    feas = FeasibilityReport.forecast(plan.max_cond, stab, tol)
 
     reference = reference_solution(problem, t) if validate else None
-    q = trapezoid_sum(problem, plan.contour, plan.c_grid, t, plan.n_nodes, cache=plan.cache)
-    table = []
-    reached = False
-    while True:
-        measured = None
-        if reference is not None:
-            measured = float(np.linalg.norm(q.approx - reference))
-        table.append((q.N, measured, q.est_error, q.B_term))
-        signal = measured if measured is not None else q.est_error
-        if signal <= tol:
-            reached = True
-            break
-        if 2 * q.N > n_max:
-            break
-        q = refine_doubling(q, problem, plan.contour, t)
-
-    ref_err = ref_err_inf = None
-    if reference is not None:
-        ref_err = float(np.linalg.norm(q.approx - reference))
-        ref_err_inf = float(np.max(np.abs(q.approx - reference)))
+    quad = _refine(problem, plan.cache, t, tol, plan.n_nodes, n_max, reference)
     return SolveReport(
         label=plan.label,
         t=float(t),
@@ -695,14 +646,7 @@ def solve_at(
         truncation=trunc_t,
         feasibility=feas,
         stability=stab,
-        result=q,
-        errors_table=tuple(table),
-        reference_error=ref_err,
-        reference_error_inf=ref_err_inf,
-        truncation_bound=None,
-        reached_tol=reached,
-        solve_count=plan.cache.solve_count,
-        reuse_count=plan.cache.reuse_count,
+        **quad,
     )
 
 

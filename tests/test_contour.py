@@ -328,8 +328,10 @@ class TestStability:
 
     def test_two_forms_identical(self, cd_report):
         c = cd_report.truncation.c
-        tight = bm.stability_constant(cd_report.contour, c, 1.0)
-        loose = bm.stability_constant_loose(cd_report.contour, c, 1.0)
+        p = cd_report.contour
+        tight = bm.stability_constant(p, c, 1.0)
+        # loose form c (A1 + A2) e^{(A1 + A3) t}
+        loose = c * (p.A1 + p.A2) * math.exp((p.A1 + p.A3) * 1.0)
         assert tight == pytest.approx(loose, rel=1e-14)
 
 

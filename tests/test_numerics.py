@@ -12,20 +12,20 @@ from bromell.errors import DimensionLimitError, SingularSystemError, Unsupported
 class TestResolventSolve:
     def test_diagonal_inversion(self):
         A = bm.Operator(np.diag([-1.0, -2.0]))
-        x = bm.resolvent_solve(A, 0.0, np.array([1.0, 1.0]))
+        x = bm.ShiftedSystem(A, 0.0).solve(np.array([1.0, 1.0]))
         np.testing.assert_allclose(x, [1.0, 0.5], rtol=1e-14)
 
     def test_identity_resolvent(self):
         A = bm.Operator(np.zeros((2, 2)))
-        x = bm.resolvent_solve(A, 1.0, np.array([3.0, -4.0]))
+        x = bm.ShiftedSystem(A, 1.0).solve(np.array([3.0, -4.0]))
         np.testing.assert_allclose(x, [3.0, -4.0], rtol=1e-14)
 
     def test_upper_triangular_hand_inversion(self):
         # (I - A) for A = [[0,1],[0,0]] inverts to [[1,1],[0,1]]; checked by
         # multiplying back.
         A = bm.Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        x1 = bm.resolvent_solve(A, 1.0, np.array([1.0, 0.0]))
-        x2 = bm.resolvent_solve(A, 1.0, np.array([0.0, 1.0]))
+        x1 = bm.ShiftedSystem(A, 1.0).solve(np.array([1.0, 0.0]))
+        x2 = bm.ShiftedSystem(A, 1.0).solve(np.array([0.0, 1.0]))
         np.testing.assert_allclose(x1, [1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(x2, [1.0, 1.0], atol=1e-15)
         M = 1.0 * np.eye(2) - A.entries
@@ -34,7 +34,7 @@ class TestResolventSolve:
     def test_singular_shift_raises(self):
         A = bm.Operator(np.diag([-1.0, -2.0]))
         with pytest.raises(SingularSystemError):
-            bm.resolvent_solve(A, -1.0, np.array([1.0, 1.0]))
+            bm.ShiftedSystem(A, -1.0).solve(np.array([1.0, 1.0]))
 
     def test_residual_on_well_conditioned_system(self):
         rng = np.random.default_rng(7)
@@ -42,7 +42,7 @@ class TestResolventSolve:
         A = bm.Operator(M)
         rhs = rng.standard_normal(40)
         z = 3.0 + 2.0j
-        x = bm.resolvent_solve(A, z, rhs)
+        x = bm.ShiftedSystem(A, z).solve(rhs)
         residual = np.linalg.norm((z * np.eye(40) - M) @ x - rhs)
         assert residual <= 1e-12 * np.linalg.norm(rhs)
 

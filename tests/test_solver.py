@@ -335,6 +335,17 @@ class TestTimeWindow:
         with pytest.raises(ValueError):
             bm.solve_at(diag_plan, diag_problem, diag_plan.t1 + 1.0)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="window-end false claim: without validation the model signal "
+        "(1.6e-17 at N=175) passes tol while the reference error is 5.2-5.4e-8 "
+        "against tol 5e-8; round-off at t=10 is not in the stopping signal",
+    )
+    def test_unvalidated_window_end_claim_holds(self, bs_problem, bs_window):
+        rep = bm.solve_at(bs_window, bs_problem, 10.0)
+        error = np.linalg.norm(rep.solution - bm.reference_solution(bs_problem, 10.0))
+        assert not rep.reached_tol or error <= rep.tol
+
 
 class TestSamplingEstimates:
     def test_delta_and_k_ell_positive(self, cd_problem, cd_report):
