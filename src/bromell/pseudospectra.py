@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -20,6 +20,11 @@ from .errors import GeometryError
 from .numerics import as_operator
 
 _LOG_CAP = 700.0  # exp(700) is near the double-precision overflow edge
+# Relative slack on an evaluated sigma_min before it certifies neighbours: the
+# Lanczos readout is an upper bound on sigma_min converged to about 1e-9.
+# Certifying another node takes s above a grid step, so the slack also stays
+# far above the eps * ||A|| rounding floor of s.
+_CERTIFY_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,12 +56,16 @@ class GridSpec:
 class PseudoGrid:
     """sigma_min(zI - A) sampled on a GridSpec; sigma_min[iy, ix] >= 0.
 
-    For real operators only the upper half plane is evaluated; values at
-    y < 0 are the mirrored ones (sigma is conjugation-symmetric there).
+    For a real operator on a box symmetric about the real axis, each lower
+    row is a copy of its mirror row n-1-iy (sigma is conjugation-symmetric
+    there). A grid computed for given levels is NaN at every node it
+    skipped, its lower rows included; ``completed`` evaluates them with
+    ``evaluator``, the SigmaMinEvaluator that computed the grid.
     """
 
     spec: GridSpec
     sigma_min: np.ndarray
+    evaluator: "SigmaMinEvaluator" = field(default=None, repr=False)
 
     @property
     def xs(self) -> np.ndarray:
@@ -65,6 +74,20 @@ class PseudoGrid:
     @property
     def ys(self) -> np.ndarray:
         return self.spec.ys
+
+    def completed(self) -> "PseudoGrid":
+        """This grid with every skipped node evaluated, each one once."""
+        if self.evaluator is None or not np.isnan(self.sigma_min).any():
+            return self
+        sigma = self.sigma_min.copy()
+        source = _mirror_source(self.spec, self.evaluator.is_real)
+        own = np.flatnonzero(source == np.arange(source.size))
+        iys, ixs = np.nonzero(np.isnan(sigma[own]))
+        for iy, ix in zip(own[iys], ixs):
+            sigma[iy, ix] = self.evaluator(complex(self.xs[ix], self.ys[iy]))
+        sigma = sigma[source]
+        sigma.setflags(write=False)
+        return PseudoGrid(self.spec, sigma, self.evaluator)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,27 +232,72 @@ class SigmaMinEvaluator:
         return val
 
 
-def compute_grid(A, spec: GridSpec) -> PseudoGrid:
-    """Evaluate sigma_min(zI - A) at every node of the box.
+def _mirror_source(spec: GridSpec, is_real: bool) -> np.ndarray:
+    """Row each grid row takes its values from.
 
-    For real A only distinct |y| rows are evaluated; the lower half plane is
-    filled by mirror symmetry.
+    A real operator on a box with y_min == -y_max has sigma_min(conj z) =
+    sigma_min(z), so each lower row iy copies row n-1-iy; every other row is
+    its own source.
     """
-    op = as_operator(A)
-    ev = SigmaMinEvaluator(op)
-    xs, ys = spec.xs, spec.ys
-    sigma = np.empty((spec.n_pts, spec.n_pts))
-    row_cache: dict[float, np.ndarray] = {}
-    for iy, y in enumerate(ys):
-        key = abs(float(y)) if op.is_real else float(y)
-        row = row_cache.get(key)
-        if row is None:
-            yy = key if op.is_real else y
-            row = np.array([ev(complex(x, yy)) for x in xs])
-            row_cache[key] = row
-        sigma[iy, :] = row
+    rows = np.arange(spec.n_pts)
+    if is_real and spec.y_min == -spec.y_max:
+        return np.maximum(rows, rows[::-1])
+    return rows
+
+
+def _level_values(sigma: np.ndarray, xs: np.ndarray, t: float) -> np.ndarray:
+    """log(e^{x t} / sigma_min) per node, capped below overflow; NaN stays NaN."""
+    with np.errstate(divide="ignore"):
+        return np.minimum(xs * t - np.log(sigma), _LOG_CAP)
+
+
+def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
+    """Evaluate sigma_min(zI - A) on the box.
+
+    For a real operator on a box symmetric about the real axis only the rows
+    iy >= n-1-iy are evaluated; each lower row is a copy of row n-1-iy. Any
+    other box evaluates every row.
+
+    ``levels`` lists the (eps, t) pairs that ``level_curve`` will extract.
+    Given levels, only the nodes those curves read are evaluated: nodes with
+    y >= 0, scanned row by row from the top of the box down, minus every node
+    certified outside all level sets. sigma_min(zI - A) is 1-Lipschitz in z
+    (Weyl's inequality), so node z' is certified once
+    max over evaluated z of s(z)(1 - slack) - |z - z'| exceeds
+    max over levels of eps e^{Re(z') t}. The node directly above each
+    column's topmost in-set node is evaluated as well, because level_curve
+    interpolates against it. Every other node, the lower rows included, is
+    NaN, which level_curve reads as outside; ``PseudoGrid.completed``
+    evaluates them. Without levels every node is evaluated.
+    """
+    ev = SigmaMinEvaluator(as_operator(A))
+    sigma = np.full((spec.n_pts, spec.n_pts), np.nan)
+    if levels:
+        _evaluate_read_nodes(ev, sigma, spec.xs, spec.ys, levels)
     sigma.setflags(write=False)
-    return PseudoGrid(spec, sigma)
+    grid = PseudoGrid(spec, sigma, ev)
+    return grid if levels else grid.completed()
+
+
+def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
+    """Fill the nodes with y >= 0 that level_curve can read for these levels."""
+    rows = np.flatnonzero(ys >= 0.0)
+    nodes = xs[None, :] + 1j * ys[rows, None]
+    with np.errstate(over="ignore"):
+        theta = np.max([eps * np.exp(xs * t) for eps, t in levels], axis=0)
+    bound = np.full(nodes.shape, -np.inf)  # certified lower bound on sigma_min
+    for r in range(rows.size - 1, -1, -1):  # top row first
+        for ix in range(xs.size):
+            if bound[r, ix] > theta[ix]:
+                continue
+            s = sigma[rows[r], ix] = ev(nodes[r, ix])
+            np.maximum(bound, s * (1.0 - _CERTIFY_SLACK) - np.abs(nodes - nodes[r, ix]), out=bound)
+    for eps, t in levels:
+        inside = _level_values(sigma[rows], xs, t) >= -np.log(eps)
+        for ix in np.flatnonzero(inside.any(axis=0)):
+            above = np.flatnonzero(inside[:, ix])[-1] + 1
+            if above < rows.size and np.isnan(sigma[rows[above], ix]):
+                sigma[rows[above], ix] = ev(nodes[above, ix])
 
 
 def level_curve(grid: PseudoGrid, eps: float, t: float = 0.0) -> LevelCurve:
@@ -251,10 +319,9 @@ def level_curve(grid: PseudoGrid, eps: float, t: float = 0.0) -> LevelCurve:
     yu = yu[order]
     level_log = -np.log(eps)
     heights = np.zeros(xs.shape[0])
-    with np.errstate(divide="ignore"):
-        log_sigma = np.log(grid.sigma_min[upper[order], :])
-    for ix, x in enumerate(xs):
-        logv = np.minimum(x * t - log_sigma[:, ix], _LOG_CAP)
+    values = _level_values(grid.sigma_min[upper[order], :], xs, t)
+    for ix in range(xs.size):
+        logv = values[:, ix]
         above = logv >= level_log
         if not above.any():
             continue  # stays at 0: level never attained in this column
@@ -286,7 +353,11 @@ def _fmt(v: float) -> str:
 
 
 def grid_to_csv(grid: PseudoGrid, path) -> None:
-    """Rows x,y,sigma_min for every node (n_pts^2 data rows)."""
+    """Rows x,y,sigma_min for every node (n_pts^2 data rows).
+
+    Nodes the grid skipped are evaluated first, so every row holds a value.
+    """
+    grid = grid.completed()
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "sigma_min"])

@@ -477,9 +477,10 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
     eig_reach = max((abs(v.imag) for v in strip_eigs), default=0.0)
     ymax = max(1.0, 0.25 * (z_r - z_l), 1.2 * eig_reach)
     spec = GridSpec(z_l, z_r, -ymax, ymax, opts.grid_pts)
-    grid = _stage("grid", compute_grid, problem.operator, spec)
-    c1 = _stage("curves", level_curve, grid, opts.eps1, t_weight)
-    c2 = _stage("curves", level_curve, grid, opts.eps2, 0.0)
+    levels = ((opts.eps1, t_weight), (opts.eps2, 0.0))
+    grid = _stage("grid", compute_grid, problem.operator, spec, levels)
+    c1 = _stage("curves", level_curve, grid, *levels[0])
+    c2 = _stage("curves", level_curve, grid, *levels[1])
     crit = _stage("curves", critical_curve, c1, c2)
     for pole in problem.singularities:
         if pole.real >= z_r:

@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, files, determinism, config handling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import bromell as bm
 from bromell.cli import main
+from bromell.solver import SolveOptions
 
 
 @pytest.fixture()
@@ -20,6 +22,19 @@ def diag_files(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+class TestHelp:
+    def test_stated_defaults_match_solve_options(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one line per option
+        with pytest.raises(SystemExit):
+            run("solve", "--help")
+        text = capsys.readouterr().out
+        stated = dict(re.findall(r"^\s+--(\w+) \S+\s.*\(default ([^):]+)\)$", text, re.M))
+        fields = {"eps1": "eps1", "eps2": "eps2", "grid": "grid_pts", "nmax": "n_max"}
+        assert stated.keys() == fields.keys()
+        for flag, field in fields.items():
+            assert float(stated[flag]) == getattr(SolveOptions, field), flag
 
 
 class TestSolveCommand:

@@ -49,14 +49,59 @@ class TestComputeGrid:
             assert abs(got - ref) <= 1e-8 * ref + floor
 
     def test_mirror_symmetry_real_operator(self):
-        grid = make_grid(np.diag([-1.0, -2.0]), (-3.0, 0.0, -2.0, 2.0), n=17)
-        np.testing.assert_allclose(grid.sigma_min, grid.sigma_min[::-1, :], atol=1e-12)
+        for n in (16, 17):
+            grid = make_grid(np.diag([-1.0, -2.0]), (-3.0, 0.0, -2.0, 2.0), n=n)
+            np.testing.assert_array_equal(grid.sigma_min, grid.sigma_min[::-1, :])
+
+    def test_asymmetric_box_evaluates_every_row(self):
+        # Row n-1-iy is not the mirror of row iy here, so no row may be copied.
+        grid = make_grid([[-1.0]], (-2.0, 0.0, -0.5, 1.0), n=16)
+        for iy, y in enumerate(grid.ys):
+            for ix, x in enumerate(grid.xs):
+                assert grid.sigma_min[iy, ix] == pytest.approx(abs(complex(x, y) + 1.0), abs=1e-12)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             bm.GridSpec(0.0, -1.0, 0.0, 1.0, 10)
         with pytest.raises(ValueError):
             bm.GridSpec(-1.0, 0.0, -1.0, 1.0, 4)
+
+
+@pytest.fixture()
+def eval_count(monkeypatch):
+    """Callable returning the number of SigmaMinEvaluator calls made so far in the test."""
+    calls = []
+    evaluate = SigmaMinEvaluator.__call__
+
+    def counted(self, z):
+        calls.append(z)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(SigmaMinEvaluator, "__call__", counted)
+    return lambda: len(calls)
+
+
+class TestEvaluationCount:
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_full_grid_evaluates_upper_rows_once(self, n, eval_count):
+        make_grid(np.diag([-1.0, -2.0]), (-3.0, 0.0, -2.0, 2.0), n=n)
+        assert eval_count() == -(-n // 2) * n
+
+    def test_export_evaluates_each_node_once(self, bs_problem, eval_count, tmp_path):
+        opts = bm.SolveOptions(z_l=-40.0, z_r=0.05, grid_pts=50)
+        prep = bm.prepare_contour(bs_problem, 1.0, 1.0, 5e-6, opts)
+        assert eval_count() < 1250
+        path = tmp_path / "grid.csv"
+        bm.grid_to_csv(prep.grid, path)
+        assert eval_count() == 1250
+        values = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
+        assert values.size == 2500 and np.all(np.isfinite(values))
+
+    def test_pruned_cd_recipe(self, cd_problem, eval_count):
+        opts = bm.SolveOptions(z_l=-40.0, z_r=0.09)
+        prep = bm.prepare_contour(cd_problem, 1.0, 1.0, 5e-8, opts)
+        assert prep.grid.spec.n_pts == 100
+        assert eval_count() <= 100
 
 
 class TestSigmaMinEvaluator:
@@ -83,6 +128,20 @@ class TestLevelCurve:
             inside = 0.25 - (x + 1.0) ** 2
             expected = np.sqrt(inside) if inside > 0 else 0.0
             assert y == pytest.approx(expected, abs=2e-2)
+
+    @pytest.mark.parametrize("eps, t", [(0.5, 0.0), (0.2, 1.0)])
+    def test_grid_for_levels_gives_full_grid_curve(self, eps, t):
+        # Nodes just above the circle are certified outside by far nodes, so
+        # this covers the extra evaluation level_curve interpolates against.
+        spec = bm.GridSpec(-2.0, 0.0, -1.0, 1.0, 41)
+        A = bm.Operator(np.array([[-1.0]]))
+        pruned = bm.compute_grid(A, spec, levels=((eps, t),))
+        full = bm.compute_grid(A, spec)
+        assert np.isnan(pruned.sigma_min).any()
+        want = bm.level_curve(full, eps, t).ys
+        assert np.any(want > 0.0)
+        np.testing.assert_allclose(bm.level_curve(pruned, eps, t).ys, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(pruned.completed().sigma_min, full.sigma_min)
 
     def test_no_crossing_gives_zeros(self):
         grid = make_grid([[-1.0]], (-2.0, 0.0, -1.0, 1.0), n=16)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bromell as bm
+from bromell import pseudospectra, solver
 from bromell.errors import SingularSystemError, StageError
 from bromell.solver import (
     NodeCache,
@@ -276,6 +277,45 @@ class TestSolvePipeline:
         assert keys["reached_tol"] == "true"
         assert len(rows) == len(report.errors_table)
         assert rows[-1][0] == report.result.N
+
+
+def _brackets(grid, curve):
+    """Per column, the topmost upper-half row inside the curve's level set (-1: none)."""
+    upper = grid.ys >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logv = grid.xs * curve.weighted_time - np.log(grid.sigma_min[upper])
+    inside = logv >= -np.log(curve.epsilon)
+    return np.array([np.flatnonzero(col)[-1] if col.any() else -1 for col in inside.T])
+
+
+class TestPrunedGrid:
+    @pytest.mark.parametrize(
+        "problem, t_weight, t_opt, tol, opts",
+        [
+            ("cd_problem", 1.0, 1.0, 5e-8, bm.SolveOptions(z_l=-40.0, z_r=0.09)),
+            ("bs_problem", 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50)),
+        ],
+    )
+    def test_curves_and_contour_match_full_grid(
+        self, request, monkeypatch, problem, t_weight, t_opt, tol, opts
+    ):
+        problem = request.getfixturevalue(problem)
+        pruned = bm.prepare_contour(problem, t_weight, t_opt, tol, opts)
+        monkeypatch.setattr(
+            solver, "compute_grid", lambda A, spec, levels: pseudospectra.compute_grid(A, spec)
+        )
+        full = bm.prepare_contour(problem, t_weight, t_opt, tol, opts)
+        assert np.isnan(pruned.grid.sigma_min).any()
+        assert not np.isnan(full.grid.sigma_min).any()
+        step = full.grid.ys[1] - full.grid.ys[0]
+        for got, want in ((pruned.c1, full.c1), (pruned.c2, full.c2)):
+            k_got, k_want = _brackets(pruned.grid, got), _brackets(full.grid, want)
+            np.testing.assert_array_equal(k_got >= 0, k_want >= 0)
+            np.testing.assert_array_equal(k_got, k_want)
+            np.testing.assert_allclose(got.ys, want.ys, rtol=0.0, atol=1e-6 * step)
+        assert pruned.contour.a == pytest.approx(full.contour.a, rel=1e-12)
+        for name in ("z_l", "z_r", "d", "r"):
+            assert getattr(pruned.inner, name) == pytest.approx(getattr(full.inner, name), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
