@@ -93,13 +93,15 @@ def candidate_encloses(z_l: float, z_r: float, focus_x: float, p: complex) -> bo
 
 
 def _first_violation(points, z_l, A, B):
-    """Rightmost point (by real part) outside the (A, B) ellipse, or None."""
-    worst = None
-    for p in sorted(points, key=lambda q: -q.real):
+    """First of ``points`` outside the (A, B) ellipse, or None.
+
+    Callers pass the points sorted by decreasing real part, so this is the
+    rightmost offender.
+    """
+    for p in points:
         if _ellipse_form(p, z_l, A, B) > 1.0 + ENCLOSE_SLACK:
-            worst = p
-            break
-    return worst
+            return p
+    return None
 
 
 def build_inner_ellipse(phi, z_l: float, z_r: float, m_ell: int = 1000) -> InnerEllipse:
@@ -107,9 +109,12 @@ def build_inner_ellipse(phi, z_l: float, z_r: float, m_ell: int = 1000) -> Inner
 
     Starting from the circle of radius z_r - z_l centered at z_l, candidate
     ellipses through z_r with right focus at successive partition points of
-    [z_l, z_r] are tried; the last candidate that still encloses every point
-    of phi is kept. The returned passing point d + i r reports where the
-    accepted ellipse clears the critical point of the sweep.
+    [z_l, z_r] are considered; the last candidate that still encloses every
+    point of phi is kept. The candidates share their center and horizontal
+    semi-axis while the vertical one shrinks as the focus moves right, so
+    they are nested and the first violating candidate is found by bisection.
+    The returned passing point d + i r reports where the accepted ellipse
+    clears the rightmost point that the next candidate leaves out.
     """
     points = [complex(p) for p in phi]
     if not points:
@@ -119,8 +124,9 @@ def build_inner_ellipse(phi, z_l: float, z_r: float, m_ell: int = 1000) -> Inner
     if m_ell < 2:
         raise GeometryError("need at least 2 partition points")
     A = z_r - z_l
+    ordered = sorted(points, key=lambda q: -q.real)
 
-    circle_violation = _first_violation(points, z_l, A, A)
+    circle_violation = _first_violation(ordered, z_l, A, A)
     if circle_violation is not None:
         # Even the circle fails: pass just above the worst offender and widen
         # until everything fits.
@@ -140,24 +146,35 @@ def build_inner_ellipse(phi, z_l: float, z_r: float, m_ell: int = 1000) -> Inner
         for _ in range(80):
             r = abs(worst.imag) + eps
             B = r / math.sqrt(1.0 - ((d - z_l) / A) ** 2)
-            if _first_violation(points, z_l, A, B) is None:
+            if _first_violation(ordered, z_l, A, B) is None:
                 return InnerEllipse(z_l, z_r, d, r)
             eps *= 2.0
         raise GeometryError("could not enclose the singularity set; increase z_r")
 
     foci = np.linspace(z_l, z_r, m_ell)[1:-1]
-    prev_B = A  # the circle
-    for focus in foci:
-        fd = focus - z_l
-        B = math.sqrt(A * A - fd * fd)
-        violation = _first_violation(points, z_l, A, B)
-        if violation is not None:
-            d = violation.real
-            r = prev_B * math.sqrt(max(0.0, 1.0 - ((d - z_l) / A) ** 2))
-            return InnerEllipse(z_l, z_r, d, r)
-        prev_B = B
-    # Even the most eccentric candidate encloses everything.
-    return InnerEllipse(z_l, z_r, z_l, prev_B)
+
+    def semi_minor(j):
+        """Vertical semi-axis of candidate j; the circle's for j = -1."""
+        if j < 0:
+            return A
+        fd = foci[j] - z_l
+        return math.sqrt(A * A - fd * fd)
+
+    # Invariant: candidates below lo enclose phi, candidates from hi on do not.
+    lo, hi = 0, foci.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _first_violation(ordered, z_l, A, semi_minor(mid)) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    prev_B = semi_minor(lo - 1)
+    if lo == foci.size:
+        # Even the most eccentric candidate encloses everything.
+        return InnerEllipse(z_l, z_r, z_l, prev_B)
+    d = _first_violation(ordered, z_l, A, semi_minor(lo)).real
+    r = prev_B * math.sqrt(max(0.0, 1.0 - ((d - z_l) / A) ** 2))
+    return InnerEllipse(z_l, z_r, d, r)
 
 
 @dataclass(frozen=True)

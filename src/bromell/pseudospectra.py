@@ -21,9 +21,8 @@ from .numerics import as_operator
 
 _LOG_CAP = 700.0  # exp(700) is near the double-precision overflow edge
 # Relative slack on an evaluated sigma_min before it certifies neighbours: the
-# Lanczos readout is an upper bound on sigma_min converged to about 1e-9.
-# Certifying another node takes s above a grid step, so the slack also stays
-# far above the eps * ||A|| rounding floor of s.
+# Lanczos readout is an upper bound on sigma_min converged to about 1e-9. The
+# evaluator's absolute allowance (its abs_error) is subtracted as well.
 _CERTIFY_SLACK = 1e-6
 
 
@@ -138,17 +137,31 @@ class SigmaMinEvaluator:
     """sigma_min(zI - A) at many shifts, sharing one Schur factorization.
 
     zI - A and zI - T have identical singular values for the unitary Schur
-    factor T, and zI - T is triangular, so inverse iteration costs O(n^2)
-    per shift instead of a fresh O(n^3) SVD. Falls back to a dense SVD of
-    the triangular shift whenever the iteration stalls.
+    factor T, and zI - T is triangular, so inverse Lanczos costs O(n^2) per
+    shift instead of a fresh O(n^3) SVD. A run from the previous shift's
+    singular vector is accepted when its readout ||Mv|| agrees with the Ritz
+    value to 1e-9 relative. Below sigma ~ 1e-5 both carry an absolute error
+    of order eps * ||A||, so a second run from a fixed start vector is
+    accepted within ``1e-9 * sigma + abs_error``, where
+    ``abs_error = 10 eps ||T||_F`` (||T||_F >= ||A||_2). That run depends
+    on z alone, so a value dominated by round-off does not depend on the
+    order in which shifts are evaluated. A dense SVD of the triangular shift
+    runs only when both runs stall.
     """
 
     def __init__(self, A):
         op = as_operator(A)
         self.dim = op.dim
         self.is_real = op.is_real
-        self._T = sla.schur(op.entries.astype(complex), output="complex")[0]
-        self._eye = np.eye(self.dim)
+        T = sla.schur(op.entries.astype(complex), output="complex")[0]
+        self.abs_error = 10.0 * np.finfo(float).eps * float(np.linalg.norm(T))
+        self._diag = np.diag(T).copy()
+        # zI - T lives in one Fortran-order buffer; each shift rewrites only
+        # its diagonal, which is a view into the buffer.
+        self._M = np.asfortranarray(-T)
+        self._M_diag = self._M.reshape(-1, order="F")[:: self.dim + 1]
+        (self._trtrs,) = sla.get_lapack_funcs(("trtrs",), (self._M,))
+        (self._sterf,) = sla.get_lapack_funcs(("sterf",), (self._diag.real,))
         start = np.ones(self.dim, dtype=complex)
         start[1::2] += 0.5j
         self._start = start / np.linalg.norm(start)
@@ -157,52 +170,61 @@ class SigmaMinEvaluator:
         self._warm = self._start
 
     def __call__(self, z: complex) -> float:
-        M = complex(z) * self._eye - self._T
-        dmin = np.min(np.abs(np.diag(M)))
-        if dmin == 0.0:
+        np.subtract(complex(z), self._diag, out=self._M_diag)
+        if np.min(np.abs(self._M_diag)) == 0.0:
             return 0.0
         # Blending in the generic start keeps the warm vector from being
         # (numerically) orthogonal to the new minimal singular direction.
-        v0 = self._warm + 0.1 * self._start
-        sigma = self._lanczos(M, v0)
+        sigma = self._lanczos(self._warm + 0.1 * self._start, 0.0)
         if sigma is None:
-            sigma = self._lanczos(M, self._start)
-        if sigma is not None:
-            return sigma
-        return float(np.linalg.svd(M, compute_uv=False)[-1])
+            sigma = self._lanczos(self._start, self.abs_error)
+        if sigma is None:
+            sigma = self._dense_sigma_min()
+        return sigma
 
-    def _lanczos(self, M, v0, max_k: int = 40, rtol: float = 1e-12):
+    def _dense_sigma_min(self) -> float:
+        """sigma_min of the current shift by dense SVD, for a stalled iteration."""
+        return float(np.linalg.svd(self._M, compute_uv=False)[-1])
+
+    def _lanczos(self, v0, abs_slack: float, max_k: int = 40, rtol: float = 1e-12):
         """Largest eigenvalue of (M^H M)^{-1} by Lanczos with full reorthogonalization.
 
-        Returns ||M v|| for the converged Ritz vector v (an upper bound on
-        sigma_min that is tight at convergence), or None when the readouts
-        disagree, signalling the caller to fall back to a dense SVD.
+        M is the current shift zI - T. Returns ||M v|| for the converged Ritz
+        vector v (an upper bound on sigma_min that is tight at convergence),
+        or None when it and the Ritz value disagree by more than
+        1e-9 relative plus ``abs_slack``, signalling the caller to retry or
+        fall back to a dense SVD.
         """
-        n = M.shape[0]
-        Q = np.empty((n, max_k + 1), dtype=complex)
-        Q[:, 0] = v0 / np.linalg.norm(v0)
-        alphas: list[float] = []
-        betas: list[float] = []
+        M, trtrs = self._M, self._trtrs
+        Q = np.empty((max_k + 1, self.dim), dtype=complex)  # Lanczos vectors as rows
+        Q[0] = v0 / np.linalg.norm(v0)
+        alphas = np.empty(max_k)
+        betas = np.empty(max_k)
         theta = theta_prev = None
         stalls = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(max_k):
-                y = sla.solve_triangular(M, Q[:, k], trans="C", check_finite=False)
-                w = sla.solve_triangular(M, y, check_finite=False)
+                y = trtrs(M, Q[k], trans=2)[0]
+                w = trtrs(M, y, overwrite_b=1)[0]
                 if not np.all(np.isfinite(w)):
                     return None
-                alpha = float(np.real(np.vdot(Q[:, k], w)))
-                w -= alpha * Q[:, k]
+                alpha = float(np.vdot(Q[k], w).real)
+                w -= alpha * Q[k]
                 if k:
-                    w -= betas[-1] * Q[:, k - 1]
+                    w -= betas[k - 1] * Q[k - 1]
                 # Two Gram-Schmidt passes; one is not enough once the basis
                 # starts picking up converged directions.
+                basis = Q[: k + 1]
                 for _ in range(2):
-                    w -= Q[:, : k + 1] @ (Q[:, : k + 1].conj().T @ w)
-                alphas.append(alpha)
-                theta = float(
-                    sla.eigvalsh_tridiagonal(np.array(alphas), np.array(betas))[-1]
-                )
+                    w -= (basis @ w.conj()).conj() @ basis
+                alphas[k] = alpha
+                if k == 0:
+                    theta = alpha
+                else:
+                    ritz_values, info = self._sterf(alphas[: k + 1], betas[:k])
+                    if info:
+                        return None
+                    theta = float(ritz_values[-1])
                 if theta_prev is not None and abs(theta - theta_prev) <= rtol * abs(theta):
                     stalls += 1
                     if stalls >= 2 and k >= 6:
@@ -213,20 +235,20 @@ class SigmaMinEvaluator:
                 beta = float(np.linalg.norm(w))
                 if beta == 0.0 or not np.isfinite(beta):
                     break  # exact invariant subspace (or breakdown -> readout check)
-                betas.append(beta)
-                Q[:, k + 1] = w / beta
+                betas[k] = beta
+                Q[k + 1] = w / beta
         if theta is None or theta <= 0.0 or not np.isfinite(theta):
             return None
-        k = len(alphas)
-        _, vecs = sla.eigh_tridiagonal(np.array(alphas), np.array(betas[: k - 1]))
-        v = Q[:, :k] @ vecs[:, -1]
+        steps = k + 1
+        _, vecs = sla.eigh_tridiagonal(alphas[:steps], betas[:k], check_finite=False)
+        v = vecs[:, -1] @ Q[:steps]
         nv = np.linalg.norm(v)
         if nv == 0.0 or not np.isfinite(nv):
             return None
         v /= nv
         val = float(np.linalg.norm(M @ v))
         ritz = 1.0 / math.sqrt(theta)
-        if not np.isfinite(val) or abs(val - ritz) > 1e-9 * max(val, ritz):
+        if not np.isfinite(val) or abs(val - ritz) > 1e-9 * max(val, ritz) + abs_slack:
             return None
         self._warm = v
         return val
@@ -263,8 +285,9 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
     y >= 0, scanned row by row from the top of the box down, minus every node
     certified outside all level sets. sigma_min(zI - A) is 1-Lipschitz in z
     (Weyl's inequality), so node z' is certified once
-    max over evaluated z of s(z)(1 - slack) - |z - z'| exceeds
-    max over levels of eps e^{Re(z') t}. The node directly above each
+    max over evaluated z of s(z)(1 - slack) - abs_error - |z - z'| exceeds
+    max over levels of eps e^{Re(z') t}, where slack and the evaluator's
+    abs_error bound the error of each value s. The node directly above each
     column's topmost in-set node is evaluated as well, because level_curve
     interpolates against it. Every other node, the lower rows included, is
     NaN, which level_curve reads as outside; ``PseudoGrid.completed``
@@ -291,7 +314,8 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
             if bound[r, ix] > theta[ix]:
                 continue
             s = sigma[rows[r], ix] = ev(nodes[r, ix])
-            np.maximum(bound, s * (1.0 - _CERTIFY_SLACK) - np.abs(nodes - nodes[r, ix]), out=bound)
+            s_low = s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
+            np.maximum(bound, s_low - np.abs(nodes - nodes[r, ix]), out=bound)
     for eps, t in levels:
         inside = _level_values(sigma[rows], xs, t) >= -np.log(eps)
         for ix in np.flatnonzero(inside.any(axis=0)):

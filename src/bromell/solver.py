@@ -423,10 +423,11 @@ def default_z_r(problem, eigs, eps1: float) -> float:
 
     A = problem.operator.entries
     n = A.shape[0]
-    eye = np.eye(n)
 
+    # brentq's wrapper keeps g in a reference cycle until a full garbage
+    # collection, so g must not hold an n x n array of its own.
     def g(x):
-        return smallest_singular_value(x * eye - A) - eps1
+        return smallest_singular_value(x * np.eye(n) - A) - eps1
 
     lo = float(np.max(eigs.real))
     z_r = lo + eps1

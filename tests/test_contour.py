@@ -48,6 +48,52 @@ class TestCandidateEncloses:
             bm.candidate_encloses(-2.0, 1.0, 1.0, 0.0j)
 
 
+def _linear_scan_ellipse(phi, z_l, z_r, m_ell=1000):
+    """Reference: try the candidate foci one after another, re-sorting phi for each."""
+    points = [complex(p) for p in phi]
+    A = z_r - z_l
+
+    def first_violation(B):
+        for p in sorted(points, key=lambda q: -q.real):
+            if (p.real - z_l) ** 2 / A**2 + p.imag**2 / B**2 > 1.0 + 1e-12:
+                return p
+        return None
+
+    assert first_violation(A) is None, "oracle covers phi inside the circle only"
+    prev_B = A
+    for focus in np.linspace(z_l, z_r, m_ell)[1:-1]:
+        fd = focus - z_l
+        B = math.sqrt(A * A - fd * fd)
+        violation = first_violation(B)
+        if violation is not None:
+            d = violation.real
+            r = prev_B * math.sqrt(max(0.0, 1.0 - ((d - z_l) / A) ** 2))
+            return bm.InnerEllipse(z_l, z_r, d, r)
+        prev_B = B
+    return bm.InnerEllipse(z_l, z_r, z_l, prev_B)
+
+
+@pytest.fixture()
+def captured_phi(monkeypatch):
+    """Calls prepare_contour and returns the (phi, z_l, z_r) it passed to build_inner_ellipse."""
+    from bromell import solver
+
+    seen = []
+    build = solver.build_inner_ellipse
+
+    def recording(phi, z_l, z_r, *args, **kwargs):
+        seen.append((list(phi), z_l, z_r))
+        return build(phi, z_l, z_r, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_inner_ellipse", recording)
+
+    def run(problem, t_weight, t_opt, tol, opts):
+        bm.prepare_contour(problem, t_weight, t_opt, tol, opts)
+        return seen[-1]
+
+    return run
+
+
 class TestBuildInnerEllipse:
     def test_real_segment_gives_most_eccentric(self):
         # Everything on the real axis inside the strip: the sweep runs to its
@@ -93,6 +139,45 @@ class TestBuildInnerEllipse:
     def test_real_axis_outlier_is_an_error(self):
         with pytest.raises(GeometryError, match="increase z_r"):
             bm.build_inner_ellipse([5.0 + 0.0j], -2.0, 0.5)
+
+    def test_pipeline_sets_match_linear_scan(self, cd_problem, bs_problem, captured_phi):
+        cases = [
+            (cd_problem, 1.0, 1.0, 5e-8, bm.SolveOptions(z_l=-40.0, z_r=0.09)),
+            (bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50)),
+        ]
+        for problem, t_weight, t_opt, tol, opts in cases:
+            phi, z_l, z_r = captured_phi(problem, t_weight, t_opt, tol, opts)
+            assert len(phi) > 100
+            assert bm.build_inner_ellipse(phi, z_l, z_r) == _linear_scan_ellipse(phi, z_l, z_r)
+
+    def test_random_sets_match_linear_scan(self):
+        rng = np.random.default_rng(31)
+        z_l, z_r = -5.0, 0.3
+        A = z_r - z_l
+        for trial in range(20):
+            m_ell = int(rng.choice([2, 3, 17, 200, 1000]))
+            height = rng.uniform(0.05, 3.0)
+            pts = [
+                complex(rng.uniform(z_l, z_r), abs(rng.normal(0.0, height)))
+                for _ in range(int(rng.integers(1, 60)))
+            ]
+            pts = [p for p in pts if abs(p - z_l) < A] or [complex(z_l, 0.0)]
+            got = bm.build_inner_ellipse(pts, z_l, z_r, m_ell=m_ell)
+            assert got == _linear_scan_ellipse(pts, z_l, z_r, m_ell), trial
+
+    def test_first_candidate_violates_matches_linear_scan(self):
+        z_l, z_r, m_ell = -1.0, 0.0, 1000
+        h_p = (z_r - z_l) / (m_ell - 1)
+        tall = complex(-1.0, math.sqrt(1.0 - 0.5 * h_p**2))
+        want = _linear_scan_ellipse([tall], z_l, z_r, m_ell)
+        assert want.r == pytest.approx(1.0, abs=1e-12)  # the circle was kept
+        assert bm.build_inner_ellipse([tall], z_l, z_r, m_ell=m_ell) == want
+
+    def test_most_eccentric_encloses_all_matches_linear_scan(self):
+        phi = [complex(x, 0.0) for x in np.linspace(-3.0, 0.4, 20)]
+        want = _linear_scan_ellipse(phi, -4.0, 0.5, 200)
+        assert want.d == -4.0  # no candidate violated
+        assert bm.build_inner_ellipse(phi, -4.0, 0.5, m_ell=200) == want
 
     def test_reference_recipe_passing_point(self, cd_report):
         # Known placement for the d=400 / 64-point / t=1 configuration

@@ -104,6 +104,25 @@ class TestEvaluationCount:
         assert eval_count() <= 100
 
 
+@pytest.fixture()
+def fallback_count(monkeypatch):
+    """Callable returning the number of dense-SVD fallbacks made so far in the test."""
+    calls = []
+    dense = SigmaMinEvaluator._dense_sigma_min
+
+    def counted(self):
+        calls.append(None)
+        return dense(self)
+
+    monkeypatch.setattr(SigmaMinEvaluator, "_dense_sigma_min", counted)
+    return lambda: len(calls)
+
+
+def _export_bound(sigma_ref, A):
+    """The export contract: agreement with dense SVD to 1e-9 sigma + 10 eps ||A||_2."""
+    return 1e-9 * sigma_ref + 10 * np.finfo(float).eps * np.linalg.norm(A, 2)
+
+
 class TestSigmaMinEvaluator:
     def test_agrees_with_svd_on_nonnormal(self):
         rng = np.random.default_rng(5)
@@ -116,6 +135,55 @@ class TestSigmaMinEvaluator:
     def test_exact_eigenvalue_shift_is_zero(self):
         ev = SigmaMinEvaluator(bm.Operator(np.diag([-1.0, -2.0])))
         assert ev(-1.0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_near_eigenvalue_shifts_without_fallback(self, bs_problem, fallback_count):
+        # Below sigma ~ 1e-5 the Lanczos readouts carry an absolute error of
+        # ~eps ||A||; they must still be accepted and meet the export bound.
+        A = bs_problem.operator.entries
+        n = A.shape[0]
+        ev = SigmaMinEvaluator(bs_problem.operator)
+        lam = np.linalg.eigvals(A)
+        rng = np.random.default_rng(11)
+        for i in rng.choice(n, 6, replace=False):
+            for offset in (1e-10, 3e-11j, 2e-12 - 1e-12j):
+                z = lam[i] + offset
+                ref = np.linalg.svd(z * np.eye(n) - A, compute_uv=False)[-1]
+                assert ref < 1e-9
+                assert abs(ev(z) - ref) <= _export_bound(ref, A)
+        assert fallback_count() == 0
+
+    def test_window_plan_makes_no_dense_fallback(self, bs_problem, eval_count, fallback_count):
+        bm.plan_window(bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
+        assert eval_count() > 600
+        assert fallback_count() == 0
+
+    def test_reused_shift_buffer_leaks_no_state(self):
+        rng = np.random.default_rng(8)
+        M = rng.standard_normal((40, 40)) + np.diag(-np.linspace(1, 8, 40))
+        ev = SigmaMinEvaluator(bm.Operator(M))
+        shifts = (0.5 + 1.0j, -3.0 + 0.2j, -6.0 - 2.0j, -1.0 + 0.0j)
+        for z1 in shifts:
+            for z2 in shifts:
+                ev(z2)
+                want = SigmaMinEvaluator(bm.Operator(M))(z1)
+                assert ev(z1) == pytest.approx(want, rel=1e-9)
+
+    def test_exact_eigenvalue_shift_after_other_shifts(self):
+        ev = SigmaMinEvaluator(bm.Operator(np.diag([-1.0, -2.0, -3.0])))
+        for z in (0.5 + 1.0j, -2.5, -1.0, -4.0 - 1.0j, -1.0, -3.0):
+            s = ev(z)
+            if z in (-1.0, -3.0):
+                assert s == 0.0
+            else:
+                assert s > 0.0
+
+    def test_conjugate_shift_of_real_operator(self, bs_problem):
+        A = bs_problem.operator.entries
+        ev = SigmaMinEvaluator(bs_problem.operator)
+        lam = np.linalg.eigvals(A)
+        for z in (-1.0 + 2.0j, -20.0 + 0.5j, -0.2 + 0.05j, lam[0] + 1e-10 + 1e-11j):
+            up, down = ev(z), ev(np.conj(z))
+            assert abs(up - down) <= _export_bound(max(up, down), A)
 
 
 class TestLevelCurve:

@@ -267,6 +267,26 @@ class TestSolvePipeline:
         assert report.reached_tol
         assert np.max(np.abs(report.result.approx - exact)) <= 1e-9
 
+    def test_default_z_r_holds_no_matrix_after_return(self, bs_problem):
+        # Memory still allocated after the call, before any garbage
+        # collection: a matrix kept alive by a reference cycle shows here.
+        import gc
+        import tracemalloc
+
+        eigs = bm.eigenvalues(bs_problem.operator)
+        n = bs_problem.operator.dim
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            z_r = solver.default_z_r(bs_problem, eigs, 1e-9)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert z_r > float(np.max(eigs.real))
+        assert held < 8 * n * n
+
     def test_report_round_trip(self, tmp_path, diag_problem):
         report = bm.solve(diag_problem, 1.0, 1e-8, bm.SolveOptions(grid_pts=24, validate=True))
         path = tmp_path / "report.txt"
