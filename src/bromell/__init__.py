@@ -40,7 +40,6 @@ from .numerics import (
     eigenvalues,
     reference_solution,
     resolvent_cond,
-    smallest_singular_value,
 )
 from .problems import (
     LaplaceProblem,

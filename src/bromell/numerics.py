@@ -1,11 +1,11 @@
 """Dense complex linear-algebra kernels.
 
 Everything downstream (pseudospectral grids, contour selection, quadrature)
-is built on the operations here: shifted solves (zI - A)x = b, the resolvent
-apply uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) that every quadrature node,
-truncation step and bound sample evaluates, smallest singular values, dense
-eigenvalues, and a matrix-exponential reference evolution used as validation
-oracle.
+is built on the operations here: the operator's one complex Schur factor,
+shifted solves (zI - A)x = b, the resolvent apply
+uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) that every quadrature node, truncation
+step and bound sample evaluates, dense eigenvalues, and a matrix-exponential
+reference evolution used as validation oracle.
 
 All functions are pure and deterministic; inputs are never mutated.
 """
@@ -13,6 +13,7 @@ All functions are pure and deterministic; inputs are never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,8 +27,6 @@ from .errors import (
 
 # Operators above this size are rejected by the dense pipeline.
 DENSE_DIM_LIMIT = 3000
-# Full SVD is used for sigma_min up to this size, inverse iteration above.
-SVD_DENSE_LIMIT = 500
 # The matrix-exponential reference is trusted only up to this size.
 REFERENCE_DIM_LIMIT = 500
 
@@ -59,6 +58,21 @@ class Operator:
     @property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.entries)
+
+    @cached_property
+    def schur_factor(self) -> np.ndarray:
+        """Read-only upper-triangular T of the complex Schur form A = Q T Q*.
+
+        Computed on first use and kept for the operator's lifetime
+        (16 n^2 bytes); the eigenvalues, the default z_r and every
+        resolvent-norm grid read this one factor.
+        """
+        try:
+            T = sla.schur(self.entries.astype(complex), output="complex")[0]
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolverError(f"Schur factorization failed: {exc}") from exc
+        T.setflags(write=False)
+        return T
 
 
 def as_operator(A) -> Operator:
@@ -132,52 +146,9 @@ def resolvent_cond(A, z: complex) -> float:
         return np.inf
 
 
-def smallest_singular_value(M) -> float:
-    """sigma_min of a square matrix to >= 6 significant digits.
-
-    Full SVD up to SVD_DENSE_LIMIT; above that, inverse iteration on the LU
-    factors of M (power iteration on (M^H M)^-1 with a terminal ||M v||
-    Rayleigh refinement). Returns 0.0 for an exactly singular M.
-    """
-    M = _as_matrix(M)
-    n = M.shape[0]
-    if n <= SVD_DENSE_LIMIT:
-        return float(np.linalg.svd(M, compute_uv=False)[-1])
-
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = sla.lu_factor(M)
-    if not np.all(np.isfinite(lu)) or np.min(np.abs(np.diag(lu))) == 0.0:
-        return 0.0
-    # Deterministic start vector; no seeding of global RNG state.
-    v = np.ones(n, dtype=complex)
-    v[1::2] += 0.5j
-    v /= np.linalg.norm(v)
-    sigma_prev = np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(200):
-            y = sla.lu_solve((lu, piv), v, trans=2)
-            w = sla.lu_solve((lu, piv), y)
-            nw = np.linalg.norm(w)
-            if not np.isfinite(nw) or nw == 0.0:
-                return 0.0
-            sigma = 1.0 / np.sqrt(nw)
-            v = w / nw
-            if abs(sigma - sigma_prev) <= 1e-10 * sigma:
-                break
-            sigma_prev = sigma
-    return float(np.linalg.norm(M @ v))
-
-
 def eigenvalues(A) -> np.ndarray:
-    """All eigenvalues of A (unordered), via the dense QR algorithm."""
-    M = _as_matrix(A)
-    try:
-        return np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigenvalue iteration failed: {exc}") from exc
+    """All eigenvalues of A (unordered, complex): the diagonal of its Schur factor."""
+    return np.diag(as_operator(A).schur_factor).copy()
 
 
 def reference_solution(problem, t: float) -> np.ndarray:

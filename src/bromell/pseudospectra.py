@@ -134,7 +134,7 @@ class SingularitySet:
 
 
 class SigmaMinEvaluator:
-    """sigma_min(zI - A) at many shifts, sharing one Schur factorization.
+    """sigma_min(zI - A) at many shifts, sharing the operator's Schur factor.
 
     zI - A and zI - T have identical singular values for the unitary Schur
     factor T, and zI - T is triangular, so inverse Lanczos costs O(n^2) per
@@ -153,7 +153,7 @@ class SigmaMinEvaluator:
         op = as_operator(A)
         self.dim = op.dim
         self.is_real = op.is_real
-        T = sla.schur(op.entries.astype(complex), output="complex")[0]
+        T = op.schur_factor
         self.abs_error = 10.0 * np.finfo(float).eps * float(np.linalg.norm(T))
         self._diag = np.diag(T).copy()
         # zI - T lives in one Fortran-order buffer; each shift rewrites only

@@ -35,13 +35,15 @@ from .contour import (
     window_objective,
 )
 from .errors import GeometryError, SingularSystemError, StageError
-from .numerics import (
-    eigenvalues,
-    reference_solution,
-    smallest_singular_value,
-    transformed_solution,
+from .numerics import eigenvalues, reference_solution, transformed_solution
+from .pseudospectra import (
+    GridSpec,
+    SigmaMinEvaluator,
+    SingularitySet,
+    compute_grid,
+    critical_curve,
+    level_curve,
 )
-from .pseudospectra import GridSpec, SingularitySet, compute_grid, critical_curve, level_curve
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -418,26 +420,33 @@ def default_z_l(t: float) -> float:
 
 
 def default_z_r(problem, eigs, eps1: float) -> float:
-    """Rightmost real-axis crossing of sigma_min = eps1, kept right of source poles."""
-    from scipy.optimize import brentq
+    """Rightmost real-axis crossing of sigma_min = eps1, kept right of source poles.
 
-    A = problem.operator.entries
-    n = A.shape[0]
-
-    # brentq's wrapper keeps g in a reference cycle until a full garbage
-    # collection, so g must not hold an n x n array of its own.
-    def g(x):
-        return smallest_singular_value(x * np.eye(n) - A) - eps1
-
+    The crossing is bisected to 1e-12 on a SigmaMinEvaluator of its own, so
+    no warm-start state passes to or from the grid's evaluator.
+    """
+    sigma = SigmaMinEvaluator(problem.operator)
     lo = float(np.max(eigs.real))
     z_r = lo + eps1
-    if g(lo) < 0.0:
+    if sigma(lo) < eps1:
         hi = lo + 1.0
         step = 1.0
-        while g(hi) < 0.0 and hi < lo + 1e6:
+        while sigma(hi) < eps1:
+            if hi >= lo + 1e6:
+                raise GeometryError(
+                    f"sigma_min(xI - A) stays below eps1 = {eps1} up to x = {hi}"
+                )
             step *= 2.0
             hi += step
-        z_r = float(brentq(g, lo, hi, xtol=1e-12))
+        # Widened by a few ulps of hi: far from 0, 1e-12 is below the spacing
+        # of doubles and the midpoint would stop moving.
+        while hi - lo > 1e-12 + 4.0 * np.finfo(float).eps * abs(hi):
+            mid = 0.5 * (lo + hi)
+            if sigma(mid) < eps1:
+                lo = mid
+            else:
+                hi = mid
+        z_r = hi
     poles = problem.singularities
     if poles:
         z_r = max(z_r, max(p.real for p in poles) + 0.01)

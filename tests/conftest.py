@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bromell as bm
+from bromell import numerics
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +51,17 @@ def bs_report_t10(bs_problem):
 def bs_window(bs_problem):
     plan = bm.plan_window(bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
     return plan
+
+
+@pytest.fixture()
+def schur_calls(monkeypatch):
+    """List with one entry per Schur factorization run from bromell.numerics."""
+    calls = []
+    schur = numerics.sla.schur
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(numerics.sla, "schur", counted)
+    return calls

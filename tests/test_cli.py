@@ -86,6 +86,14 @@ class TestSolveCommand:
 
 
 class TestPseudoCommand:
+    def test_one_schur_factorization(self, schur_calls, tmp_path):
+        code = run(
+            "pseudo", "--problem", "cd", "--t", "1", "--tol", "5e-8", "--grid", "20",
+            "--out", str(tmp_path / "pseudo"),
+        )
+        assert code == 0
+        assert len(schur_calls) == 1
+
     def test_outputs_and_ellipse_consistency(self, diag_files, tmp_path):
         mpath, upath = diag_files
         out = tmp_path / "pseudo"

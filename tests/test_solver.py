@@ -287,6 +287,16 @@ class TestSolvePipeline:
         assert z_r > float(np.max(eigs.real))
         assert held < 8 * n * n
 
+    def test_window_reads_one_schur_factorization(self, schur_calls):
+        # A fresh problem: the session fixtures' operators are already factored.
+        problem = bm.black_scholes_problem()
+        opts = bm.SolveOptions(grid_pts=50)
+        plan = bm.plan_window(problem, 1.0, 10.0, 5e-8, opts)
+        for t in np.linspace(1.0, 10.0, 10):
+            bm.solve_at(plan, problem, float(t), 5e-8)
+        bm.plan_window(problem, 1.0, 10.0, 5e-8, opts)
+        assert schur_calls == [(problem.operator.dim,) * 2]
+
     def test_report_round_trip(self, tmp_path, diag_problem):
         report = bm.solve(diag_problem, 1.0, 1e-8, bm.SolveOptions(grid_pts=24, validate=True))
         path = tmp_path / "report.txt"
@@ -297,6 +307,47 @@ class TestSolvePipeline:
         assert keys["reached_tol"] == "true"
         assert len(rows) == len(report.errors_table)
         assert rows[-1][0] == report.result.N
+
+
+def _dense_sigma_min(A, x: float) -> float:
+    return float(np.linalg.svd(x * np.eye(A.shape[0]) - A, compute_uv=False)[-1])
+
+
+def _dense_bisection_z_r(A, eps1: float) -> float:
+    """Oracle: the first doubling bracket of sigma_min(xI - A) = eps1, bisected by dense SVD."""
+    lo = float(np.max(np.linalg.eigvals(A).real))
+    assert _dense_sigma_min(A, lo) < eps1
+    hi, step = lo + 1.0, 1.0
+    while _dense_sigma_min(A, hi) < eps1:
+        step *= 2.0
+        hi += step
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if _dense_sigma_min(A, mid) < eps1:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+class TestDefaultZr:
+    # Source-free problems, so no pole clamps z_r. cd uses eps1 = 1e-6: at
+    # its computed rightmost eigenvalue sigma_min is already 4.5e-8, above
+    # the default 1e-9, which would skip the root finder.
+    @pytest.mark.parametrize("name, eps1", [("cd", 1e-6), ("bs", 1e-9)])
+    def test_root_matches_dense_svd_bisection(self, name, eps1, cd_problem, bs_problem):
+        source = {"cd": cd_problem, "bs": bs_problem}[name]
+        op = source.operator
+        problem = bm.LaplaceProblem(op, source.u0)
+        z_r = solver.default_z_r(problem, bm.eigenvalues(op), eps1)
+        assert abs(z_r - _dense_bisection_z_r(op.entries, eps1)) <= 1e-10
+        assert _dense_sigma_min(op.entries, z_r) == pytest.approx(eps1, rel=1e-3)
+
+    def test_no_crossing_raises(self, diag_problem):
+        # sigma_min(xI - A) = x + 1 stays below 1e7 up to x = lo + 1e6.
+        with pytest.raises(StageError) as info:
+            bm.solve(diag_problem, 1.0, 1e-6, bm.SolveOptions(eps1=1e7, grid_pts=16))
+        assert info.value.stage == "z_r-default"
 
 
 def _brackets(grid, curve):
