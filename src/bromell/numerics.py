@@ -12,6 +12,7 @@ All functions are pure and deterministic; inputs are never mutated.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,25 +87,37 @@ def _as_matrix(M) -> np.ndarray:
     return M.entries if isinstance(M, Operator) else np.asarray(M)
 
 
+_GETRF, _GETRS, _GECON = sla.get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex)
+
+
 class ShiftedSystem:
     """Pivoted LU factorization of (zI - A), reusable for many right-hand sides.
 
     Caching these is what makes node reuse across quadrature refinements and
     time windows cheap: the factorization does not depend on the evolution
     time, only on the shift z.
+
+    zI - A is assembled in one Fortran-order buffer that LAPACK ``getrf``
+    factors in place, and ``solve`` calls ``getrs`` on it. The entries are
+    the ones ``z * np.eye(n) - A`` forms, signed zeros included, so the
+    factors and solutions are bit-identical to ``scipy.linalg.lu_factor`` /
+    ``lu_solve`` on that matrix without their copies and checks.
     """
 
     def __init__(self, A, z: complex):
         M = _as_matrix(A)
         self.z = complex(z)
-        self.dim = M.shape[0]
-        shifted = self.z * np.eye(self.dim) - M
-        self._anorm = np.linalg.norm(shifted, 1)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # zero-pivot warning handled below
-            self._lu, self._piv = sla.lu_factor(shifted)
+        self.dim = n = M.shape[0]
+        self._A = M
+        # lu_factor's input check; Operator entries are finite by construction.
+        if not (cmath.isfinite(self.z) and (isinstance(A, Operator) or np.isfinite(M).all())):
+            raise ValueError("array must not contain infs or NaNs")
+        lu = np.empty((n, n), dtype=complex, order="F")
+        # Complex products give z*0j off the diagonal and z*(1+0j) on it,
+        # the entries of z*np.eye(n) bit for bit.
+        np.subtract(self.z * 0j, M, out=lu)
+        np.subtract(self.z * (1 + 0j), M.diagonal(), out=lu.reshape(-1, order="F")[:: n + 1])
+        self._lu, self._piv, _ = _GETRF(lu, overwrite_a=1)
         diag = np.abs(np.diag(self._lu))
         if not np.all(np.isfinite(self._lu)) or np.min(diag) == 0.0:
             raise SingularSystemError(
@@ -112,7 +125,10 @@ class ShiftedSystem:
             )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = sla.lu_solve((self._lu, self._piv), np.asarray(rhs))
+        rhs = np.asarray(rhs)
+        if not np.all(np.isfinite(rhs)):  # lu_solve's input check
+            raise ValueError("array must not contain infs or NaNs")
+        x = _GETRS(self._lu, self._piv, rhs)[0]
         if not np.all(np.isfinite(x)):
             raise SingularSystemError(
                 f"solve with (zI - A) overflowed at z = {self.z}"
@@ -120,11 +136,15 @@ class ShiftedSystem:
         return x
 
     def cond_estimate(self) -> float:
-        """1-norm condition-number estimate of (zI - A) from the LU factors."""
-        if self._anorm == 0.0:
+        """1-norm condition-number estimate of (zI - A) from the LU factors.
+
+        The 1-norm of ``z * np.eye(n) - A`` is formed only when an estimate
+        is asked for; the factorization does not need it.
+        """
+        anorm = np.linalg.norm(self.z * np.eye(self.dim) - self._A, 1)
+        if anorm == 0.0:
             return np.inf
-        gecon = sla.get_lapack_funcs("gecon", (self._lu,))
-        rcond, info = gecon(self._lu, self._anorm)
+        rcond, info = _GECON(self._lu, anorm)
         if info < 0 or rcond == 0.0:
             return np.inf
         return 1.0 / rcond

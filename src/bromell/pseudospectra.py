@@ -161,7 +161,7 @@ class SigmaMinEvaluator:
         self._M = np.asfortranarray(-T)
         self._M_diag = self._M.reshape(-1, order="F")[:: self.dim + 1]
         (self._trtrs,) = sla.get_lapack_funcs(("trtrs",), (self._M,))
-        (self._sterf,) = sla.get_lapack_funcs(("sterf",), (self._diag.real,))
+        self._sterf, self._stevd = sla.get_lapack_funcs(("sterf", "stevd"), dtype=float)
         start = np.ones(self.dim, dtype=complex)
         start[1::2] += 0.5j
         self._start = start / np.linalg.norm(start)
@@ -197,7 +197,8 @@ class SigmaMinEvaluator:
         """
         M, trtrs = self._M, self._trtrs
         Q = np.empty((max_k + 1, self.dim), dtype=complex)  # Lanczos vectors as rows
-        Q[0] = v0 / np.linalg.norm(v0)
+        Q[0] = v0 / _norm(v0)
+        w_conj = np.empty(self.dim, dtype=complex)
         alphas = np.empty(max_k)
         betas = np.empty(max_k)
         theta = theta_prev = None
@@ -206,9 +207,10 @@ class SigmaMinEvaluator:
             for k in range(max_k):
                 y = trtrs(M, Q[k], trans=2)[0]
                 w = trtrs(M, y, overwrite_b=1)[0]
-                if not np.all(np.isfinite(w)):
-                    return None
+                # A non-finite entry of w makes this inner product non-finite.
                 alpha = float(np.vdot(Q[k], w).real)
+                if not math.isfinite(alpha):
+                    return None
                 w -= alpha * Q[k]
                 if k:
                     w -= betas[k - 1] * Q[k - 1]
@@ -216,7 +218,7 @@ class SigmaMinEvaluator:
                 # starts picking up converged directions.
                 basis = Q[: k + 1]
                 for _ in range(2):
-                    w -= (basis @ w.conj()).conj() @ basis
+                    w -= (basis @ np.conjugate(w, out=w_conj)).conj() @ basis
                 alphas[k] = alpha
                 if k == 0:
                     theta = alpha
@@ -232,26 +234,37 @@ class SigmaMinEvaluator:
                 else:
                     stalls = 0
                 theta_prev = theta
-                beta = float(np.linalg.norm(w))
-                if beta == 0.0 or not np.isfinite(beta):
+                beta = _norm(w)
+                if beta == 0.0 or not math.isfinite(beta):
                     break  # exact invariant subspace (or breakdown -> readout check)
                 betas[k] = beta
                 Q[k + 1] = w / beta
-        if theta is None or theta <= 0.0 or not np.isfinite(theta):
+        if theta is None or theta <= 0.0 or not math.isfinite(theta):
             return None
         steps = k + 1
-        _, vecs = sla.eigh_tridiagonal(alphas[:steps], betas[:k], check_finite=False)
+        if steps == 1:
+            vecs = np.ones((1, 1))  # stevd's wrapper rejects an empty off-diagonal
+        else:
+            # stevd is the driver eigh_tridiagonal picks for all eigenpairs.
+            _, vecs, info = self._stevd(alphas[:steps], betas[:k])
+            if info:
+                raise np.linalg.LinAlgError(f"stevd failed with info = {info}")
         v = vecs[:, -1] @ Q[:steps]
-        nv = np.linalg.norm(v)
-        if nv == 0.0 or not np.isfinite(nv):
+        nv = _norm(v)
+        if nv == 0.0 or not math.isfinite(nv):
             return None
         v /= nv
-        val = float(np.linalg.norm(M @ v))
+        val = _norm(M @ v)
         ritz = 1.0 / math.sqrt(theta)
-        if not np.isfinite(val) or abs(val - ritz) > 1e-9 * max(val, ritz) + abs_slack:
+        if not math.isfinite(val) or abs(val - ritz) > 1e-9 * max(val, ritz) + abs_slack:
             return None
         self._warm = v
         return val
+
+
+def _norm(x: np.ndarray) -> float:
+    """2-norm of a complex vector by numpy.linalg.norm's formula, to the bit."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _mirror_source(spec: GridSpec, is_real: bool) -> np.ndarray:

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import bromell as bm
+from bromell.contour import conformal_map
 from bromell.errors import DimensionLimitError, SingularSystemError, UnsupportedSourceError
 from bromell.pseudospectra import SigmaMinEvaluator
 
@@ -37,6 +39,19 @@ class TestResolventSolve:
         with pytest.raises(SingularSystemError):
             bm.ShiftedSystem(A, -1.0).solve(np.array([1.0, 1.0]))
 
+    def test_overflowing_factorization_raises(self):
+        # zI - A = [[1, 1.5e308], [1, -1.5e308]] at z = 1: U[1, 1] overflows.
+        A = bm.Operator(np.array([[0.0, -1.5e308], [-1.0, 1.0 + 1.5e308]]))
+        with np.errstate(over="ignore"), pytest.raises(SingularSystemError):
+            bm.ShiftedSystem(A, 1.0)
+
+    def test_overflowing_solve_raises(self):
+        # zI - A = [[1, -1e300], [0, 1]] at z = 1 factors finitely, but
+        # x[0] = 1e300 * 1e10 overflows.
+        system = bm.ShiftedSystem(bm.Operator(np.array([[0.0, 1e300], [0.0, 0.0]])), 1.0)
+        with np.errstate(over="ignore"), pytest.raises(SingularSystemError):
+            system.solve(np.array([0.0, 1e10]))
+
     def test_residual_on_well_conditioned_system(self):
         rng = np.random.default_rng(7)
         M = rng.standard_normal((40, 40))
@@ -53,6 +68,43 @@ class TestResolventSolve:
         # exact 2-norm condition of diag(1, 2) is 2; the 1-norm estimate must
         # be within a small factor
         assert 1.0 <= sys.cond_estimate() <= 10.0
+
+
+class TestShiftedSystemOracle:
+    """ShiftedSystem bit for bit against SciPy's LU wrappers on z*np.eye(n) - A."""
+
+    @staticmethod
+    def check(A, z, rhs):
+        M = A.entries if isinstance(A, bm.Operator) else np.asarray(A)
+        shifted = complex(z) * np.eye(M.shape[0]) - M
+        lu, piv = sla.lu_factor(shifted)
+        (gecon,) = sla.get_lapack_funcs(("gecon",), (lu,))
+        rcond, _ = gecon(lu, np.linalg.norm(shifted, 1))
+        system = bm.ShiftedSystem(A, z)
+        assert np.array_equal(system._lu, lu)
+        assert np.array_equal(system._piv, piv)
+        assert np.array_equal(system.solve(rhs), sla.lu_solve((lu, piv), rhs))
+        assert system.cond_estimate() == 1.0 / rcond
+
+    def test_black_scholes_window_nodes(self, bs_problem, bs_window):
+        cache = bs_window.cache
+        for j in (1, 4, 8, 13, 19, 24):
+            z, _ = conformal_map(cache.params, cache.node_x(j, 25))
+            self.check(bs_problem.operator, z, bs_problem.u0 + bs_problem.bhat(z))
+
+    def test_complex_operator(self):
+        rng = np.random.default_rng(3)
+        A = bm.Operator(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))
+        rhs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        for z in (2.0 + 1.0j, -3.0 - 0.5j, 0.25j, -1.5):
+            self.check(A, z, rhs)
+
+    def test_plain_ndarray(self):
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((30, 30)) + np.diag(-np.linspace(1.0, 6.0, 30))
+        rhs = rng.standard_normal(30)
+        for z in (3.0, -2.0 + 0.5j, complex(-0.5, -0.0), 1j):
+            self.check(M, z, rhs)
 
 
 def _sigma_min(M) -> float:

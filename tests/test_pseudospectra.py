@@ -157,6 +157,17 @@ class TestSigmaMinEvaluator:
         assert eval_count() > 600
         assert fallback_count() == 0
 
+    def test_overflowing_solves_fall_back_once(self, fallback_count):
+        # The triangular solves at this shift overflow, so both Lanczos runs
+        # must give up and the value must come from the one dense SVD.
+        A = np.array([[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, -1.0]])
+        z = 1e-150j
+        with np.errstate(over="ignore"):
+            value = SigmaMinEvaluator(bm.Operator(A))(z)
+            ref = np.linalg.svd(z * np.eye(3) - A, compute_uv=False)[-1]
+        assert fallback_count() == 1
+        assert value == ref
+
     def test_reused_shift_buffer_leaks_no_state(self):
         rng = np.random.default_rng(8)
         M = rng.standard_normal((40, 40)) + np.diag(-np.linspace(1, 8, 40))

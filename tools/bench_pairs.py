@@ -1,0 +1,127 @@
+"""Alternating base/change runs of perfbench, summarised as one BENCH JSON file.
+
+    python3 tools/bench_pairs.py <rev> <out.json>
+
+<rev> is exported with `git archive` into a temporary directory; the change
+is the working tree. Each side runs its own `perfbench/run.py`. For every
+workload in BENCHMARK.json there are ten untraced pairs on seeds 1-10 at
+BENCHMARK.json's run_seconds, with the base side first on odd seeds and the
+change first on even ones. Then each side makes one traced run (seed 1) per
+workload. The file holds every run, the median and quartiles of each
+end-to-end metric per side, the pairs the change wins, and the traced
+counts and per-layer times named in TRACED.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+TRACED = (
+    "numerics.lu_count",
+    "numerics.lu_s",
+    "pseudospectra.sigma_evals",
+    "pseudospectra.sigma_eval_ms",
+    "solver.node_solves",
+    "solver.node_reuses",
+)
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run; its result line, exit code and env line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True, check=False,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise RuntimeError(f"{tree} {workload} seed {seed}: no result line\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
+    return {"exit": proc.returncode, "env": env, **result}
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    rev, out_path = sys.argv[1], Path(sys.argv[2])
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
+    commit = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="bench_pairs.") as tmp:
+        base = Path(tmp)
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(base / "tree", filter="data")
+        trees = {"base": base / "tree", "change": ROOT}
+        report = {
+            "base": commit,
+            "change": "working tree",
+            "run_seconds": seconds,
+            "pairs": PAIRS,
+            "workloads": {},
+        }
+        for wl in bench["workloads"]:
+            name = wl["name"]
+            runs = []
+            for seed in range(1, PAIRS + 1):
+                order = ("base", "change") if seed % 2 else ("change", "base")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run(trees[side], name, seed, seconds, 0)
+                    print(f"{name} seed {seed} {side}: "
+                          f"op_s {pair[side]['metrics']['op_s']['value']:.4g}", flush=True)
+                runs.append(pair)
+            metrics = {}
+            for metric, spec in end_to_end.items():
+                vals = {side: [p[side]["metrics"][metric]["value"] for p in runs]
+                        for side in trees}
+                better = min if spec["better"] == "lower" else max
+                wins = sum(c != b and better(b, c) == c
+                           for b, c in zip(vals["base"], vals["change"]))
+                metrics[metric] = {
+                    "unit": spec["unit"],
+                    "base": summary(vals["base"]),
+                    "change": summary(vals["change"]),
+                    "change_wins": wins,
+                }
+            failed = {side: [f"{p[side]['failed']}/{p[side]['attempted']}" for p in runs]
+                      for side in trees}
+            traced = {}
+            for side, tree in trees.items():
+                t = run(tree, name, 1, seconds, 1)
+                traced[side] = {m: t["metrics"][m]["value"] for m in TRACED if m in t["metrics"]}
+                traced[side]["absent_metrics"] = [m for m in TRACED if m not in t["metrics"]]
+            report["workloads"][name] = {
+                "end_to_end": metrics,
+                "failed_items": failed,
+                "traced_seed_1": traced,
+                "runs": [{"seed": p["seed"], "first": p["first"],
+                          **{side: {m: p[side]["metrics"][m]["value"] for m in end_to_end}
+                             for side in trees}} for p in runs],
+            }
+        report["env"] = runs[0]["base"]["env"]
+    out_path.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
