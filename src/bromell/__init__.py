@@ -12,7 +12,6 @@ from .contour import (
     InnerEllipse,
     TruncationResult,
     build_inner_ellipse,
-    candidate_encloses,
     conformal_map,
     contour_from_a,
     feasibility_check,
@@ -31,7 +30,6 @@ from .errors import (
     GeometryError,
     SingularSystemError,
     StageError,
-    UnsupportedSourceError,
 )
 from .numerics import (
     Operator,
@@ -57,7 +55,6 @@ from .pseudospectra import (
     GridSpec,
     LevelCurve,
     PseudoGrid,
-    SingularitySet,
     compute_grid,
     critical_curve,
     curve_to_csv,

@@ -75,7 +75,8 @@ def build_problem(args) -> problems.LaplaceProblem:
 
 
 def build_options(args) -> SolveOptions:
-    return SolveOptions(
+    """SolveOptions from the values a flag or the config file set; the rest keep their defaults."""
+    given = dict(
         z_l=args.zl,
         z_r=args.zr,
         eps1=args.eps1,
@@ -84,6 +85,7 @@ def build_options(args) -> SolveOptions:
         n_max=args.nmax,
         validate=args.validate,
     )
+    return SolveOptions(**{key: value for key, value in given.items() if value is not None})
 
 
 def _out_dir(args) -> Path:
@@ -168,7 +170,8 @@ def cmd_window(args) -> int:
     if not args.t0 < args.t1:
         raise ValueError("--t0 must be strictly smaller than --t1")
     problem = build_problem(args)
-    plan = plan_window(problem, args.t0, args.t1, args.tol, build_options(args))
+    opts = build_options(args)
+    plan = plan_window(problem, args.t0, args.t1, args.tol, opts)
     if args.times:
         times = [float(v) for v in args.times.split(",")]
     else:
@@ -178,7 +181,7 @@ def cmd_window(args) -> int:
     all_reached = True
     for t in times:
         before = plan.cache.reuse_count
-        rep = solve_at(plan, problem, t, args.tol, validate=args.validate, n_max=args.nmax)
+        rep = solve_at(plan, problem, t, args.tol, validate=opts.validate, n_max=opts.n_max)
         reused = plan.cache.reuse_count - before
         err = rep.reference_error if rep.reference_error is not None else rep.result.est_error
         rows.append((t, rep.truncation.c, rep.truncation.K, rep.result.N, err, reused))
@@ -235,16 +238,6 @@ _CONFIG_TYPES = {
 }
 
 
-# SolveOptions defaults, applied after the config file so that explicit flags win.
-_DEFAULTS = {
-    "eps1": SolveOptions.eps1,
-    "eps2": SolveOptions.eps2,
-    "grid": SolveOptions.grid_pts,
-    "nmax": SolveOptions.n_max,
-    "validate": SolveOptions.validate,
-}
-
-
 def _apply_config(args, parser):
     if args.config:
         for key, raw in _load_config(args.config).items():
@@ -253,9 +246,6 @@ def _apply_config(args, parser):
             # Flags win: only fill values the command line left unset.
             if getattr(args, key, None) is None:
                 setattr(args, key, _CONFIG_TYPES[key](raw))
-    for key, value in _DEFAULTS.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
 
 
 def _add_common(p: argparse.ArgumentParser):

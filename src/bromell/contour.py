@@ -21,6 +21,10 @@ from .numerics import resolvent_cond, transformed_solution
 TWO_PI = 2.0 * math.pi
 # Points this far outside an ellipse's boundary still count as enclosed.
 ENCLOSE_SLACK = 1e-12
+# optimize_a searches the strip half-height a in (0, _A_MAX].
+_A_MAX = 1.0
+# Points along the truncated arc where feasibility_check samples the condition number.
+_FEASIBILITY_SAMPLES = 10
 
 
 def _ellipse_form(p: complex, z_l: float, A: float, B: float) -> float:
@@ -76,20 +80,6 @@ class InnerEllipse:
         """Right half of the ellipse, sampled at m parameter values."""
         theta = np.linspace(-math.pi / 2, math.pi / 2, m)
         return self.z_l + self.semi_major * np.cos(theta) + 1j * self.semi_minor * np.sin(theta)
-
-
-def candidate_encloses(z_l: float, z_r: float, focus_x: float, p: complex) -> bool:
-    """Is p inside the ellipse centered at z_l through z_r with right focus focus_x?
-
-    The boundary counts as enclosed. The candidate has horizontal semi-axis
-    A = z_r - z_l and vertical semi-axis sqrt(A^2 - (focus_x - z_l)^2).
-    """
-    if not (z_l < focus_x < z_r):
-        raise GeometryError("focus must lie strictly between center and vertex")
-    A = z_r - z_l
-    fd = focus_x - z_l
-    B = math.sqrt(A * A - fd * fd)
-    return _ellipse_form(complex(p), z_l, A, B) <= 1.0 + ENCLOSE_SLACK
 
 
 def _first_violation(points, z_l, A, B):
@@ -247,28 +237,26 @@ def contour_from_a(inner: InnerEllipse, a: float) -> ContourParams:
     return ContourParams(a, a1, a2, inner.z_l)
 
 
-def optimize_a(inner: InnerEllipse, t: float, tol: float, a_max: float = 1.0) -> float:
-    """Minimize the node-count proxy f(a) = (D(a) t - log(tol/pi)) / (2a).
+def window_objective(inner: InnerEllipse, a: float, t1: float, tol: float) -> float:
+    """f(a) = (D(a) t1 - log(tol/pi)) / (2a): the node-count estimate at time t1."""
+    return (contour_from_a(inner, a).D * t1 - math.log(tol / math.pi)) / (2.0 * a)
+
+
+def optimize_a(inner: InnerEllipse, t: float, tol: float) -> float:
+    """Minimize the node-count proxy ``window_objective`` over a at time t.
 
     Bounded scalar minimization (golden section with parabolic refinement)
-    on (0, a_max], absolute tolerance 1e-6 on a.
+    on (0, _A_MAX], absolute tolerance 1e-6 on a.
     """
-    if not a_max > 0:
-        raise GeometryError("need a_max > 0")
 
     def f(a):
-        return (contour_from_a(inner, a).D * t - math.log(tol / math.pi)) / (2.0 * a)
+        return window_objective(inner, a, t, tol)
 
-    f(a_max)  # propagate degenerate geometry before the optimizer hides it
+    f(_A_MAX)  # propagate degenerate geometry before the optimizer hides it
     res = minimize_scalar(
-        f, bounds=(1e-8, a_max), method="bounded", options={"xatol": 1e-6, "maxiter": 200}
+        f, bounds=(1e-8, _A_MAX), method="bounded", options={"xatol": 1e-6, "maxiter": 200}
     )
     return float(res.x)
-
-
-def window_objective(inner: InnerEllipse, a: float, t1: float, tol: float) -> float:
-    """f(a) evaluated at the window's upper time; also the node-count estimate."""
-    return (contour_from_a(inner, a).D * t1 - math.log(tol / math.pi)) / (2.0 * a)
 
 
 def predicted_nodes(a: float, c: float, D: float, t: float, tol: float) -> int:
@@ -376,12 +364,7 @@ class FeasibilityReport:
 
 
 def feasibility_check(
-    problem,
-    params: ContourParams,
-    c: float,
-    t: float,
-    tol: float,
-    n_samples: int = 10,
+    problem, params: ContourParams, c: float, t: float, tol: float
 ) -> FeasibilityReport:
     """Estimate the best accuracy the arc supports and compare with tol.
 
@@ -389,7 +372,7 @@ def feasibility_check(
     multiplies the worst one by the stability constant and the unit roundoff.
     A failure is a verdict, not an exception.
     """
-    xs = np.linspace(-c * math.pi, c * math.pi, n_samples)
+    xs = np.linspace(-c * math.pi, c * math.pi, _FEASIBILITY_SAMPLES)
     conds = [resolvent_cond(problem.operator, conformal_map(params, x)[0]) for x in xs]
     max_cond = float(np.max(conds))
     return FeasibilityReport.forecast(max_cond, stability_constant(params, c, t), tol)

@@ -33,10 +33,6 @@ class ConvergenceError(BromellError):
     """An iterative procedure exhausted its iteration budget."""
 
 
-class UnsupportedSourceError(BromellError):
-    """The source term is outside the supported closed forms."""
-
-
 class FormatError(BromellError):
     """A file could not be parsed; the message carries the line number."""
 

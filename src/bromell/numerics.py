@@ -19,12 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (
-    DimensionLimitError,
-    EigenSolverError,
-    SingularSystemError,
-    UnsupportedSourceError,
-)
+from .errors import DimensionLimitError, EigenSolverError, SingularSystemError
 
 # Operators above this size are rejected by the dense pipeline.
 DENSE_DIM_LIMIT = 3000
@@ -91,11 +86,12 @@ _GETRF, _GETRS, _GECON = sla.get_lapack_funcs(("getrf", "getrs", "gecon"), dtype
 
 
 class ShiftedSystem:
-    """Pivoted LU factorization of (zI - A), reusable for many right-hand sides.
+    """Pivoted LU factorization of (zI - A) at one shift z.
 
-    Caching these is what makes node reuse across quadrature refinements and
-    time windows cheap: the factorization does not depend on the evolution
-    time, only on the shift z.
+    Each factorization serves one call: one node's solve
+    (``transformed_solution``) or one condition estimate
+    (``resolvent_cond``). Node reuse across quadrature refinements and time
+    windows keeps solutions in ``solver.NodeCache``, not factors.
 
     zI - A is assembled in one Fortran-order buffer that LAPACK ``getrf``
     factors in place, and ``solve`` calls ``getrs`` on it. The entries are
@@ -177,7 +173,8 @@ def reference_solution(problem, t: float) -> np.ndarray:
     The operator, the source-term vectors and their scalar decay modes are
     embedded into a single augmented matrix; the first block of
     expm(M t) @ [u0; 1...1] is exactly u(t) = e^{At} u0 + int_0^t e^{A(t-s)} b(s) ds.
-    Supported sources: sums of v * exp(-r s) terms (r = 0 gives a constant).
+    Every LaplaceProblem source is a sum of v * exp(-r s) terms (r = 0 gives
+    a constant), so every problem has this reference.
     """
     A = problem.operator.entries
     n = A.shape[0]
@@ -185,10 +182,6 @@ def reference_solution(problem, t: float) -> np.ndarray:
         raise DimensionLimitError(
             f"reference evolution is certified only up to dim {REFERENCE_DIM_LIMIT}, "
             f"got {n}"
-        )
-    if getattr(problem, "extra_bhat", None) is not None:
-        raise UnsupportedSourceError(
-            "reference evolution supports only closed-form exponential sources"
         )
     terms = list(problem.source_terms)
     m = len(terms)

@@ -44,19 +44,15 @@ class SourceTerm:
 
 @dataclass(frozen=True, eq=False)
 class LaplaceProblem:
-    """u' = A u + b(t), u(0) = u0, with b given as closed-form modes.
+    """u' = A u + b(t), u(0) = u0, with b a sum of closed-form modes.
 
-    ``extra_bhat`` allows an arbitrary transformed source z -> vector on top
-    of the closed-form modes; problems using it cannot be validated against
-    the matrix-exponential reference, and its poles must be declared through
-    ``extra_singularities``.
+    Every problem of this form up to the reference's dimension limit can be
+    validated against the matrix-exponential reference.
     """
 
     operator: Operator
     u0: np.ndarray
     source_terms: tuple = ()
-    extra_bhat: object = None
-    extra_singularities: tuple = ()
     label: str = ""
 
     def __post_init__(self):
@@ -87,23 +83,18 @@ class LaplaceProblem:
             self.operator.is_real
             and not np.iscomplexobj(self.u0)
             and all(not np.iscomplexobj(term.vector) for term in self.source_terms)
-            and self.extra_bhat is None
         )
 
     @property
     def singularities(self) -> tuple:
         """Poles of the transformed source (empty for b = 0)."""
-        return tuple(term.pole for term in self.source_terms) + tuple(
-            self.extra_singularities
-        )
+        return tuple(term.pole for term in self.source_terms)
 
     def bhat(self, z: complex) -> np.ndarray:
         """Transformed source evaluated at z."""
         out = np.zeros(self.dim, dtype=complex)
         for term in self.source_terms:
             out += term.vector / (z + term.rate)
-        if self.extra_bhat is not None:
-            out += self.extra_bhat(z)
         return out
 
 

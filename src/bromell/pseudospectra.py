@@ -24,6 +24,10 @@ _LOG_CAP = 700.0  # exp(700) is near the double-precision overflow edge
 # Lanczos readout is an upper bound on sigma_min converged to about 1e-9. The
 # evaluator's absolute allowance (its abs_error) is subtracted as well.
 _CERTIFY_SLACK = 1e-6
+# Lanczos runs stop after this many steps, or once the largest Ritz value
+# moves by at most this much relative on two steps running.
+_LANCZOS_STEPS = 40
+_LANCZOS_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,28 +115,6 @@ class LevelCurve:
         object.__setattr__(self, "ys", ys)
 
 
-@dataclass(frozen=True)
-class SingularitySet:
-    """Upper-half-plane representatives of everything the ellipse must enclose."""
-
-    points: tuple
-
-    @classmethod
-    def gather(cls, curve_points=(), eigenvalues=(), source_poles=()) -> "SingularitySet":
-        pts = []
-        for group in (curve_points, eigenvalues, source_poles):
-            for p in group:
-                p = complex(p)
-                pts.append(complex(p.real, abs(p.imag)))
-        return cls(tuple(pts))
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
-
-
 class SigmaMinEvaluator:
     """sigma_min(zI - A) at many shifts, sharing the operator's Schur factor.
 
@@ -154,7 +136,7 @@ class SigmaMinEvaluator:
         self.dim = op.dim
         self.is_real = op.is_real
         T = op.schur_factor
-        self.abs_error = 10.0 * np.finfo(float).eps * float(np.linalg.norm(T))
+        self.abs_error = 10.0 * np.finfo(float).eps * _frobenius(T)
         self._diag = np.diag(T).copy()
         # zI - T lives in one Fortran-order buffer; each shift rewrites only
         # its diagonal, which is a view into the buffer.
@@ -186,7 +168,7 @@ class SigmaMinEvaluator:
         """sigma_min of the current shift by dense SVD, for a stalled iteration."""
         return float(np.linalg.svd(self._M, compute_uv=False)[-1])
 
-    def _lanczos(self, v0, abs_slack: float, max_k: int = 40, rtol: float = 1e-12):
+    def _lanczos(self, v0, abs_slack: float):
         """Largest eigenvalue of (M^H M)^{-1} by Lanczos with full reorthogonalization.
 
         M is the current shift zI - T. Returns ||M v|| for the converged Ritz
@@ -196,15 +178,15 @@ class SigmaMinEvaluator:
         fall back to a dense SVD.
         """
         M, trtrs = self._M, self._trtrs
-        Q = np.empty((max_k + 1, self.dim), dtype=complex)  # Lanczos vectors as rows
+        Q = np.empty((_LANCZOS_STEPS + 1, self.dim), dtype=complex)  # Lanczos vectors as rows
         Q[0] = v0 / _norm(v0)
         w_conj = np.empty(self.dim, dtype=complex)
-        alphas = np.empty(max_k)
-        betas = np.empty(max_k)
+        alphas = np.empty(_LANCZOS_STEPS)
+        betas = np.empty(_LANCZOS_STEPS)
         theta = theta_prev = None
         stalls = 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(max_k):
+            for k in range(_LANCZOS_STEPS):
                 y = trtrs(M, Q[k], trans=2)[0]
                 w = trtrs(M, y, overwrite_b=1)[0]
                 # A non-finite entry of w makes this inner product non-finite.
@@ -227,7 +209,7 @@ class SigmaMinEvaluator:
                     if info:
                         return None
                     theta = float(ritz_values[-1])
-                if theta_prev is not None and abs(theta - theta_prev) <= rtol * abs(theta):
+                if theta_prev is not None and abs(theta - theta_prev) <= _LANCZOS_RTOL * abs(theta):
                     stalls += 1
                     if stalls >= 2 and k >= 6:
                         break
@@ -260,6 +242,16 @@ class SigmaMinEvaluator:
             return None
         self._warm = v
         return val
+
+
+def _frobenius(T: np.ndarray) -> float:
+    """||T||_F; rescaled by the largest entry only when the plain sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(T))
+    if math.isinf(norm):
+        scale = float(np.max(np.abs(T)))
+        norm = scale * float(np.linalg.norm(T / scale))
+    return norm
 
 
 def _norm(x: np.ndarray) -> float:
@@ -351,12 +343,10 @@ def level_curve(grid: PseudoGrid, eps: float, t: float = 0.0) -> LevelCurve:
     upper = np.where(ys >= 0.0)[0]
     if upper.size == 0:
         raise GeometryError("grid box does not reach the upper half plane")
-    yu = ys[upper]
-    order = np.argsort(yu)  # ascending y
-    yu = yu[order]
+    yu = ys[upper]  # ascending: GridSpec.ys is a linspace from y_min < y_max
     level_log = -np.log(eps)
     heights = np.zeros(xs.shape[0])
-    values = _level_values(grid.sigma_min[upper[order], :], xs, t)
+    values = _level_values(grid.sigma_min[upper, :], xs, t)
     for ix in range(xs.size):
         logv = values[:, ix]
         above = logv >= level_log

@@ -5,7 +5,7 @@ G(x) = e^{z(x) t} (z(x) I - A)^{-1} (u0 + bhat(z(x))) z'(x) over the
 truncated arc x in [-c pi, c pi]. Node data that does not depend on t
 (the shifted solves) is cached by exact node position, so doubling the
 node count reuses every previous evaluation and a whole time window can
-share one contour's factorizations.
+share one contour's node solves.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .numerics import eigenvalues, reference_solution, transformed_solution
 from .pseudospectra import (
     GridSpec,
     SigmaMinEvaluator,
-    SingularitySet,
     compute_grid,
     critical_curve,
     level_curve,
@@ -47,8 +46,13 @@ from .pseudospectra import (
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
-# Quadrature nodes must keep this distance from declared source poles.
+# Quadrature nodes must keep this distance from source poles.
 NODE_SINGULARITY_GAP = 1e-8
+# Sample counts of the sampled bounds: points per end vertical or half-line
+# (estimate_delta, estimate_k_ell) and per displaced-line range
+# (sample_line_maxima, rigorous_error_bound).
+_EDGE_SAMPLES = 32
+_LINE_SAMPLES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +228,10 @@ def b_term(params: ContourParams, c: float, t: float, N: int, Delta: float = 1.0
     )
 
 
-def estimate_delta(problem, params: ContourParams, c: float, t: float, N: int, samples: int = 32) -> float:
+def estimate_delta(problem, params: ContourParams, c: float, t: float, N: int) -> float:
     """Sampled bound (x2 safety) on ||uhat z'|| along the end verticals x = +/-(pi/2 - delta)."""
     delta = delta_offset(c, N)
-    ys = np.linspace(-params.a, params.a, samples)
+    ys = np.linspace(-params.a, params.a, _EDGE_SAMPLES)
     best = 0.0
     for x0 in (PI / 2 - delta, -(PI / 2 - delta)):
         for y in ys:
@@ -237,21 +241,21 @@ def estimate_delta(problem, params: ContourParams, c: float, t: float, N: int, s
     return 2.0 * best
 
 
-def estimate_k_ell(problem, params: ContourParams, t: float, samples: int = 32, slope: float = 1.0) -> float:
+def estimate_k_ell(problem, params: ContourParams, t: float) -> float:
     """Sampled bound (x2 safety) on ||uhat z'|| along the outgoing half-lines.
 
-    The half-lines leave the arc ends A3 +/- i A2 with the given slope; the
+    The half-lines leave the arc ends A3 +/- i A2 at 45 degrees; the
     exponential decay e^{x t} is handled analytically by the truncation
     bound, so only the algebraic factor is sampled (over a few decay lengths).
     """
     span = max(4.0 / max(t, 1e-12), 2.0)
-    ss = np.linspace(0.0, span, samples)
-    dz = complex(-1.0, slope)
+    ss = np.linspace(0.0, span, _EDGE_SAMPLES)
+    dz = complex(-1.0, 1.0)
     best = 0.0
     for sign in (1.0, -1.0):
         start = complex(params.A3, sign * params.A2)
         for s in ss:
-            z = start - s + 1j * (sign * slope * s)
+            z = start - s + 1j * (sign * s)
             uhat = transformed_solution(problem, z)
             best = max(best, float(np.linalg.norm(uhat) * abs(dz)))
         if problem.is_real:
@@ -259,7 +263,7 @@ def estimate_k_ell(problem, params: ContourParams, t: float, samples: int = 32, 
     return 2.0 * best
 
 
-def sample_line_maxima(problem, params: ContourParams, c: float, t: float, N: int, samples: int = 64):
+def sample_line_maxima(problem, params: ContourParams, c: float, t: float, N: int):
     """Sampled maxima of ||G||/(2 pi) on the displaced lines.
 
     Returns (m_plus, m_minus, s_minus): m_plus spans the whole arc on the
@@ -276,20 +280,18 @@ def sample_line_maxima(problem, params: ContourParams, c: float, t: float, N: in
             best = max(best, float(np.linalg.norm(g)))
         return best / TWO_PI
 
-    m_plus = max_g(np.linspace(-PI / 2, PI / 2, samples), +a)
-    m_minus = max_g(np.linspace(-(cpi + eta), cpi + eta, samples), -a)
+    m_plus = max_g(np.linspace(-PI / 2, PI / 2, _LINE_SAMPLES), +a)
+    m_minus = max_g(np.linspace(-(cpi + eta), cpi + eta, _LINE_SAMPLES), -a)
     s_span = max(PI / 2 - cpi - eta, 0.0)
     if s_span > 0:
-        half = np.linspace(cpi + eta, PI / 2, max(samples // 2, 2))
+        half = np.linspace(cpi + eta, PI / 2, _LINE_SAMPLES // 2)
         s_minus = max(max_g(half, -a), max_g(-half, -a))
     else:
         s_minus = 0.0
     return m_plus, m_minus, s_minus
 
 
-def rigorous_error_bound(
-    problem, params: ContourParams, c: float, t: float, N: int, tol: float, samples: int = 64
-) -> float:
+def rigorous_error_bound(problem, params: ContourParams, c: float, t: float, N: int, tol: float) -> float:
     """Assembled quadrature error bound from sampled maxima on the displaced lines.
 
     Sampling raises the usual caveat: 64 points per range, no certification.
@@ -299,7 +301,7 @@ def rigorous_error_bound(
     """
     a, cpi = params.a, c * PI
     eta = cpi / N
-    m_plus, m_minus, s_minus = sample_line_maxima(problem, params, c, t, N, samples)
+    m_plus, m_minus, s_minus = sample_line_maxima(problem, params, c, t, N)
     s_span = max(PI / 2 - cpi - eta, 0.0)
 
     if s_span > 0:
@@ -341,7 +343,6 @@ class SolveOptions:
     prec: float = 0.1
     n_max: int = 1024
     validate: bool = False
-    force: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,11 +499,11 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
                 "box",
                 GeometryError(f"source pole {pole} is not left of z_r = {z_r}"),
             )
-    phi = SingularitySet.gather(
-        curve_points=[complex(x, y) for x, y in zip(crit.xs, crit.ys)],
-        eigenvalues=strip_eigs,
-        source_poles=problem.singularities,
-    )
+    # Upper-half-plane representatives of everything the ellipse must
+    # enclose: curve points, then eigenvalues, then source poles.
+    # build_inner_ellipse's stable sort and max tie-break read this order.
+    curve = [complex(x, y) for x, y in zip(crit.xs, crit.ys)]
+    phi = [complex(p.real, abs(p.imag)) for p in (*curve, *strip_eigs, *problem.singularities)]
     inner = _stage("inner-ellipse", build_inner_ellipse, phi, z_l, z_r)
     a = _stage("optimize-a", optimize_a, inner, t_opt, tol)
     params = _stage("contour", contour_from_a, inner, a)
@@ -516,7 +517,7 @@ def solve(problem, t: float, tol: float, opts: SolveOptions = None) -> SolveRepo
     doubles (reusing all prior solves) until the stopping signal meets tol:
     the measured error against the reference evolution when opts.validate is
     set, the model estimate otherwise. A failed feasibility check returns a
-    report without quadrature unless opts.force is set.
+    report without quadrature.
     """
     if t <= 0:
         raise ValueError("need t > 0")
@@ -538,7 +539,7 @@ def solve(problem, t: float, tol: float, opts: SolveOptions = None) -> SolveRepo
         feasibility=feas,
         stability=stab,
     )
-    if not feas.passed and not opts.force:
+    if not feas.passed:
         return SolveReport(**base)
 
     reference = None

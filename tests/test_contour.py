@@ -21,33 +21,6 @@ def sample_params(sample_inner):
     return bm.contour_from_a(sample_inner, 0.4543)
 
 
-class TestCandidateEncloses:
-    def test_vertex_counts_as_enclosed(self):
-        assert bm.candidate_encloses(-2.0, 1.0, -0.5, 1.0 + 0.0j)
-
-    def test_circle_limit(self):
-        # focus near the center degenerates to the circle of radius z_r - z_l
-        z_l, z_r = -2.0, 1.0
-        for p in (0.5 + 2.9j, -2.0 + 2.99j, 0.0 + 3.5j):
-            expected = abs(p - z_l) <= (z_r - z_l)
-            assert bm.candidate_encloses(z_l, z_r, z_l + 1e-12, p) == expected
-
-    def test_matches_quadratic_form_oracle(self):
-        rng = np.random.default_rng(17)
-        z_l, z_r = -3.0, 0.5
-        A = z_r - z_l
-        for _ in range(200):
-            fx = rng.uniform(z_l + 1e-6, z_r - 1e-6)
-            p = complex(rng.uniform(-5, 2), rng.uniform(-4, 4))
-            B = math.sqrt(A**2 - (fx - z_l) ** 2)
-            oracle = (p.real - z_l) ** 2 / A**2 + p.imag**2 / B**2 <= 1.0 + 1e-12
-            assert bm.candidate_encloses(z_l, z_r, fx, p) == oracle
-
-    def test_focus_must_be_interior(self):
-        with pytest.raises(GeometryError):
-            bm.candidate_encloses(-2.0, 1.0, 1.0, 0.0j)
-
-
 def _linear_scan_ellipse(phi, z_l, z_r, m_ell=1000):
     """Reference: try the candidate foci one after another, re-sorting phi for each."""
     points = [complex(p) for p in phi]

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 import bromell as bm
 from bromell.contour import conformal_map
-from bromell.errors import DimensionLimitError, SingularSystemError, UnsupportedSourceError
+from bromell.errors import DimensionLimitError, SingularSystemError
 from bromell.pseudospectra import SigmaMinEvaluator
 
 
@@ -191,16 +191,6 @@ class TestReferenceSolution:
         A = bm.Operator(np.diag(-np.ones(501)))
         prob = bm.LaplaceProblem(A, np.ones(501))
         with pytest.raises(DimensionLimitError):
-            bm.reference_solution(prob, 1.0)
-
-    def test_unsupported_source(self):
-        prob = bm.LaplaceProblem(
-            bm.Operator(np.array([[-1.0]])),
-            np.ones(1),
-            extra_bhat=lambda z: np.ones(1) / (z * z),
-            extra_singularities=(0.0,),
-        )
-        with pytest.raises(UnsupportedSourceError):
             bm.reference_solution(prob, 1.0)
 
 

@@ -1,5 +1,8 @@
 """Resolvent-norm grids and level-curve extraction."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +170,16 @@ class TestSigmaMinEvaluator:
             ref = np.linalg.svd(z * np.eye(3) - A, compute_uv=False)[-1]
         assert fallback_count() == 1
         assert value == ref
+
+    def test_abs_error_finite_for_huge_entries(self):
+        # ||T||_F = sqrt(2) 1e200 is representable, but its plain sum of
+        # squares overflows; the allowance must stay finite and exact.
+        A = np.array([[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = SigmaMinEvaluator(bm.Operator(A))
+        want = 10 * np.finfo(float).eps * math.sqrt(2.0) * 1e200
+        assert ev.abs_error == pytest.approx(want, rel=1e-15)
 
     def test_reused_shift_buffer_leaks_no_state(self):
         rng = np.random.default_rng(8)

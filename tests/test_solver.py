@@ -109,14 +109,13 @@ class TestTrapezoidSum:
         assert q.approx[0] == pytest.approx(expected, abs=1e-9)
 
     def test_node_on_source_pole_rejected(self, scalar_params):
-        # Even N puts a node at x = 0, whose image is the arc's right vertex;
-        # declaring a source pole there must abort the quadrature.
+        # Even N puts a node at x = 0, whose image is the arc's right vertex
+        # (real); a source mode with its pole there must abort the quadrature.
         z0, _ = bm.conformal_map(scalar_params, 0.0)
         prob = bm.LaplaceProblem(
             bm.Operator(np.array([[-1.0]])),
             np.ones(1),
-            extra_bhat=lambda z: np.zeros(1),
-            extra_singularities=(complex(z0),),
+            (bm.SourceTerm(np.ones(1), rate=-z0.real),),
         )
         with pytest.raises(SingularSystemError, match="misplaced"):
             bm.trapezoid_sum(prob, scalar_params, 0.3, 1.0, 8)
@@ -211,9 +210,7 @@ class TestRigorousBound:
         # cannot see spikes narrower than its spacing.
         params = bm.contour_from_a(bm.InnerEllipse(z_l=-41.0, z_r=3.0, d=-1.0, r=3.0), 0.45)
         c, t, N = 0.3, 1.0, 10
-        m_plus, m_minus, s_minus = sample_line_maxima(
-            scalar_problem, params, c, t, N, samples=64
-        )
+        m_plus, m_minus, s_minus = sample_line_maxima(scalar_problem, params, c, t, N)
         a, cpi = params.a, c * math.pi
         eta = cpi / N
 
@@ -235,7 +232,7 @@ class TestRigorousBound:
     def test_monotone_decreasing_until_floor(self, cd_problem, cd_report):
         params, c, tol = cd_report.contour, cd_report.truncation.c, cd_report.tol
         bounds = [
-            bm.rigorous_error_bound(cd_problem, params, c, 1.0, N, tol, samples=32)
+            bm.rigorous_error_bound(cd_problem, params, c, 1.0, N, tol)
             for N in (8, 12, 16, 24, 48)
         ]
         floor = 4.0 * (math.pi / 2 - c * math.pi) * tol
@@ -249,13 +246,6 @@ class TestSolvePipeline:
         assert not report.feasibility.passed
         assert report.result is None
         assert not report.reached_tol
-
-    def test_force_overrides_feasibility(self, scalar_problem):
-        report = bm.solve(
-            scalar_problem, 1.0, 1e-30, bm.SolveOptions(grid_pts=16, force=True, n_max=64)
-        )
-        assert not report.feasibility.passed
-        assert report.result is not None
 
     def test_stage_error_names_stage(self, scalar_problem):
         with pytest.raises(StageError, match="box"):

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-compare eight bromell CLI runs between a git revision and the working tree.
+# Byte-compare nine bromell CLI runs between a git revision and the working tree.
 #
 #   tools/compare_cli.sh <rev>
 #
@@ -26,6 +26,19 @@ trap 'rm -rf "$work"' EXIT
 mkdir "$work/base" "$work/out-base" "$work/out-work"
 git -C "$repo" archive "$rev" src | tar -x -C "$work/base"
 
+# The ninth run reads its settings from this file. Its --grid flag overrides
+# the file's grid, which moves the contour away from bs-solve's.
+cat >"$work/bs.conf" <<'CONF'
+# bs-solve's settings, validated
+problem=bs
+t=1
+tol=5e-6
+zl=-40
+zr=0.05
+grid=30
+validate=true
+CONF
+
 CD="--problem cd:d=400,n=64 --t 1 --tol 5e-8 --zl -40"
 BS="--problem bs --t 1 --tol 5e-6 --zl -40"
 WIN="--problem bs --t0 1 --t1 10 --tol 5e-8"
@@ -38,6 +51,7 @@ RUNS=(
     "bs-pseudo|pseudo $BS --zr 0.05 --grid 50"
     "bs-solve-default-zr|solve $BS --grid 30"
     "cd-solve-default-zr|solve $CD --grid 40"
+    "bs-solve-config|solve --config $work/bs.conf --grid 40"
 )
 
 run_side() {  # run_side <src dir> <output root>
