@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ArccosDomainError, ConvergenceError, GeometryError
 from .numerics import resolvent_cond, transformed_solution
@@ -23,6 +22,12 @@ TWO_PI = 2.0 * math.pi
 ENCLOSE_SLACK = 1e-12
 # optimize_a searches the strip half-height a in (0, _A_MAX].
 _A_MAX = 1.0
+# It stops once a is known to within _A_XATOL, or after _A_MAX_EVALS objective evaluations.
+_A_XATOL = 1e-6
+_A_MAX_EVALS = 200
+# Brent's constants, written as SciPy writes them so that every step keeps its bits.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # Points along the truncated arc where feasibility_check samples the condition number.
 _FEASIBILITY_SAMPLES = 10
 
@@ -242,21 +247,95 @@ def window_objective(inner: InnerEllipse, a: float, t1: float, tol: float) -> fl
     return (contour_from_a(inner, a).D * t1 - math.log(tol / math.pi)) / (2.0 * a)
 
 
+def _step_sign(v: float) -> float:
+    """Direction of a step of length v; a zero step counts as +1."""
+    return -1.0 if v < 0 else 1.0
+
+
+def _bounded_minimum(f, lo: float, hi: float) -> float:
+    """Brent's bounded minimizer of f on [lo, hi]: the point of least f it finds.
+
+    Golden-section search with parabolic interpolation (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973), step for step
+    SciPy 1.17.1's ``minimize_scalar(method="bounded")`` with xatol
+    ``_A_XATOL`` and maxiter ``_A_MAX_EVALS``, so it evaluates f at the same
+    points and returns the same bits. The names follow SciPy's: (xf, fx) is
+    the best point so far, (nfc, fnfc) the next best and (fulc, ffulc) the
+    one before it; [a, b] brackets the minimum.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _A_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # Parabola through (xf, fx), (nfc, fnfc), (fulc, ffulc).
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * _step_sign(xm - xf)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        x = xf + _step_sign(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _A_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _A_MAX_EVALS:
+            break
+    return xf
+
+
 def optimize_a(inner: InnerEllipse, t: float, tol: float) -> float:
     """Minimize the node-count proxy ``window_objective`` over a at time t.
 
-    Bounded scalar minimization (golden section with parabolic refinement)
-    on (0, _A_MAX], absolute tolerance 1e-6 on a.
+    Brent's bounded minimization (golden section with parabolic refinement)
+    on [1e-8, _A_MAX], absolute tolerance _A_XATOL on a.
     """
 
     def f(a):
         return window_objective(inner, a, t, tol)
 
     f(_A_MAX)  # propagate degenerate geometry before the optimizer hides it
-    res = minimize_scalar(
-        f, bounds=(1e-8, _A_MAX), method="bounded", options={"xatol": 1e-6, "maxiter": 200}
-    )
-    return float(res.x)
+    return _bounded_minimum(f, 1e-8, _A_MAX)
 
 
 def predicted_nodes(a: float, c: float, D: float, t: float, tol: float) -> int:

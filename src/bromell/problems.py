@@ -8,6 +8,7 @@ one-value-per-line vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +34,13 @@ class SourceTerm:
         v = np.atleast_1d(np.asarray(self.vector))
         dtype = np.complex128 if np.iscomplexobj(v) else np.float64
         v = np.ascontiguousarray(v, dtype=dtype)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("source term vector entries must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
         object.__setattr__(self, "rate", float(self.rate))
+        if not math.isfinite(self.rate):
+            raise ValueError(f"source term rate must be finite, got {self.rate}")
 
     @property
     def pole(self) -> complex:
@@ -61,6 +66,8 @@ class LaplaceProblem:
         u0 = np.atleast_1d(np.asarray(self.u0))
         dtype = np.complex128 if np.iscomplexobj(u0) else np.float64
         u0 = np.ascontiguousarray(u0, dtype=dtype)
+        if not np.all(np.isfinite(u0)):
+            raise ValueError("u0 entries must be finite")
         u0.setflags(write=False)
         object.__setattr__(self, "u0", u0)
         terms = tuple(self.source_terms)
@@ -266,9 +273,12 @@ def load_vector(path) -> np.ndarray:
             if not text or text.startswith("%") or text.startswith("#"):
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: bad value: {exc}") from exc
+            if not math.isfinite(value):
+                raise FormatError(f"{path}:{lineno}: value must be finite, got '{text}'")
+            values.append(value)
     if not values:
         raise FormatError(f"{path}: no values found")
     return np.array(values)

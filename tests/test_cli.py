@@ -1,7 +1,11 @@
 """Command-line interface: exit codes, files, determinism, config handling."""
 
+import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,18 @@ class TestHelp:
             assert float(stated[flag]) == getattr(SolveOptions, field), flag
 
 
+class TestImportGraph:
+    def test_cli_import_loads_no_scipy_optimize(self):
+        # A fresh interpreter: this test session has loaded scipy.optimize itself.
+        src = str(Path(bm.__file__).resolve().parent.parent)
+        code = (
+            f"import json, sys; sys.path.insert(0, {src!r}); import bromell.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize'])))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == []
+
+
 class TestSolveCommand:
     def test_success_writes_files_and_exits_zero(self, diag_files, tmp_path):
         mpath, upath = diag_files
@@ -68,6 +84,20 @@ class TestSolveCommand:
             "--t", "1", "--tol", "1e-6", "--out", str(tmp_path / "o"),
         )
         assert code == 1
+
+    def test_non_finite_u0_rejected_before_the_pipeline(self, diag_files, tmp_path, capsys):
+        mpath, _ = diag_files
+        upath = tmp_path / "nan_u0.txt"
+        upath.write_text("1.0\nnan\n")
+        code = run(
+            "solve", "--problem", "file", "--matrix", mpath, "--u0", str(upath),
+            "--t", "1", "--tol", "1e-6", "--out", str(tmp_path / "o"),
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "nan_u0.txt:2: value must be finite" in err
+        assert "stage" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_deterministic_outputs(self, diag_files, tmp_path):
         mpath, upath = diag_files

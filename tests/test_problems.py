@@ -1,5 +1,7 @@
 """Problem generators and file formats."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,23 @@ class TestVectorsAndProblems:
         bm.save_vector(vpath, [1.0, 1.0, 1.0])
         with pytest.raises(FormatError, match="does not match"):
             bm.load_problem(mpath, vpath)
+
+    def test_load_vector_rejects_non_finite_with_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("1.0\n# note\nnan\n")
+        with pytest.raises(FormatError, match=r"v\.txt:3: value must be finite"):
+            bm.load_vector(path)
+        path.write_text("1e400\n")
+        with pytest.raises(FormatError, match=r"v\.txt:1: value must be finite"):
+            bm.load_vector(path)
+
+    @pytest.mark.parametrize("u0", [[1.0, math.nan], [math.inf, 0.0], [1.0, complex(0, math.nan)]])
+    def test_non_finite_u0_rejected(self, u0):
+        with pytest.raises(ValueError, match="u0 entries must be finite"):
+            bm.LaplaceProblem(np.diag([-1.0, -2.0]), u0)
+
+    def test_non_finite_source_term_rejected(self):
+        with pytest.raises(ValueError, match="source term vector entries must be finite"):
+            bm.SourceTerm(np.array([1.0, math.inf]))
+        with pytest.raises(ValueError, match="source term rate must be finite"):
+            bm.SourceTerm(np.array([1.0, 1.0]), rate=math.nan)

@@ -9,7 +9,10 @@ BENCHMARK.json's run_seconds, with the base side first on odd seeds and the
 change first on even ones. Then each side makes one traced run (seed 1) per
 workload. The file holds every run, the median and quartiles of each
 end-to-end metric per side, the pairs the change wins, and the traced
-counts and per-layer times named in TRACED.
+counts and per-layer times named in TRACED. Each untraced run also keeps
+its import_s, the median fresh `import bromell.cli` at the reference speed
+that setup_s includes, read from the run's detail line, with its median and
+quartiles per side.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ TRACED = (
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its result line, exit code and env line."""
+    """One perfbench run; its result line, exit code, env line and import time."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -47,7 +50,9 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
         raise RuntimeError(f"{tree} {workload} seed {seed}: no result line\n{proc.stderr}")
     result = json.loads(lines[-1])
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
-    return {"exit": proc.returncode, "env": env, **result}
+    detail = next(json.loads(line[7:]) for line in lines if line.startswith("detail "))
+    timing = detail["reference"] if "reference" in detail else detail["wall"]
+    return {"exit": proc.returncode, "env": env, "import_s": timing["import_s"], **result}
 
 
 def summary(values: list) -> dict:
@@ -110,12 +115,15 @@ def main() -> int:
                 t = run(tree, name, 1, seconds, 1)
                 traced[side] = {m: t["metrics"][m]["value"] for m in TRACED if m in t["metrics"]}
                 traced[side]["absent_metrics"] = [m for m in TRACED if m not in t["metrics"]]
+            imports = {side: [p[side]["import_s"] for p in runs] for side in trees}
             report["workloads"][name] = {
                 "end_to_end": metrics,
+                "import_s": {side: summary(vals) for side, vals in imports.items()},
                 "failed_items": failed,
                 "traced_seed_1": traced,
                 "runs": [{"seed": p["seed"], "first": p["first"],
-                          **{side: {m: p[side]["metrics"][m]["value"] for m in end_to_end}
+                          **{side: {**{m: p[side]["metrics"][m]["value"] for m in end_to_end},
+                                    "import_s": p[side]["import_s"]}
                              for side in trees}} for p in runs],
             }
         report["env"] = runs[0]["base"]["env"]
