@@ -243,6 +243,8 @@ def load_operator(path) -> Operator:
             raise FormatError(f"{path}:{lineno + 1}: bad entry: {exc}") from exc
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise FormatError(f"{path}:{lineno + 1}: index ({i}, {j}) out of range")
+        if not math.isfinite(val):
+            raise FormatError(f"{path}:{lineno + 1}: value must be finite, got '{parts[2]}'")
         M[i - 1, j - 1] += val
         count += 1
     if count != nnz:

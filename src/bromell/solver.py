@@ -14,7 +14,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -59,34 +58,28 @@ _LINE_SAMPLES = 64
 # node cache and quadrature
 
 
-@dataclass(frozen=True, eq=False)
-class _Node:
-    z: complex
-    dz: complex
-    uhat: np.ndarray
-
-
 class NodeCache:
     """Shifted solves keyed by exact node position on a fixed truncated arc.
 
     Node j of an N-point rule sits at x = -c pi + (j/N) 2 c pi; the key is
     the reduced fraction j/N, so nested refinements (N -> 2N -> ...) and
-    repeated solves at other times hit the same entries bit-exactly.
+    repeated solves at other times hit the same (z, dz, uhat) entries
+    bit-exactly.
     """
 
     def __init__(self, problem, params: ContourParams, c: float):
         self.problem = problem
         self.params = params
         self.c = float(c)
-        self.entries: dict[tuple[int, int], _Node] = {}
+        self.entries: dict[tuple[int, int], tuple[complex, complex, np.ndarray]] = {}
         self.solve_count = 0
         self.reuse_count = 0
 
-    def node_x(self, p: int, q: int) -> float:
+    def node_x(self, p, q: int):
         return -self.c * PI + (2.0 * self.c * PI) * (p / q)
 
-    def node(self, j: int, N: int) -> _Node:
-        g = gcd(j, N)
+    def node(self, j: int, N: int) -> tuple[complex, complex, np.ndarray]:
+        g = math.gcd(j, N)
         key = (j // g, N // g)
         hit = self.entries.get(key)
         if hit is not None:
@@ -102,7 +95,7 @@ class NodeCache:
                 )
         uhat = transformed_solution(self.problem, z)
         self.solve_count += 1
-        data = _Node(complex(z), complex(dz), uhat)
+        data = (complex(z), complex(dz), uhat)
         self.entries[key] = data
         return data
 
@@ -114,7 +107,7 @@ class QuadratureResult:
     N: int
     approx: np.ndarray
     nodes: np.ndarray
-    node_values: tuple
+    node_values: np.ndarray  # read-only, (N-1, dim): row j-1 is G at node j
     c: float
     est_error: float
     B_term: float
@@ -126,6 +119,16 @@ def integrand(problem, params: ContourParams, x, t: float) -> np.ndarray:
     """G at one strip coordinate (real on the arc, complex for diagnostics)."""
     z, dz = conformal_map(params, x)
     return np.exp(z * t) * transformed_solution(problem, z) * dz
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """Rows added in order, as a loop from np.zeros would: sum(axis=0) goes
+    pairwise on one column, and 0.0 + turns a sum of -0 into +0."""
+    return 0.0 + np.add.accumulate(rows, axis=0)[-1]
+
+
+def _unfolded_sum(values: np.ndarray, c: float, N: int) -> np.ndarray:
+    return (c / (1j * N)) * _row_sum(values)
 
 
 def trapezoid_sum(
@@ -149,28 +152,25 @@ def trapezoid_sum(
     if cache.c != c:
         raise GeometryError("node cache belongs to a different truncation width")
 
-    datas = [cache.node(j, N) for j in range(1, N)]
-    xs = np.array([cache.node_x(j, N) for j in range(1, N)])
-    values = []
-    for data in datas:
-        values.append(np.exp(data.z * t) * data.uhat * data.dz)
+    xs = cache.node_x(np.arange(1, N), N)
+    z, dz, values = map(np.array, zip(*(cache.node(j, N) for j in range(1, N))))
+    # G = e^{zt} uhat dz, formed in place on the fresh stack; the operand
+    # order is that of the per-node product, so every bit is kept.
+    np.multiply(np.exp(z * t)[:, None], values, out=values)
+    values *= dz[:, None]
+    values.flags.writeable = False
 
     if problem.is_real:
-        total = np.zeros(problem.dim, dtype=complex)
-        for j in range(math.ceil(N / 2), N):
-            weight = 0.5 if 2 * j == N else 1.0
-            total += weight * values[j - 1]
-        approx = (2.0 * c / N) * np.imag(total)
+        half = math.ceil(N / 2) - 1
+        weights = np.where(xs[half:] == 0.0, 0.5, 1.0)
+        approx = (2.0 * c / N) * np.imag(_row_sum(weights[:, None] * values[half:]))
     else:
-        total = np.zeros(problem.dim, dtype=complex)
-        for value in values:
-            total += value
-        approx = (c / (1j * N)) * total
+        approx = _unfolded_sum(values, c, N)
 
     est = error_model(params, c, t, N)
     B = b_term(params, c, t, N)
     return QuadratureResult(
-        N, approx, xs, tuple(values), float(c), est, B, cache, float(t)
+        N, approx, xs, values, float(c), est, B, cache, float(t)
     )
 
 
@@ -185,10 +185,7 @@ def full_sum(result: QuadratureResult) -> np.ndarray:
     For real data this agrees with the folded imaginary-part formula; it is
     exposed so the agreement can be checked rather than assumed.
     """
-    total = np.zeros(len(result.approx), dtype=complex)
-    for value in result.node_values:
-        total += value
-    return (result.c / (1j * result.N)) * total
+    return _unfolded_sum(result.node_values, result.c, result.N)
 
 
 # ---------------------------------------------------------------------------

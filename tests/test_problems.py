@@ -138,6 +138,13 @@ class TestCoordinateFormat:
         with pytest.raises(FormatError, match="out of range"):
             bm.load_operator(path)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_entry_reports_line(self, tmp_path, text):
+        path = tmp_path / "bad.mtx"
+        path.write_text(f"{MM_HEADER}\n2 2 2\n1 1 -1.0\n2 2 {text}\n")
+        with pytest.raises(FormatError, match=rf"bad\.mtx:4: value must be finite, got '{text}'"):
+            bm.load_operator(path)
+
     def test_dimension_limit(self, tmp_path):
         path = tmp_path / "big.mtx"
         path.write_text(f"{MM_HEADER}\n3001 3001 1\n1 1 1.0\n")

@@ -1,5 +1,6 @@
 """Quadrature mechanics, error models, pipeline, and time windows."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -164,6 +165,80 @@ class TestRefineDoubling:
         q = bm.refine_doubling(q, cd_problem, params, 1.0)
         q = bm.refine_doubling(q, cd_problem, params, 1.0)
         assert q.N == 20
+
+
+def _per_node_sum(problem, cache, t, N):
+    """The quadrature as a loop over nodes: the reference the array form must match."""
+    c = cache.c
+    values = [np.exp(z * t) * uhat * dz for z, dz, uhat in (cache.node(j, N) for j in range(1, N))]
+    total = np.zeros(problem.dim, dtype=complex)
+    for value in values:
+        total += value
+    unfolded = (c / (1j * N)) * total
+    approx = unfolded
+    if problem.is_real:
+        total = np.zeros(problem.dim, dtype=complex)
+        for j in range(math.ceil(N / 2), N):
+            weight = 0.5 if 2 * j == N else 1.0
+            total += weight * values[j - 1]
+        approx = (2.0 * c / N) * np.imag(total)
+    nodes = [cache.node_x(j, N) for j in range(1, N)]
+    return approx, values, unfolded, np.array(nodes)
+
+
+class TestArrayQuadrature:
+    """The array-shaped sums keep every bit of the per-node loop, signed zeros included."""
+
+    def _assert_bit_identical(self, problem, params, c, t, N):
+        q = bm.trapezoid_sum(problem, params, c, t, N)
+        approx, values, unfolded, nodes = _per_node_sum(
+            problem, NodeCache(problem, params, c), t, N
+        )
+        assert q.approx.tobytes() == approx.tobytes()
+        assert full_sum(q).tobytes() == unfolded.tobytes()
+        assert q.nodes.tobytes() == nodes.tobytes()
+        assert q.node_values.shape == (N - 1, problem.dim)
+        for row, value in zip(q.node_values, values):
+            assert row.tobytes() == value.tobytes()
+        return q
+
+    @pytest.mark.parametrize("N", [9, 14])
+    def test_cd_odd_and_even(self, cd_problem, cd_report, N):
+        self._assert_bit_identical(
+            cd_problem, cd_report.contour, cd_report.truncation.c, 1.0, N
+        )
+
+    @pytest.mark.parametrize("N", [175, 350])
+    def test_bs_window_grid(self, bs_problem, bs_window, N):
+        self._assert_bit_identical(bs_problem, bs_window.contour, bs_window.c_grid, 10.0, N)
+
+    @pytest.mark.parametrize("N", [8, 13])
+    def test_exact_zeros(self, scalar_params, N):
+        A = bm.Operator(np.diag([-1.0, -2.0]))
+        prob = bm.LaplaceProblem(A, np.array([1.0, 0.0]))
+        q = self._assert_bit_identical(prob, scalar_params, 0.3, 1.0, N)
+        assert np.all(q.node_values[:, 1] == 0.0)
+
+    def test_complex_operator(self, scalar_params):
+        prob = bm.LaplaceProblem(bm.Operator(np.array([[-1.0 + 0.3j]])), np.ones(1))
+        self._assert_bit_identical(prob, scalar_params, 0.35, 1.0, 40)
+
+    def test_sum_of_negative_zeros(self, scalar_problem, scalar_params):
+        # A loop started from np.zeros turns -0 into +0; so must the array form.
+        q = bm.trapezoid_sum(scalar_problem, scalar_params, 0.3, 1.0, 8)
+        zeros = np.full((7, 1), complex(-0.0, -0.0))
+        total = np.zeros(1, dtype=complex)
+        for value in zeros:
+            total += value
+        expected = (q.c / (1j * q.N)) * total
+        got = full_sum(dataclasses.replace(q, node_values=zeros))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_node_values_read_only(self, scalar_problem, scalar_params):
+        q = bm.trapezoid_sum(scalar_problem, scalar_params, 0.3, 1.0, 8)
+        assert not q.node_values.flags.writeable
+        with pytest.raises(ValueError):
+            q.node_values[0, 0] = 0.0
 
 
 class TestErrorModels:
