@@ -248,6 +248,12 @@ def _apply_config(args, parser):
                 setattr(args, key, _CONFIG_TYPES[key](raw))
 
 
+def _default(field: str) -> str:
+    """'(default v)' for a SolveOptions field, its exponent unpadded: 1e-9, not 1e-09."""
+    mantissa, _, exponent = f"{getattr(SolveOptions, field):g}".partition("e")
+    return f"(default {mantissa}e{int(exponent)})" if exponent else f"(default {mantissa})"
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file; flags override it")
     p.add_argument("--problem", default=None, help="cd[:d=..,n=..], bs[:n=..,...] or file")
@@ -259,10 +265,11 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=None, help="target accuracy")
     p.add_argument("--zl", type=float, default=None, help="strip left edge / ellipse center")
     p.add_argument("--zr", type=float, default=None, help="strip right edge / right vertex")
-    p.add_argument("--eps1", type=float, default=None, help="weighted level (default 1e-9)")
-    p.add_argument("--eps2", type=float, default=None, help="plain level (default 1e-13)")
-    p.add_argument("--grid", type=int, default=None, help="grid points per axis (default 100)")
-    p.add_argument("--nmax", type=int, default=None, help="node-count cap (default 1024)")
+    p.add_argument("--eps1", type=float, default=None, help=f"weighted level {_default('eps1')}")
+    p.add_argument("--eps2", type=float, default=None, help=f"plain level {_default('eps2')}")
+    p.add_argument("--grid", type=int, default=None,
+                   help=f"grid points per axis {_default('grid_pts')}")
+    p.add_argument("--nmax", type=int, default=None, help=f"node-count cap {_default('n_max')}")
     p.add_argument("--validate", action="store_true", default=None,
                    help="measure errors against the matrix-exponential reference")
     p.add_argument("--out", default=None, help="output directory (default: current)")

@@ -24,8 +24,8 @@ _LOG_CAP = 700.0  # exp(700) is near the double-precision overflow edge
 # Lanczos readout is an upper bound on sigma_min converged to about 1e-9. The
 # evaluator's absolute allowance (its abs_error) is subtracted as well.
 _CERTIFY_SLACK = 1e-6
-# Lanczos runs stop after this many steps, or once the largest Ritz value
-# moves by at most this much relative on two steps running.
+# Lanczos runs stop after this many steps, or at the first step from the
+# third on whose largest Ritz value moved by at most this much relative.
 _LANCZOS_STEPS = 40
 _LANCZOS_RTOL = 1e-12
 
@@ -120,15 +120,19 @@ class SigmaMinEvaluator:
 
     zI - A and zI - T have identical singular values for the unitary Schur
     factor T, and zI - T is triangular, so inverse Lanczos costs O(n^2) per
-    shift instead of a fresh O(n^3) SVD. A run from the previous shift's
-    singular vector is accepted when its readout ||Mv|| agrees with the Ritz
-    value to 1e-9 relative. Below sigma ~ 1e-5 both carry an absolute error
-    of order eps * ||A||, so a second run from a fixed start vector is
-    accepted within ``1e-9 * sigma + abs_error``, where
-    ``abs_error = 10 eps ||T||_F`` (||T||_F >= ||A||_2). That run depends
-    on z alone, so a value dominated by round-off does not depend on the
-    order in which shifts are evaluated. A dense SVD of the triangular shift
-    runs only when both runs stall.
+    shift instead of a fresh O(n^3) SVD. A run stops at the first step from
+    the third on whose largest Ritz value moved by at most 1e-12 relative,
+    as EigTool stops once its Ritz value settles (Wright & Trefethen, 2001).
+    A run from the previous shift's singular vector is accepted when its
+    readout ||Mv|| agrees with the Ritz value to 1e-9 relative. Below
+    sigma ~ 1e-5 both carry an absolute error of order eps * ||A||, so a
+    second run from a fixed start vector is accepted within
+    ``1e-9 * sigma + abs_error``, where ``abs_error = 10 eps ||T||_F``
+    (||T||_F >= ||A||_2). That run depends on z alone, so a value dominated
+    by round-off does not depend on the order in which shifts are
+    evaluated. A dense SVD of the triangular shift runs only when both runs
+    stall. ``evaluations``, ``lanczos_steps``, ``second_runs`` and
+    ``fallbacks`` count the work done so far.
     """
 
     def __init__(self, A):
@@ -150,17 +154,26 @@ class SigmaMinEvaluator:
         # Warm start: neighbouring shifts share singular vectors, which cuts
         # the iteration count several-fold on grid sweeps.
         self._warm = self._start
+        # Work counters: calls, Lanczos steps of every run, runs from the
+        # fixed start after a rejected warm run, and dense SVDs.
+        self.evaluations = 0
+        self.lanczos_steps = 0
+        self.second_runs = 0
+        self.fallbacks = 0
 
     def __call__(self, z: complex) -> float:
+        self.evaluations += 1
         np.subtract(complex(z), self._diag, out=self._M_diag)
-        if np.min(np.abs(self._M_diag)) == 0.0:
+        if not self._M_diag.all():  # a zero pivot: z is an eigenvalue
             return 0.0
         # Blending in the generic start keeps the warm vector from being
         # (numerically) orthogonal to the new minimal singular direction.
         sigma = self._lanczos(self._warm + 0.1 * self._start, 0.0)
         if sigma is None:
+            self.second_runs += 1
             sigma = self._lanczos(self._start, self.abs_error)
         if sigma is None:
+            self.fallbacks += 1
             sigma = self._dense_sigma_min()
         return sigma
 
@@ -184,9 +197,9 @@ class SigmaMinEvaluator:
         alphas = np.empty(_LANCZOS_STEPS)
         betas = np.empty(_LANCZOS_STEPS)
         theta = theta_prev = None
-        stalls = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(_LANCZOS_STEPS):
+                self.lanczos_steps += 1
                 y = trtrs(M, Q[k], trans=2)[0]
                 w = trtrs(M, y, overwrite_b=1)[0]
                 # A non-finite entry of w makes this inner product non-finite.
@@ -209,12 +222,8 @@ class SigmaMinEvaluator:
                     if info:
                         return None
                     theta = float(ritz_values[-1])
-                if theta_prev is not None and abs(theta - theta_prev) <= _LANCZOS_RTOL * abs(theta):
-                    stalls += 1
-                    if stalls >= 2 and k >= 6:
-                        break
-                else:
-                    stalls = 0
+                if k >= 2 and abs(theta - theta_prev) <= _LANCZOS_RTOL * abs(theta):
+                    break
                 theta_prev = theta
                 beta = _norm(w)
                 if beta == 0.0 or not math.isfinite(beta):

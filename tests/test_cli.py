@@ -40,6 +40,17 @@ class TestHelp:
         for flag, field in fields.items():
             assert float(stated[flag]) == getattr(SolveOptions, field), flag
 
+    def test_stated_defaults_are_read_from_solve_options(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        monkeypatch.setattr(SolveOptions, "eps1", 2.5e-10)
+        monkeypatch.setattr(SolveOptions, "n_max", 512)
+        with pytest.raises(SystemExit):
+            run("window", "--help")
+        text = capsys.readouterr().out
+        assert "weighted level (default 2.5e-10)" in text
+        assert "plain level (default 1e-13)" in text
+        assert "node-count cap (default 512)" in text
+
 
 class TestImportGraph:
     def test_cli_import_loads_no_scipy_optimize(self):

@@ -160,15 +160,37 @@ class TestSigmaMinEvaluator:
         assert eval_count() > 600
         assert fallback_count() == 0
 
-    def test_overflowing_solves_fall_back_once(self, fallback_count):
+    def test_window_plan_steps_per_evaluation(self, bs_problem):
+        # Each run stops at the first step from the third on whose Ritz
+        # value settled; requiring two settled steps and at least seven
+        # made 7.8 steps per evaluation on this grid.
+        prep = bm.prepare_contour(bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
+        ev = prep.grid.evaluator
+        assert ev.evaluations > 600
+        assert ev.lanczos_steps <= 4.5 * ev.evaluations
+        assert ev.fallbacks == 0
+
+    def test_export_rows_meet_bound(self, bs_problem):
+        # Where the early exit is least exact: the lowest upper-half row,
+        # whose sigma reaches round-off, and the top row, the largest values.
+        A = bs_problem.operator.entries
+        grid = bm.compute_grid(bs_problem.operator, bm.GridSpec(-40.0, 0.05, -10.0, 10.0, 50))
+        for iy in (25, 49):
+            for ix, x in enumerate(grid.xs):
+                z = complex(x, grid.ys[iy])
+                ref = np.linalg.svd(z * np.eye(A.shape[0]) - A, compute_uv=False)[-1]
+                assert abs(grid.sigma_min[iy, ix] - ref) <= _export_bound(ref, A)
+
+    def test_overflowing_solves_fall_back_once(self):
         # The triangular solves at this shift overflow, so both Lanczos runs
         # must give up and the value must come from the one dense SVD.
         A = np.array([[0.0, 1e200, 0.0], [0.0, 0.0, 1e200], [0.0, 0.0, -1.0]])
         z = 1e-150j
+        ev = SigmaMinEvaluator(bm.Operator(A))
         with np.errstate(over="ignore"):
-            value = SigmaMinEvaluator(bm.Operator(A))(z)
+            value = ev(z)
             ref = np.linalg.svd(z * np.eye(3) - A, compute_uv=False)[-1]
-        assert fallback_count() == 1
+        assert (ev.evaluations, ev.second_runs, ev.fallbacks) == (1, 1, 1)
         assert value == ref
 
     def test_abs_error_finite_for_huge_entries(self):
@@ -195,11 +217,14 @@ class TestSigmaMinEvaluator:
     def test_exact_eigenvalue_shift_after_other_shifts(self):
         ev = SigmaMinEvaluator(bm.Operator(np.diag([-1.0, -2.0, -3.0])))
         for z in (0.5 + 1.0j, -2.5, -1.0, -4.0 - 1.0j, -1.0, -3.0):
+            before = ev.lanczos_steps
             s = ev(z)
             if z in (-1.0, -3.0):
                 assert s == 0.0
+                assert ev.lanczos_steps == before  # a zero pivot needs no Lanczos run
             else:
                 assert s > 0.0
+        assert ev.evaluations == 6
 
     def test_conjugate_shift_of_real_operator(self, bs_problem):
         A = bs_problem.operator.entries

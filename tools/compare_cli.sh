@@ -9,7 +9,10 @@
 # BLAS thread on both sides, because the thread count changes round-off.
 # Each run keeps its output files, its stdout (with the output directory
 # replaced by OUT, the only difference allowed), its stderr and its exit
-# code; the two sides are then compared with `diff -r`.
+# code. The two sides are then compared byte by byte. Each differing file
+# is summarised by number: a CSV file (and a report's [errors] table) by the
+# largest absolute and relative change per column, a report.txt by the keys
+# whose values changed, and any other file by a short unified diff.
 #
 # Exit status: 0 when every file is identical, 1 when any differs, 2 on a
 # usage or export error.
@@ -76,9 +79,90 @@ run_side "$work/base/src" "$work/out-base"
 echo "working tree:"
 run_side "$repo/src" "$work/out-work"
 
-if diff -r "$work/out-base" "$work/out-work"; then
-    echo "identical: $(find "$work/out-base" -type f | wc -l) files"
-else
-    echo "outputs differ" >&2
-    exit 1
-fi
+python3 - "$work/out-base" "$work/out-work" <<'PY'
+import difflib
+import math
+import sys
+from pathlib import Path
+
+base, work = Path(sys.argv[1]), Path(sys.argv[2])
+
+
+def files(root):
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
+def table_changes(old, new):
+    """Largest absolute and relative change per column of two CSV line lists."""
+    if old[:1] != new[:1] or len(old) != len(new):
+        return [f"    header or row count differs ({len(old)} vs {len(new)} lines)"]
+    out = []
+    rows_old = [line.split(",") for line in old[1:]]
+    rows_new = [line.split(",") for line in new[1:]]
+    for col, name in enumerate(old[0].split(",")):
+        worst_abs = worst_rel = 0.0
+        rows = 0
+        for a, b in zip(rows_old, rows_new):
+            if a[col] == b[col]:
+                continue
+            rows += 1
+            x, y = float(a[col]), float(b[col])
+            if math.isnan(x) or math.isnan(y):
+                worst_abs = worst_rel = math.nan
+                continue
+            d = abs(y - x)
+            worst_abs = max(worst_abs, d)
+            worst_rel = max(worst_rel, d / max(abs(x), abs(y)))
+        if rows:
+            out.append(f"    {name}: {rows} rows, max abs {worst_abs:.3g}, max rel {worst_rel:.3g}")
+    return out
+
+
+def report_changes(old, new):
+    """Changed keys of two report.txt files, then their [errors] tables."""
+    def split(lines):
+        cut = lines.index("[errors]") if "[errors]" in lines else len(lines)
+        keys = dict(line.partition("=")[::2] for line in lines[1:cut] if line)
+        return keys, [line for line in lines[cut + 1:] if line]
+    (keys_old, table_old), (keys_new, table_new) = split(old), split(new)
+    out = [f"    {key}: {keys_old.get(key)} -> {keys_new.get(key)}"
+           for key in sorted(keys_old.keys() | keys_new.keys())
+           if keys_old.get(key) != keys_new.get(key)]
+    if old[:1] != new[:1]:
+        out.insert(0, f"    version: {old[:1]} -> {new[:1]}")
+    if table_old != table_new:
+        out.append("    [errors] table:")
+        out += table_changes(table_old, table_new)
+    return out
+
+
+names_base, names_work = files(base), files(work)
+differ = 0
+for name in sorted(names_base | names_work):
+    if name not in names_base or name not in names_work:
+        side = "working tree" if name in names_work else "revision"
+        print(f"{name}: only in the {side}")
+        differ += 1
+        continue
+    old, new = (base / name).read_bytes(), (work / name).read_bytes()
+    if old == new:
+        continue
+    differ += 1
+    old, new = old.decode().splitlines(), new.decode().splitlines()
+    print(f"{name}: differs")
+    try:
+        if name.endswith(".csv"):
+            lines = table_changes(old, new)
+        elif name.endswith("report.txt"):
+            lines = report_changes(old, new)
+        else:
+            raise ValueError
+    except ValueError:  # not numeric where expected, or not a table at all
+        lines = ["    " + line for line in
+                 list(difflib.unified_diff(old, new, "revision", "working tree", lineterm=""))[:20]]
+    print("\n".join(lines))
+if differ:
+    print(f"outputs differ: {differ} of {len(names_base | names_work)} files", file=sys.stderr)
+    sys.exit(1)
+print(f"identical: {len(names_base)} files")
+PY
