@@ -181,7 +181,7 @@ def cmd_window(args) -> int:
     all_reached = True
     for t in times:
         before = plan.cache.reuse_count
-        rep = solve_at(plan, problem, t, args.tol, validate=opts.validate, n_max=opts.n_max)
+        rep = solve_at(plan, problem, t, validate=opts.validate, n_max=opts.n_max)
         reused = plan.cache.reuse_count - before
         err = rep.reference_error if rep.reference_error is not None else rep.result.est_error
         rows.append((t, rep.truncation.c, rep.truncation.K, rep.result.N, err, reused))

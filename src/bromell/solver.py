@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class QuadratureResult:
     est_error: float
     B_term: float
     cache: NodeCache = field(repr=False)
-    t: float = 0.0
 
 
 def integrand(problem, params: ContourParams, x, t: float) -> np.ndarray:
@@ -169,9 +168,7 @@ def trapezoid_sum(
 
     est = error_model(params, c, t, N)
     B = b_term(params, c, t, N)
-    return QuadratureResult(
-        N, approx, xs, values, float(c), est, B, cache, float(t)
-    )
+    return QuadratureResult(N, approx, xs, values, float(c), est, B, cache)
 
 
 def refine_doubling(prev: QuadratureResult, problem, params: ContourParams, t: float) -> QuadratureResult:
@@ -353,7 +350,6 @@ class SolveReport:
     contour: ContourParams
     truncation: TruncationResult
     feasibility: FeasibilityReport
-    stability: float
     result: QuadratureResult = None
     errors_table: tuple = ()
     reference_error: float = None
@@ -368,39 +364,8 @@ class SolveReport:
         return None if self.result is None else self.result.approx
 
     @property
-    def ok(self) -> bool:
-        return self.reached_tol and self.feasibility.passed
-
-
-def _refine(problem, cache: NodeCache, t: float, tol: float, N: int, n_max: int, reference):
-    """Double the N-point rule on the cache's arc until the stopping signal meets tol.
-
-    The signal is the measured error against ``reference`` when one is given,
-    the model estimate otherwise; doubling stops once 2N would exceed n_max.
-    Returns the quadrature fields of a SolveReport.
-    """
-    q = trapezoid_sum(problem, cache.params, cache.c, t, N, cache=cache)
-    table = []
-    while True:
-        measured = None
-        if reference is not None:
-            measured = float(np.linalg.norm(q.approx - reference))
-        table.append((q.N, measured, q.est_error, q.B_term))
-        signal = measured if measured is not None else q.est_error
-        if signal <= tol or 2 * q.N > n_max:
-            break
-        q = refine_doubling(q, problem, cache.params, t)
-    fields = dict(
-        result=q,
-        errors_table=tuple(table),
-        reached_tol=signal <= tol,
-        solve_count=cache.solve_count,
-        reuse_count=cache.reuse_count,
-    )
-    if reference is not None:
-        fields["reference_error"] = measured
-        fields["reference_error_inf"] = float(np.max(np.abs(q.approx - reference)))
-    return fields
+    def stability(self) -> float:
+        return self.feasibility.stability
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -507,54 +472,8 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
     return PipelinePrep(z_l, z_r, grid, c1, c2, crit, inner, params)
 
 
-def solve(problem, t: float, tol: float, opts: SolveOptions = None) -> SolveReport:
-    """Full pipeline: place the contour, truncate it, refine the quadrature.
-
-    The node count starts at a quarter of the predicted requirement and
-    doubles (reusing all prior solves) until the stopping signal meets tol:
-    the measured error against the reference evolution when opts.validate is
-    set, the model estimate otherwise. A failed feasibility check returns a
-    report without quadrature.
-    """
-    if t <= 0:
-        raise ValueError("need t > 0")
-    if tol <= 0:
-        raise ValueError("need tol > 0")
-    opts = opts or SolveOptions()
-    prep = prepare_contour(problem, t, t, tol, opts)
-    inner, params = prep.inner, prep.contour
-    trunc = _stage("truncation", truncation_fixed_point, problem, params, t, tol, opts.prec)
-    feas = _stage("feasibility", feasibility_check, problem, params, trunc.c, t, tol)
-    stab = stability_constant(params, trunc.c, t)
-    base = dict(
-        label=problem.label,
-        t=float(t),
-        tol=float(tol),
-        inner=inner,
-        contour=params,
-        truncation=trunc,
-        feasibility=feas,
-        stability=stab,
-    )
-    if not feas.passed:
-        return SolveReport(**base)
-
-    reference = None
-    if opts.validate:
-        reference = _stage("reference", reference_solution, problem, t)
-
-    n_pred = predicted_nodes(params.a, trunc.c, params.D, t, tol)
-    n0 = max(5, math.ceil(n_pred / 4))
-    cache = NodeCache(problem, params, trunc.c)
-    quad = _stage("quadrature", _refine, problem, cache, t, tol, n0, opts.n_max, reference)
-
-    k_ell = _stage("truncation-bound", estimate_k_ell, problem, params, t)
-    t_bound = truncation_bound(params, trunc.c, t, k_ell, tol)
-    return SolveReport(**base, **quad, truncation_bound=t_bound)
-
-
 # ---------------------------------------------------------------------------
-# time windows
+# window plans; a single-time solve is the window [t, t]
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,7 +482,8 @@ class TimeWindowPlan:
 
     The node grid is fixed by the wider endpoint truncation c_grid, so every
     shifted solve is shared across times; per-time (c_t, K_t) follow the
-    linear-K rule between the endpoint fixed points.
+    linear-K rule between the endpoint fixed points. The feasibility check
+    runs on the shared grid at t1.
     """
 
     t0: float
@@ -576,7 +496,7 @@ class TimeWindowPlan:
     c_grid: float
     n_nodes: int
     cache: NodeCache = field(repr=False)
-    max_cond: float = 1.0
+    feasibility: FeasibilityReport
     label: str = ""
 
     def k_at(self, t: float) -> float:
@@ -590,9 +510,15 @@ class TimeWindowPlan:
 
 
 def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = None) -> TimeWindowPlan:
-    """Build one contour for [t0, t1]: ellipse at t0, strip parameter sized for t1."""
-    if not 0 < t0 <= t1:
-        raise ValueError("need 0 < t0 <= t1")
+    """Build one contour for [t0, t1]: ellipse at t0, strip parameter sized for t1.
+
+    t0, t1 and tol must be finite and positive; they are checked before any
+    stage runs.
+    """
+    if not 0 < t0 <= t1 < math.inf:
+        raise ValueError("need 0 < t0 <= t1 < inf")
+    if not 0 < tol < math.inf:
+        raise ValueError("need tol > 0")
     opts = opts or SolveOptions()
     prep = prepare_contour(problem, t0, t1, tol, opts)
     inner, params = prep.inner, prep.contour
@@ -616,47 +542,99 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
         c_grid,
         n_nodes,
         cache,
-        feas.max_cond,
+        feas,
         problem.label,
     )
+
+
+def _evaluate(plan, problem, t, truncation, feasibility, N, validate, n_max) -> SolveReport:
+    """Report the plan at time t after doubling the N-point rule on its shared grid.
+
+    Every doubling reuses all cached node solves. The stopping signal is the
+    measured error against the reference evolution when validate is set, the
+    model estimate otherwise; doubling stops once it meets plan.tol or 2N
+    would exceed n_max. N None runs no quadrature (a failed feasibility check).
+    """
+    cache = plan.cache
+    q = measured = worst = None
+    table = []
+    reached = False
+    if N is not None:
+        reference = _stage("reference", reference_solution, problem, t) if validate else None
+        q = _stage("quadrature", trapezoid_sum, problem, cache.params, cache.c, t, N, cache=cache)
+        while True:
+            if reference is not None:
+                measured = float(np.linalg.norm(q.approx - reference))
+            table.append((q.N, measured, q.est_error, q.B_term))
+            reached = (q.est_error if reference is None else measured) <= plan.tol
+            if reached or 2 * q.N > n_max:
+                break
+            q = _stage("quadrature", refine_doubling, q, problem, cache.params, t)
+        if reference is not None:
+            worst = float(np.max(np.abs(q.approx - reference)))
+    return SolveReport(
+        label=plan.label,
+        t=float(t),
+        tol=plan.tol,
+        inner=plan.inner,
+        contour=plan.contour,
+        truncation=truncation,
+        feasibility=feasibility,
+        result=q,
+        errors_table=tuple(table),
+        reference_error=measured,
+        reference_error_inf=worst,
+        reached_tol=reached,
+        solve_count=cache.solve_count,
+        reuse_count=cache.reuse_count,
+    )
+
+
+def solve(problem, t: float, tol: float, opts: SolveOptions = None) -> SolveReport:
+    """Full pipeline: the one-time window plan [t, t], evaluated at t.
+
+    The node count starts at a quarter of the predicted requirement and
+    doubles (reusing all prior solves) until the stopping signal meets tol:
+    the measured error against the reference evolution when opts.validate is
+    set, the model estimate otherwise. A failed feasibility check returns a
+    report without quadrature.
+    """
+    if not 0 < t < math.inf:
+        raise ValueError("need t > 0")
+    opts = opts or SolveOptions()
+    plan = plan_window(problem, t, t, tol, opts)
+    params, trunc = plan.contour, plan.trunc0
+    n0 = None
+    if plan.feasibility.passed:
+        n0 = max(5, math.ceil(predicted_nodes(params.a, trunc.c, params.D, t, tol) / 4))
+    report = _evaluate(plan, problem, t, trunc, plan.feasibility, n0, opts.validate, opts.n_max)
+    if report.result is None:
+        return report
+    k_ell = _stage("truncation-bound", estimate_k_ell, problem, params, t)
+    return replace(report, truncation_bound=truncation_bound(params, trunc.c, t, k_ell, tol))
 
 
 def solve_at(
     plan: TimeWindowPlan,
     problem,
     t: float,
-    tol: float = None,
     validate: bool = False,
     n_max: int = SolveOptions.n_max,
 ) -> SolveReport:
     """Evaluate the window plan at one time, reusing all cached node solves.
 
-    The quadrature runs on the plan's shared grid (width c_grid); the
-    per-time truncation pair (c_t, K_t) is interpolated and reported, and
-    the error model uses the shared grid's rate.
+    The quadrature runs on the plan's shared grid (width c_grid) from
+    plan.n_nodes nodes; the per-time truncation pair (c_t, K_t) is
+    interpolated and reported, and the round-off forecast uses the plan's
+    worst condition number with the stability constant at (c_t, t).
     """
     if not plan.t0 <= t <= plan.t1:
         raise ValueError(f"t = {t} outside the window [{plan.t0}, {plan.t1}]")
-    tol = plan.tol if tol is None else float(tol)
     c_t = plan.c_at(t)
-    k_t = plan.k_at(t)
-    trunc_t = TruncationResult(c_t, k_t, 0)
+    trunc_t = TruncationResult(c_t, plan.k_at(t), 0)
     stab = stability_constant(plan.contour, c_t, t)
-    feas = FeasibilityReport.forecast(plan.max_cond, stab, tol)
-
-    reference = reference_solution(problem, t) if validate else None
-    quad = _refine(problem, plan.cache, t, tol, plan.n_nodes, n_max, reference)
-    return SolveReport(
-        label=plan.label,
-        t=float(t),
-        tol=tol,
-        inner=plan.inner,
-        contour=plan.contour,
-        truncation=trunc_t,
-        feasibility=feas,
-        stability=stab,
-        **quad,
-    )
+    feas = FeasibilityReport.forecast(plan.feasibility.max_cond, stab, plan.tol)
+    return _evaluate(plan, problem, t, trunc_t, feas, plan.n_nodes, validate, n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -358,7 +358,7 @@ class TestSolvePipeline:
         opts = bm.SolveOptions(grid_pts=50)
         plan = bm.plan_window(problem, 1.0, 10.0, 5e-8, opts)
         for t in np.linspace(1.0, 10.0, 10):
-            bm.solve_at(plan, problem, float(t), 5e-8)
+            bm.solve_at(plan, problem, float(t))
         bm.plan_window(problem, 1.0, 10.0, 5e-8, opts)
         assert schur_calls == [(problem.operator.dim,) * 2]
 
@@ -372,6 +372,58 @@ class TestSolvePipeline:
         assert keys["reached_tol"] == "true"
         assert len(rows) == len(report.errors_table)
         assert rows[-1][0] == report.result.N
+
+
+class TestEntryValidation:
+    @pytest.mark.parametrize(
+        "entry, args, message",
+        [
+            ("plan_window", (1.0, 2.0, 0.0), "need tol > 0"),
+            ("plan_window", (1.0, 2.0, -1e-8), "need tol > 0"),
+            ("plan_window", (1.0, 2.0, math.nan), "need tol > 0"),
+            ("plan_window", (1.0, 2.0, math.inf), "need tol > 0"),
+            ("plan_window", (math.nan, 2.0, 1e-8), "need 0 < t0 <= t1"),
+            ("plan_window", (1.0, math.inf, 1e-8), "need 0 < t0 <= t1"),
+            ("solve", (math.nan, 1e-6), "need t > 0"),
+            ("solve", (math.inf, 1e-6), "need t > 0"),
+            ("solve", (1.0, math.nan), "need tol > 0"),
+            ("solve", (1.0, -1e-8), "need tol > 0"),
+        ],
+    )
+    def test_rejected_before_any_stage(self, monkeypatch, bs_problem, entry, args, message):
+        def stage_ran(*_args):
+            raise AssertionError("a pipeline stage ran")
+
+        monkeypatch.setattr(solver, "eigenvalues", stage_ran)
+        with pytest.raises(ValueError, match=message):
+            getattr(bm, entry)(bs_problem, *args)
+
+
+class TestOnePipeline:
+    @pytest.mark.parametrize(
+        "problem, report, t, tol, opts",
+        [
+            ("cd_problem", "cd_report", 1.0, 5e-8,
+             bm.SolveOptions(z_l=-40.0, z_r=0.09, prec=1e-2)),
+            ("bs_problem", "bs_report_t1", 1.0, 5e-6,
+             bm.SolveOptions(z_l=-40.0, z_r=0.05, grid_pts=50)),
+        ],
+    )
+    def test_solve_is_the_one_time_window_plan(self, request, problem, report, t, tol, opts):
+        # The session reports are solve() runs of these problems, times and
+        # placements (cd_report: the reference recipe).
+        problem = request.getfixturevalue(problem)
+        report = request.getfixturevalue(report)
+        plan = bm.plan_window(problem, t, t, tol, opts)
+        assert report.contour == plan.contour
+        assert report.truncation == plan.trunc0
+        assert report.feasibility == plan.feasibility
+        assert report.stability == bm.stability_constant(plan.contour, plan.trunc0.c, t)
+
+    def test_plan_keeps_its_feasibility_report(self, bs_problem, bs_window):
+        plan = bs_window
+        check = bm.feasibility_check(bs_problem, plan.contour, plan.c_grid, plan.t1, plan.tol)
+        assert plan.feasibility == check
 
 
 def _dense_sigma_min(A, x: float) -> float:

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-compare nine bromell CLI runs between a git revision and the working tree.
+# Byte-compare ten bromell CLI runs between a git revision and the working tree.
 #
 #   tools/compare_cli.sh <rev>
 #
@@ -45,6 +45,8 @@ CONF
 CD="--problem cd:d=400,n=64 --t 1 --tol 5e-8 --zl -40"
 BS="--problem bs --t 1 --tol 5e-6 --zl -40"
 WIN="--problem bs --t0 1 --t1 10 --tol 5e-8"
+# The tenth run's tolerance is below the round-off forecast: solve stops at
+# the feasibility check and the CLI exits 2 with a report and no quadrature.
 RUNS=(
     "cd-solve|solve $CD --zr 0.09 --grid 40 --validate"
     "cd-convergence|convergence $CD --zr 0.09 --grid 30 --validate"
@@ -55,6 +57,7 @@ RUNS=(
     "bs-solve-default-zr|solve $BS --grid 30"
     "cd-solve-default-zr|solve $CD --grid 40"
     "bs-solve-config|solve --config $work/bs.conf --grid 40"
+    "cd-solve-infeasible|solve --problem cd:d=400,n=64 --t 1 --tol 1e-13 --zl -40 --zr 0.09 --grid 30"
 )
 
 run_side() {  # run_side <src dir> <output root>
