@@ -1,13 +1,15 @@
 """Dense complex linear-algebra kernels.
 
 Everything downstream (pseudospectral grids, contour selection, quadrature)
-is built on the operations here: the operator's one complex Schur factor,
-shifted solves (zI - A)x = b, the resolvent apply
-uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) that every quadrature node, truncation
-step and bound sample evaluates, dense eigenvalues, and a matrix-exponential
-reference evolution used as validation oracle.
+is built on the operations here: the operator's one complex Schur form
+A = Q T Q*, shifted solves (zI - A)x = b through it (one triangular solve
+per shift), the resolvent apply uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) that
+every quadrature node, truncation step and bound sample evaluates, the LU
+condition estimate of the feasibility check, dense eigenvalues, and a
+matrix-exponential reference evolution used as validation oracle.
 
-All functions are pure and deterministic; inputs are never mutated.
+All functions are deterministic and never mutate their inputs; the only
+state is the operator's cached Schur form and shift buffer.
 """
 
 from __future__ import annotations
@@ -56,19 +58,35 @@ class Operator:
         return not np.iscomplexobj(self.entries)
 
     @cached_property
-    def schur_factor(self) -> np.ndarray:
-        """Read-only upper-triangular T of the complex Schur form A = Q T Q*.
-
-        Computed on first use and kept for the operator's lifetime
-        (16 n^2 bytes); the eigenvalues, the default z_r and every
-        resolvent-norm grid read this one factor.
-        """
+    def _schur(self) -> tuple[np.ndarray, np.ndarray]:
         try:
-            T = sla.schur(self.entries.astype(complex), output="complex")[0]
+            T, Q = sla.schur(self.entries.astype(complex), output="complex")
         except np.linalg.LinAlgError as exc:
             raise EigenSolverError(f"Schur factorization failed: {exc}") from exc
         T.setflags(write=False)
-        return T
+        Q.setflags(write=False)
+        return T, Q
+
+    @property
+    def schur_factor(self) -> np.ndarray:
+        """Read-only upper-triangular T of the complex Schur form A = Q T Q*.
+
+        Computed on first use, together with Q, and kept for the operator's
+        lifetime (16 n^2 bytes each); the eigenvalues, the default z_r, every
+        resolvent-norm grid and every shifted solve read this one factor.
+        """
+        return self._schur[0]
+
+    @property
+    def schur_vectors(self) -> np.ndarray:
+        """Read-only unitary Q of the complex Schur form A = Q T Q*."""
+        return self._schur[1]
+
+    @cached_property
+    def _shift_buffer(self) -> np.ndarray:
+        """Fortran-order zI - T for ShiftedSystem.solve: -T off the diagonal,
+        the diagonal rewritten for each shift (16 n^2 bytes)."""
+        return np.asfortranarray(-self.schur_factor)
 
 
 def as_operator(A) -> Operator:
@@ -82,68 +100,51 @@ def _as_matrix(M) -> np.ndarray:
     return M.entries if isinstance(M, Operator) else np.asarray(M)
 
 
-_GETRF, _GETRS, _GECON = sla.get_lapack_funcs(("getrf", "getrs", "gecon"), dtype=complex)
+_GETRF, _GECON = sla.get_lapack_funcs(("getrf", "gecon"), dtype=complex)
+(_TRTRS,) = sla.get_lapack_funcs(("trtrs",), dtype=complex)
 
 
 class ShiftedSystem:
-    """Pivoted LU factorization of (zI - A) at one shift z.
+    """The shifted system (zI - A) x = b at one shift z, solved through the
+    operator's Schur form A = Q T Q*.
 
-    Each factorization serves one call: one node's solve
-    (``transformed_solution``) or one condition estimate
-    (``resolvent_cond``). Node reuse across quadrature refinements and time
-    windows keeps solutions in ``solver.NodeCache``, not factors.
-
-    zI - A is assembled in one Fortran-order buffer that LAPACK ``getrf``
-    factors in place, and ``solve`` calls ``getrs`` on it. The entries are
-    the ones ``z * np.eye(n) - A`` forms, signed zeros included, so the
-    factors and solutions are bit-identical to ``scipy.linalg.lu_factor`` /
-    ``lu_solve`` on that matrix without their copies and checks.
+    zI - A = Q (zI - T) Q*, so each solve is x = Q (zI - T)^{-1} Q* b: two
+    matrix-vector products and one O(n^2) triangular solve (LAPACK
+    ``trtrs``) instead of an O(n^3) LU per shift. T and Q are computed once
+    per Operator (``Operator.schur_factor``; a plain array is wrapped in a
+    new Operator, so pass an Operator to share them), and zI - T is written
+    into the operator's one shift buffer, whose diagonal each solve
+    rewrites; solves on one operator therefore run one at a time. Node
+    reuse across quadrature refinements and time windows keeps solutions in
+    ``solver.NodeCache``, not systems.
     """
 
     def __init__(self, A, z: complex):
-        M = _as_matrix(A)
         self.z = complex(z)
-        self.dim = n = M.shape[0]
-        self._A = M
-        # lu_factor's input check; Operator entries are finite by construction.
-        if not (cmath.isfinite(self.z) and (isinstance(A, Operator) or np.isfinite(M).all())):
+        if not cmath.isfinite(self.z):
             raise ValueError("array must not contain infs or NaNs")
-        lu = np.empty((n, n), dtype=complex, order="F")
-        # Complex products give z*0j off the diagonal and z*(1+0j) on it,
-        # the entries of z*np.eye(n) bit for bit.
-        np.subtract(self.z * 0j, M, out=lu)
-        np.subtract(self.z * (1 + 0j), M.diagonal(), out=lu.reshape(-1, order="F")[:: n + 1])
-        self._lu, self._piv, _ = _GETRF(lu, overwrite_a=1)
-        diag = np.abs(np.diag(self._lu))
-        if not np.all(np.isfinite(self._lu)) or np.min(diag) == 0.0:
+        self._op = op = as_operator(A)
+        self.dim = op.dim
+        self._diag = self.z - np.diag(op.schur_factor)
+        if not self._diag.all():  # zero pivot of zI - T: z is an eigenvalue
             raise SingularSystemError(
                 f"(zI - A) is numerically singular at z = {self.z}"
             )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs)
-        if not np.all(np.isfinite(rhs)):  # lu_solve's input check
+        if not np.all(np.isfinite(rhs)):
             raise ValueError("array must not contain infs or NaNs")
-        x = _GETRS(self._lu, self._piv, rhs)[0]
+        Q, M = self._op.schur_vectors, self._op._shift_buffer
+        M.reshape(-1, order="F")[:: self.dim + 1] = self._diag
+        # Q* rhs without a conjugate-transposed copy of Q.
+        y = _TRTRS(M, np.conj(Q.T @ np.conj(rhs)), overwrite_b=1)[0]
+        x = Q @ y
         if not np.all(np.isfinite(x)):
             raise SingularSystemError(
                 f"solve with (zI - A) overflowed at z = {self.z}"
             )
         return x
-
-    def cond_estimate(self) -> float:
-        """1-norm condition-number estimate of (zI - A) from the LU factors.
-
-        The 1-norm of ``z * np.eye(n) - A`` is formed only when an estimate
-        is asked for; the factorization does not need it.
-        """
-        anorm = np.linalg.norm(self.z * np.eye(self.dim) - self._A, 1)
-        if anorm == 0.0:
-            return np.inf
-        rcond, info = _GECON(self._lu, anorm)
-        if info < 0 or rcond == 0.0:
-            return np.inf
-        return 1.0 / rcond
 
 
 def transformed_solution(problem, z: complex) -> np.ndarray:
@@ -155,11 +156,36 @@ def transformed_solution(problem, z: complex) -> np.ndarray:
 
 
 def resolvent_cond(A, z: complex) -> float:
-    """Condition-number estimate of (zI - A); feeds the feasibility check."""
-    try:
-        return ShiftedSystem(A, z).cond_estimate()
-    except SingularSystemError:
+    """1-norm condition-number estimate of (zI - A); feeds the feasibility check.
+
+    A pivoted LU of zI - A (LAPACK ``getrf``) and its ``gecon`` estimate,
+    with the 1-norm of ``z * np.eye(n) - A``. The matrix is assembled in one
+    Fortran-order buffer with the entries that expression forms, signed
+    zeros included, so the factors and the estimate are bit-identical to
+    ``scipy.linalg.lu_factor`` + ``gecon`` on it. A singular or overflowing
+    factorization gives inf.
+    """
+    M = _as_matrix(A)
+    z = complex(z)
+    n = M.shape[0]
+    # lu_factor's input check; Operator entries are finite by construction.
+    if not (cmath.isfinite(z) and (isinstance(A, Operator) or np.isfinite(M).all())):
+        raise ValueError("array must not contain infs or NaNs")
+    lu = np.empty((n, n), dtype=complex, order="F")
+    # Complex products give z*0j off the diagonal and z*(1+0j) on it,
+    # the entries of z*np.eye(n) bit for bit.
+    np.subtract(z * 0j, M, out=lu)
+    np.subtract(z * (1 + 0j), M.diagonal(), out=lu.reshape(-1, order="F")[:: n + 1])
+    lu, _piv, _ = _GETRF(lu, overwrite_a=1)
+    if not np.all(np.isfinite(lu)) or np.min(np.abs(np.diag(lu))) == 0.0:
         return np.inf
+    anorm = np.linalg.norm(z * np.eye(n) - M, 1)
+    if anorm == 0.0:
+        return np.inf
+    rcond, info = _GECON(lu, anorm)
+    if info < 0 or rcond == 0.0:
+        return np.inf
+    return 1.0 / rcond
 
 
 def eigenvalues(A) -> np.ndarray:

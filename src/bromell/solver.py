@@ -547,19 +547,26 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
     )
 
 
+def _check_n_max(n_max: int) -> None:
+    if not n_max >= 2:
+        raise ValueError(f"need n_max >= 2, got {n_max}")
+
+
 def _evaluate(plan, problem, t, truncation, feasibility, N, validate, n_max) -> SolveReport:
     """Report the plan at time t after doubling the N-point rule on its shared grid.
 
     Every doubling reuses all cached node solves. The stopping signal is the
     measured error against the reference evolution when validate is set, the
     model estimate otherwise; doubling stops once it meets plan.tol or 2N
-    would exceed n_max. N None runs no quadrature (a failed feasibility check).
+    would exceed n_max, and the first rule has at most n_max points. N None
+    runs no quadrature (a failed feasibility check).
     """
     cache = plan.cache
     q = measured = worst = None
     table = []
     reached = False
     if N is not None:
+        N = min(N, n_max)
         reference = _stage("reference", reference_solution, problem, t) if validate else None
         q = _stage("quadrature", trapezoid_sum, problem, cache.params, cache.c, t, N, cache=cache)
         while True:
@@ -602,6 +609,7 @@ def solve(problem, t: float, tol: float, opts: SolveOptions = None) -> SolveRepo
     if not 0 < t < math.inf:
         raise ValueError("need t > 0")
     opts = opts or SolveOptions()
+    _check_n_max(opts.n_max)
     plan = plan_window(problem, t, t, tol, opts)
     params, trunc = plan.contour, plan.trunc0
     n0 = None
@@ -628,6 +636,7 @@ def solve_at(
     interpolated and reported, and the round-off forecast uses the plan's
     worst condition number with the stability constant at (c_t, t).
     """
+    _check_n_max(n_max)
     if not plan.t0 <= t <= plan.t1:
         raise ValueError(f"t = {t} outside the window [{plan.t0}, {plan.t1}]")
     c_t = plan.c_at(t)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import bromell as bm
 from bromell.contour import conformal_map
@@ -39,17 +41,11 @@ class TestResolventSolve:
         with pytest.raises(SingularSystemError):
             bm.ShiftedSystem(A, -1.0).solve(np.array([1.0, 1.0]))
 
-    def test_overflowing_factorization_raises(self):
-        # zI - A = [[1, 1.5e308], [1, -1.5e308]] at z = 1: U[1, 1] overflows.
-        A = bm.Operator(np.array([[0.0, -1.5e308], [-1.0, 1.0 + 1.5e308]]))
-        with np.errstate(over="ignore"), pytest.raises(SingularSystemError):
-            bm.ShiftedSystem(A, 1.0)
-
     def test_overflowing_solve_raises(self):
         # zI - A = [[1, -1e300], [0, 1]] at z = 1 factors finitely, but
         # x[0] = 1e300 * 1e10 overflows.
         system = bm.ShiftedSystem(bm.Operator(np.array([[0.0, 1e300], [0.0, 0.0]])), 1.0)
-        with np.errstate(over="ignore"), pytest.raises(SingularSystemError):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularSystemError):
             system.solve(np.array([0.0, 1e10]))
 
     def test_residual_on_well_conditioned_system(self):
@@ -62,49 +58,132 @@ class TestResolventSolve:
         residual = np.linalg.norm((z * np.eye(40) - M) @ x - rhs)
         assert residual <= 1e-12 * np.linalg.norm(rhs)
 
-    def test_cond_estimate_order(self):
-        A = bm.Operator(np.diag([-1.0, -2.0]))
-        sys = bm.ShiftedSystem(A, 0.0)
-        # exact 2-norm condition of diag(1, 2) is 2; the 1-norm estimate must
-        # be within a small factor
-        assert 1.0 <= sys.cond_estimate() <= 10.0
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        complex_entries=st.booleans(),
+        shift=st.complex_numbers(max_magnitude=20.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_backward_stable_on_non_normal_operators(self, n, seed, complex_entries, shift):
+        # A random non-normal operator: a diagonal plus a strong strictly
+        # upper-triangular part, turned by a random orthogonal similarity.
+        rng = np.random.default_rng(seed)
+        shape = (n, n)
+        N = np.triu(rng.standard_normal(shape), 1) * 10.0
+        D = np.diag(rng.standard_normal(n) * 3.0)
+        if complex_entries:
+            N = N + 1j * np.triu(rng.standard_normal(shape), 1) * 10.0
+            D = D + 1j * np.diag(rng.standard_normal(n) * 3.0)
+        V, _ = np.linalg.qr(rng.standard_normal(shape))
+        M = V @ (D + N) @ V.T
+        b = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_entries else 0.0)
+        z = complex(shift)
+        # off the spectrum: away from every eigenvalue by more than round-off
+        assume(np.min(np.abs(z - np.linalg.eigvals(M))) > 1e-6 * (1.0 + np.linalg.norm(M)))
+        x = bm.ShiftedSystem(bm.Operator(M), z).solve(b)
+        S = z * np.eye(n) - M
+        eps = np.finfo(float).eps
+        bound = 100 * n * eps * (np.linalg.norm(S) * np.linalg.norm(x) + np.linalg.norm(b))
+        assert np.linalg.norm(S @ x - b) <= bound
+
+
+def _bs_window_cases(bs_problem, bs_window):
+    cache = bs_window.cache
+    for j in (1, 4, 8, 13, 19, 24):
+        z, _ = conformal_map(cache.params, cache.node_x(j, 25))
+        yield bs_problem.operator, z, bs_problem.u0 + bs_problem.bhat(z)
+
+
+def _complex_operator_cases():
+    rng = np.random.default_rng(3)
+    A = bm.Operator(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))
+    rhs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    for z in (2.0 + 1.0j, -3.0 - 0.5j, 0.25j, -1.5):
+        yield A, z, rhs
+
+
+def _plain_ndarray_cases():
+    rng = np.random.default_rng(4)
+    M = rng.standard_normal((30, 30)) + np.diag(-np.linspace(1.0, 6.0, 30))
+    rhs = rng.standard_normal(30)
+    for z in (3.0, -2.0 + 0.5j, complex(-0.5, -0.0), 1j):
+        yield M, z, rhs
+
+
+def _shifted(A, z):
+    M = A.entries if isinstance(A, bm.Operator) else np.asarray(A)
+    return complex(z) * np.eye(M.shape[0]) - M
 
 
 class TestShiftedSystemOracle:
-    """ShiftedSystem bit for bit against SciPy's LU wrappers on z*np.eye(n) - A."""
+    """The Schur-based solve against SciPy's LU solve on z*np.eye(n) - A."""
 
     @staticmethod
-    def check(A, z, rhs):
-        M = A.entries if isinstance(A, bm.Operator) else np.asarray(A)
-        shifted = complex(z) * np.eye(M.shape[0]) - M
-        lu, piv = sla.lu_factor(shifted)
-        (gecon,) = sla.get_lapack_funcs(("gecon",), (lu,))
-        rcond, _ = gecon(lu, np.linalg.norm(shifted, 1))
-        system = bm.ShiftedSystem(A, z)
-        assert np.array_equal(system._lu, lu)
-        assert np.array_equal(system._piv, piv)
-        assert np.array_equal(system.solve(rhs), sla.lu_solve((lu, piv), rhs))
-        assert system.cond_estimate() == 1.0 / rcond
+    def check(cases):
+        for A, z, rhs in cases:
+            expected = sla.lu_solve(sla.lu_factor(_shifted(A, z)), rhs)
+            got = bm.ShiftedSystem(A, z).solve(rhs)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_black_scholes_window_nodes(self, bs_problem, bs_window):
-        cache = bs_window.cache
-        for j in (1, 4, 8, 13, 19, 24):
-            z, _ = conformal_map(cache.params, cache.node_x(j, 25))
-            self.check(bs_problem.operator, z, bs_problem.u0 + bs_problem.bhat(z))
+        self.check(_bs_window_cases(bs_problem, bs_window))
 
     def test_complex_operator(self):
-        rng = np.random.default_rng(3)
-        A = bm.Operator(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)))
-        rhs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        for z in (2.0 + 1.0j, -3.0 - 0.5j, 0.25j, -1.5):
-            self.check(A, z, rhs)
+        self.check(_complex_operator_cases())
 
     def test_plain_ndarray(self):
-        rng = np.random.default_rng(4)
-        M = rng.standard_normal((30, 30)) + np.diag(-np.linspace(1.0, 6.0, 30))
-        rhs = rng.standard_normal(30)
-        for z in (3.0, -2.0 + 0.5j, complex(-0.5, -0.0), 1j):
-            self.check(M, z, rhs)
+        self.check(_plain_ndarray_cases())
+
+    def test_one_shift_buffer_serves_interleaved_systems(self):
+        # Systems built before others on the same operator still solve at
+        # their own shift.
+        rng = np.random.default_rng(5)
+        A = bm.Operator(rng.standard_normal((12, 12)))
+        rhs = rng.standard_normal(12)
+        systems = [bm.ShiftedSystem(A, z) for z in (2.0, 3.0j, -4.0 + 1.0j)]
+        for system in reversed(systems):
+            x = system.solve(rhs)
+            residual = (system.z * np.eye(12) - A.entries) @ x - rhs
+            assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(rhs)
+
+
+class TestResolventCond:
+    """resolvent_cond bit for bit against SciPy's LU and LAPACK gecon on
+    z*np.eye(n) - A."""
+
+    @staticmethod
+    def check(cases):
+        for A, z, _rhs in cases:
+            shifted = _shifted(A, z)
+            lu, _piv = sla.lu_factor(shifted)
+            (gecon,) = sla.get_lapack_funcs(("gecon",), (lu,))
+            rcond, _ = gecon(lu, np.linalg.norm(shifted, 1))
+            assert bm.resolvent_cond(A, z) == 1.0 / rcond
+
+    def test_black_scholes_window_nodes(self, bs_problem, bs_window):
+        self.check(_bs_window_cases(bs_problem, bs_window))
+
+    def test_complex_operator(self):
+        self.check(_complex_operator_cases())
+
+    def test_plain_ndarray(self):
+        self.check(_plain_ndarray_cases())
+
+    def test_cond_estimate_order(self):
+        # exact 2-norm condition of diag(1, 2) is 2; the 1-norm estimate must
+        # be within a small factor
+        assert 1.0 <= bm.resolvent_cond(bm.Operator(np.diag([-1.0, -2.0])), 0.0) <= 10.0
+
+    def test_overflowing_factorization_is_infinite(self):
+        # zI - A = [[1, 1.5e308], [1, -1.5e308]] at z = 1: U[1, 1] overflows.
+        A = bm.Operator(np.array([[0.0, -1.5e308], [-1.0, 1.0 + 1.5e308]]))
+        with np.errstate(over="ignore"):
+            assert bm.resolvent_cond(A, 1.0) == np.inf
+
+    def test_singular_shift_is_infinite(self):
+        assert bm.resolvent_cond(bm.Operator(np.diag([-1.0, -2.0])), -1.0) == np.inf
 
 
 def _sigma_min(M) -> float:

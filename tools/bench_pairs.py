@@ -35,6 +35,9 @@ TRACED = (
     "pseudospectra.sigma_eval_ms",
     "solver.node_solves",
     "solver.node_reuses",
+    "solver.false_claims",
+    "contour.feasibility_s",
+    "contour.truncation_s",
 )
 
 
