@@ -4,9 +4,9 @@ Everything downstream (pseudospectral grids, contour selection, quadrature)
 is built on the operations here: the operator's one complex Schur form
 A = Q T Q*, shifted solves (zI - A)x = b through it (one triangular solve
 per shift), the resolvent apply uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) that
-every quadrature node, truncation step and bound sample evaluates, the LU
-condition estimate of the feasibility check, dense eigenvalues, and a
-matrix-exponential reference evolution used as validation oracle.
+every quadrature node, truncation step and bound sample evaluates, the
+triangular condition estimate of the feasibility check, dense eigenvalues,
+and a matrix-exponential reference evolution used as validation oracle.
 
 All functions are deterministic and never mutate their inputs; the only
 state is the operator's cached Schur form and shift buffer.
@@ -84,8 +84,12 @@ class Operator:
 
     @cached_property
     def _shift_buffer(self) -> np.ndarray:
-        """Fortran-order zI - T for ShiftedSystem.solve: -T off the diagonal,
-        the diagonal rewritten for each shift (16 n^2 bytes)."""
+        """The operator's one shifted matrix: Fortran-order zI - T, -T off the
+        diagonal, the diagonal rewritten for each shift (16 n^2 bytes).
+
+        ShiftedSystem (solves and condition estimates) and
+        pseudospectra.SigmaMinEvaluator both work in it, one shift at a time.
+        """
         return np.asfortranarray(-self.schur_factor)
 
 
@@ -96,12 +100,7 @@ def as_operator(A) -> Operator:
     return Operator(np.asarray(A))
 
 
-def _as_matrix(M) -> np.ndarray:
-    return M.entries if isinstance(M, Operator) else np.asarray(M)
-
-
-_GETRF, _GECON = sla.get_lapack_funcs(("getrf", "gecon"), dtype=complex)
-(_TRTRS,) = sla.get_lapack_funcs(("trtrs",), dtype=complex)
+_TRTRS, _TRCON = sla.get_lapack_funcs(("trtrs", "trcon"), dtype=complex)
 
 
 class ShiftedSystem:
@@ -113,9 +112,10 @@ class ShiftedSystem:
     ``trtrs``) instead of an O(n^3) LU per shift. T and Q are computed once
     per Operator (``Operator.schur_factor``; a plain array is wrapped in a
     new Operator, so pass an Operator to share them), and zI - T is written
-    into the operator's one shift buffer, whose diagonal each solve
-    rewrites; solves on one operator therefore run one at a time. Node
-    reuse across quadrature refinements and time windows keeps solutions in
+    into the operator's one shift buffer, whose diagonal each ``solve`` and
+    ``cond`` rewrites, as pseudospectra.SigmaMinEvaluator does; work on one
+    operator therefore runs one shift at a time. Node reuse across
+    quadrature refinements and time windows keeps solutions in
     ``solver.NodeCache``, not systems.
     """
 
@@ -131,20 +131,31 @@ class ShiftedSystem:
                 f"(zI - A) is numerically singular at z = {self.z}"
             )
 
+    def _shifted(self) -> np.ndarray:
+        """The operator's shift buffer, holding zI - T at this shift."""
+        M = self._op._shift_buffer
+        M.reshape(-1, order="F")[:: self.dim + 1] = self._diag
+        return M
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs)
         if not np.all(np.isfinite(rhs)):
             raise ValueError("array must not contain infs or NaNs")
-        Q, M = self._op.schur_vectors, self._op._shift_buffer
-        M.reshape(-1, order="F")[:: self.dim + 1] = self._diag
+        Q = self._op.schur_vectors
         # Q* rhs without a conjugate-transposed copy of Q.
-        y = _TRTRS(M, np.conj(Q.T @ np.conj(rhs)), overwrite_b=1)[0]
+        y = _TRTRS(self._shifted(), np.conj(Q.T @ np.conj(rhs)), overwrite_b=1)[0]
         x = Q @ y
         if not np.all(np.isfinite(x)):
             raise SingularSystemError(
                 f"solve with (zI - A) overflowed at z = {self.z}"
             )
         return x
+
+    def cond(self) -> float:
+        """1-norm condition estimate of the triangular zI - T that solve runs
+        (LAPACK ``trcon``, Hager-Higham); inf when its reciprocal is 0."""
+        rcond, _ = _TRCON(self._shifted(), norm="1")
+        return 1.0 / rcond if rcond > 0.0 else np.inf
 
 
 def transformed_solution(problem, z: complex) -> np.ndarray:
@@ -156,36 +167,17 @@ def transformed_solution(problem, z: complex) -> np.ndarray:
 
 
 def resolvent_cond(A, z: complex) -> float:
-    """1-norm condition-number estimate of (zI - A); feeds the feasibility check.
+    """Condition estimate of (zI - A) at z; feeds the feasibility check.
 
-    A pivoted LU of zI - A (LAPACK ``getrf``) and its ``gecon`` estimate,
-    with the 1-norm of ``z * np.eye(n) - A``. The matrix is assembled in one
-    Fortran-order buffer with the entries that expression forms, signed
-    zeros included, so the factors and the estimate are bit-identical to
-    ``scipy.linalg.lu_factor`` + ``gecon`` on it. A singular or overflowing
-    factorization gives inf.
+    ``ShiftedSystem(A, z).cond()``: an estimate from below of the 1-norm
+    condition number of zI - T, the triangular system every solve at z runs.
+    That number lies within a factor n of the 2-norm condition number, which
+    zI - T shares with zI - A = Q (zI - T) Q*. An eigenvalue shift gives inf.
     """
-    M = _as_matrix(A)
-    z = complex(z)
-    n = M.shape[0]
-    # lu_factor's input check; Operator entries are finite by construction.
-    if not (cmath.isfinite(z) and (isinstance(A, Operator) or np.isfinite(M).all())):
-        raise ValueError("array must not contain infs or NaNs")
-    lu = np.empty((n, n), dtype=complex, order="F")
-    # Complex products give z*0j off the diagonal and z*(1+0j) on it,
-    # the entries of z*np.eye(n) bit for bit.
-    np.subtract(z * 0j, M, out=lu)
-    np.subtract(z * (1 + 0j), M.diagonal(), out=lu.reshape(-1, order="F")[:: n + 1])
-    lu, _piv, _ = _GETRF(lu, overwrite_a=1)
-    if not np.all(np.isfinite(lu)) or np.min(np.abs(np.diag(lu))) == 0.0:
+    try:
+        return ShiftedSystem(A, z).cond()
+    except SingularSystemError:
         return np.inf
-    anorm = np.linalg.norm(z * np.eye(n) - M, 1)
-    if anorm == 0.0:
-        return np.inf
-    rcond, info = _GECON(lu, anorm)
-    if info < 0 or rcond == 0.0:
-        return np.inf
-    return 1.0 / rcond
 
 
 def eigenvalues(A) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import GeometryError
-from .numerics import as_operator
+from .numerics import _TRTRS, as_operator
 
 _LOG_CAP = 700.0  # exp(700) is near the double-precision overflow edge
 # Relative slack on an evaluated sigma_min before it certifies neighbours: the
@@ -133,6 +133,10 @@ class SigmaMinEvaluator:
     evaluated. A dense SVD of the triangular shift runs only when both runs
     stall. ``evaluations``, ``lanczos_steps``, ``second_runs`` and
     ``fallbacks`` count the work done so far.
+
+    zI - T is the operator's one shift buffer (``Operator._shift_buffer``),
+    which ShiftedSystem shares; each evaluation rewrites its diagonal, so the
+    evaluator allocates no n x n matrix of its own.
     """
 
     def __init__(self, A):
@@ -141,12 +145,9 @@ class SigmaMinEvaluator:
         self.is_real = op.is_real
         T = op.schur_factor
         self.abs_error = 10.0 * np.finfo(float).eps * _frobenius(T)
-        self._diag = np.diag(T).copy()
-        # zI - T lives in one Fortran-order buffer; each shift rewrites only
-        # its diagonal, which is a view into the buffer.
-        self._M = np.asfortranarray(-T)
+        self._diag = np.diag(T)
+        self._M = op._shift_buffer
         self._M_diag = self._M.reshape(-1, order="F")[:: self.dim + 1]
-        (self._trtrs,) = sla.get_lapack_funcs(("trtrs",), (self._M,))
         self._sterf, self._stevd = sla.get_lapack_funcs(("sterf", "stevd"), dtype=float)
         start = np.ones(self.dim, dtype=complex)
         start[1::2] += 0.5j
@@ -190,7 +191,7 @@ class SigmaMinEvaluator:
         1e-9 relative plus ``abs_slack``, signalling the caller to retry or
         fall back to a dense SVD.
         """
-        M, trtrs = self._M, self._trtrs
+        M, trtrs = self._M, _TRTRS
         Q = np.empty((_LANCZOS_STEPS + 1, self.dim), dtype=complex)  # Lanczos vectors as rows
         Q[0] = v0 / _norm(v0)
         w_conj = np.empty(self.dim, dtype=complex)

@@ -512,14 +512,15 @@ class TimeWindowPlan:
 def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = None) -> TimeWindowPlan:
     """Build one contour for [t0, t1]: ellipse at t0, strip parameter sized for t1.
 
-    t0, t1 and tol must be finite and positive; they are checked before any
-    stage runs.
+    t0, t1 and tol must be finite and positive and opts.n_max at least 2;
+    they are checked before any stage runs.
     """
     if not 0 < t0 <= t1 < math.inf:
         raise ValueError("need 0 < t0 <= t1 < inf")
     if not 0 < tol < math.inf:
         raise ValueError("need tol > 0")
     opts = opts or SolveOptions()
+    _check_n_max(opts.n_max)
     prep = prepare_contour(problem, t0, t1, tol, opts)
     inner, params = prep.inner, prep.contour
     trunc0 = _stage("truncation", truncation_fixed_point, problem, params, t0, tol, opts.prec)
@@ -609,7 +610,6 @@ def solve(problem, t: float, tol: float, opts: SolveOptions = None) -> SolveRepo
     if not 0 < t < math.inf:
         raise ValueError("need t > 0")
     opts = opts or SolveOptions()
-    _check_n_max(opts.n_max)
     plan = plan_window(problem, t, t, tol, opts)
     params, trunc = plan.contour, plan.trunc0
     n0 = None

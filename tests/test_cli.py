@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bromell as bm
+from bromell import solver
 from bromell.cli import main
 from bromell.solver import SolveOptions
 
@@ -205,6 +206,18 @@ class TestWindowCommand:
             "--t0", "2", "--t1", "2", "--tol", "1e-8", "--out", str(tmp_path / "o"),
         )
         assert code == 1
+
+    def test_node_budget_rejected_before_any_stage(self, tmp_path, capsys, monkeypatch):
+        stages = []
+        for stage in ("eigenvalues", "compute_grid"):
+            monkeypatch.setattr(solver, stage, lambda *args, _s=stage: stages.append(_s))
+        code = run(
+            "window", "--problem", "bs", "--t0", "1", "--t1", "10", "--tol", "5e-8",
+            "--grid", "50", "--nmax", "1", "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert "need n_max >= 2, got 1" in capsys.readouterr().err
+        assert stages == []
 
 
 class TestConfigFile:

@@ -148,19 +148,44 @@ class TestShiftedSystemOracle:
             residual = (system.z * np.eye(12) - A.entries) @ x - rhs
             assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(rhs)
 
+    def test_evaluator_solves_and_cond_share_one_buffer(self):
+        # sigma_min evaluations, solves and condition estimates interleaved on
+        # one operator give, bit for bit, what each gives on a fresh one.
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((16, 16))
+        rhs = rng.standard_normal(16)
+        shifts = (0.5 + 1.0j, -2.0, 3.0 - 0.25j, 1.5j)
+        shared = bm.Operator(M)
+        ev = SigmaMinEvaluator(shared)
+        assert ev._M is shared._shift_buffer
+        interleaved = []
+        for z in shifts:
+            interleaved.append(ev(z))
+            interleaved.append(bm.ShiftedSystem(shared, -z).solve(rhs))
+            interleaved.append(bm.resolvent_cond(shared, 2 * z))
+        fresh_ev = SigmaMinEvaluator(bm.Operator(M))
+        sigmas = [fresh_ev(z) for z in shifts]
+        for k, z in enumerate(shifts):
+            assert interleaved[3 * k] == sigmas[k]
+            assert np.array_equal(interleaved[3 * k + 1],
+                                  bm.ShiftedSystem(bm.Operator(M), -z).solve(rhs))
+            assert interleaved[3 * k + 2] == bm.resolvent_cond(bm.Operator(M), 2 * z)
+
 
 class TestResolventCond:
-    """resolvent_cond bit for bit against SciPy's LU and LAPACK gecon on
-    z*np.eye(n) - A."""
+    """resolvent_cond against dense condition numbers: trcon estimates the
+    1-norm condition of zI - T from below, and that lies within a factor n
+    of the 2-norm condition of z*np.eye(n) - A."""
 
     @staticmethod
     def check(cases):
         for A, z, _rhs in cases:
-            shifted = _shifted(A, z)
-            lu, _piv = sla.lu_factor(shifted)
-            (gecon,) = sla.get_lapack_funcs(("gecon",), (lu,))
-            rcond, _ = gecon(lu, np.linalg.norm(shifted, 1))
-            assert bm.resolvent_cond(A, z) == 1.0 / rcond
+            T = bm.as_operator(A).schur_factor
+            n = T.shape[0]
+            got = bm.resolvent_cond(A, z)
+            assert got <= np.linalg.cond(complex(z) * np.eye(n) - T, 1) * (1 + 1e-12)
+            cond2 = np.linalg.cond(_shifted(A, z), 2)
+            assert cond2 / n <= got <= n * cond2
 
     def test_black_scholes_window_nodes(self, bs_problem, bs_window):
         self.check(_bs_window_cases(bs_problem, bs_window))

@@ -369,25 +369,26 @@ class TestSolvePipeline:
         assert schur_calls == [(problem.operator.dim,) * 2]
 
     def test_cold_ladder_makes_no_lu(self, schur_calls, monkeypatch):
-        # Node solves go through the Schur factor; only the plan's
-        # feasibility check factors zI - A (one LU per sample).
-        getrf_calls = []
-        getrf = numerics._GETRF
+        # Every shifted matrix is the Schur factor's zI - T: the plan's
+        # feasibility check makes one trcon estimate per sample, and node
+        # solves make none.
+        trcon_calls = []
+        trcon = numerics._TRCON
 
         def counted(*args, **kwargs):
-            getrf_calls.append(1)
-            return getrf(*args, **kwargs)
+            trcon_calls.append(1)
+            return trcon(*args, **kwargs)
 
-        monkeypatch.setattr(numerics, "_GETRF", counted)
+        monkeypatch.setattr(numerics, "_TRCON", counted)
         problem = bm.black_scholes_problem()
         plan = bm.plan_window(problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
-        assert len(getrf_calls) == 10
-        getrf_calls.clear()
+        assert len(trcon_calls) == 10
+        trcon_calls.clear()
         cold = dataclasses.replace(plan, cache=NodeCache(problem, plan.contour, plan.c_grid))
         for t in np.linspace(1.0, 10.0, 10):
             bm.solve_at(cold, problem, float(t))
         assert cold.cache.solve_count > 0
-        assert getrf_calls == []
+        assert trcon_calls == []
         assert schur_calls == [(problem.operator.dim,) * 2]
 
     def test_report_round_trip(self, tmp_path, diag_problem):
