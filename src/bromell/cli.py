@@ -172,6 +172,8 @@ def cmd_window(args) -> int:
     problem = build_problem(args)
     opts = build_options(args)
     plan = plan_window(problem, args.t0, args.t1, args.tol, opts)
+    if not plan.feasibility.passed:
+        print(f"feasibility check failed: {plan.feasibility}", file=sys.stderr)
     if args.times:
         times = [float(v) for v in args.times.split(",")]
     else:

@@ -86,8 +86,9 @@ class PseudoGrid:
         source = _mirror_source(self.spec, self.evaluator.is_real)
         own = np.flatnonzero(source == np.arange(source.size))
         iys, ixs = np.nonzero(np.isnan(sigma[own]))
+        xs, ys = self.xs, self.ys
         for iy, ix in zip(own[iys], ixs):
-            sigma[iy, ix] = self.evaluator(complex(self.xs[ix], self.ys[iy]))
+            sigma[iy, ix] = self.evaluator(complex(xs[ix], ys[iy]))
         sigma = sigma[source]
         sigma.setflags(write=False)
         return PseudoGrid(self.spec, sigma, self.evaluator)
@@ -149,6 +150,12 @@ class SigmaMinEvaluator:
         self._M = op._shift_buffer
         self._M_diag = self._M.reshape(-1, order="F")[:: self.dim + 1]
         self._sterf, self._stevd = sla.get_lapack_funcs(("sterf", "stevd"), dtype=float)
+        # Lanczos workspace, shared by every run: the basis vectors as rows,
+        # their conjugates, and the tridiagonal's diagonal and off-diagonal.
+        self._Q = np.empty((_LANCZOS_STEPS + 1, self.dim), dtype=complex)
+        self._Qc = np.empty_like(self._Q)
+        self._alphas = np.empty(_LANCZOS_STEPS)
+        self._betas = np.empty(_LANCZOS_STEPS)
         start = np.ones(self.dim, dtype=complex)
         start[1::2] += 0.5j
         self._start = start / np.linalg.norm(start)
@@ -192,29 +199,26 @@ class SigmaMinEvaluator:
         fall back to a dense SVD.
         """
         M, trtrs = self._M, _TRTRS
-        Q = np.empty((_LANCZOS_STEPS + 1, self.dim), dtype=complex)  # Lanczos vectors as rows
-        Q[0] = v0 / _norm(v0)
-        w_conj = np.empty(self.dim, dtype=complex)
-        alphas = np.empty(_LANCZOS_STEPS)
-        betas = np.empty(_LANCZOS_STEPS)
+        Q, Qc, alphas, betas = self._Q, self._Qc, self._alphas, self._betas
+        np.divide(v0, _norm(v0), out=Q[0])
+        np.conjugate(Q[0], out=Qc[0])
         theta = theta_prev = None
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(_LANCZOS_STEPS):
                 self.lanczos_steps += 1
-                y = trtrs(M, Q[k], trans=2)[0]
-                w = trtrs(M, y, overwrite_b=1)[0]
-                # A non-finite entry of w makes this inner product non-finite.
-                alpha = float(np.vdot(Q[k], w).real)
+                w = trtrs(M, trtrs(M, Q[k], trans=2)[0], overwrite_b=1)[0]
+                # Classical Gram-Schmidt against the whole basis, twice: one
+                # pass is not enough once the basis picks up converged
+                # directions, and two are (Giraud, Langou & Rozloznik 2005).
+                # The first pass's coefficient on q_k is alpha.
+                basis, conj = Q[: k + 1], Qc[: k + 1]
+                c = conj @ w
+                # A non-finite entry of w makes this coefficient non-finite.
+                alpha = float(c[k].real)
                 if not math.isfinite(alpha):
                     return None
-                w -= alpha * Q[k]
-                if k:
-                    w -= betas[k - 1] * Q[k - 1]
-                # Two Gram-Schmidt passes; one is not enough once the basis
-                # starts picking up converged directions.
-                basis = Q[: k + 1]
-                for _ in range(2):
-                    w -= (basis @ np.conjugate(w, out=w_conj)).conj() @ basis
+                w -= c @ basis
+                w -= (conj @ w) @ basis
                 alphas[k] = alpha
                 if k == 0:
                     theta = alpha
@@ -230,7 +234,8 @@ class SigmaMinEvaluator:
                 if beta == 0.0 or not math.isfinite(beta):
                     break  # exact invariant subspace (or breakdown -> readout check)
                 betas[k] = beta
-                Q[k + 1] = w / beta
+                np.divide(w, beta, out=Q[k + 1])
+                np.conjugate(Q[k + 1], out=Qc[k + 1])
         if theta is None or theta <= 0.0 or not math.isfinite(theta):
             return None
         steps = k + 1
@@ -320,17 +325,28 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
 def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
     """Fill the nodes with y >= 0 that level_curve can read for these levels."""
     rows = np.flatnonzero(ys >= 0.0)
-    nodes = xs[None, :] + 1j * ys[rows, None]
+    yr = ys[rows]
+    nodes = xs[None, :] + 1j * yr[:, None]
     with np.errstate(over="ignore"):
         theta = np.max([eps * np.exp(xs * t) for eps, t in levels], axis=0)
     bound = np.full(nodes.shape, -np.inf)  # certified lower bound on sigma_min
     for r in range(rows.size - 1, -1, -1):  # top row first
-        for ix in range(xs.size):
+        # Candidates as the row starts; the re-check skips those that an
+        # evaluation earlier in this row has certified since.
+        for ix in np.flatnonzero(~(bound[r] > theta)):
             if bound[r, ix] > theta[ix]:
                 continue
-            s = sigma[rows[r], ix] = ev(nodes[r, ix])
+            z = nodes[r, ix]
+            s = sigma[rows[r], ix] = ev(z)
             s_low = s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
-            np.maximum(bound, s_low - np.abs(nodes - nodes[r, ix]), out=bound)
+            if s_low <= 0.0:
+                continue  # no node gains a positive bound
+            # Only nodes within s_low of z gain a positive bound; one more
+            # node on each side keeps rounding in the search from dropping one.
+            r0, r1 = np.searchsorted(yr, (z.imag - s_low, z.imag + s_low))
+            c0, c1 = np.searchsorted(xs, (z.real - s_low, z.real + s_low))
+            near = np.s_[max(r0 - 1, 0) : r1 + 1, max(c0 - 1, 0) : c1 + 1]
+            np.maximum(bound[near], s_low - np.abs(nodes[near] - z), out=bound[near])
     for eps, t in levels:
         inside = _level_values(sigma[rows], xs, t) >= -np.log(eps)
         for ix in np.flatnonzero(inside.any(axis=0)):

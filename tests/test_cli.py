@@ -199,6 +199,17 @@ class TestWindowCommand:
         for row in rows[1:]:
             assert int(row[5]) == n_used - 1  # full reuse at every later time
 
+    @pytest.mark.parametrize("argv, fails", [
+        (("--problem", "bs", "--t0", "1", "--t1", "10", "--tol", "5e-8", "--grid", "50"), True),
+        (("--problem", "cd:d=40,n=12", "--t0", "1", "--t1", "2", "--tol", "1e-6",
+          "--zl", "-20", "--zr", "0.05", "--grid", "24"), False),
+    ])
+    def test_failed_feasibility_is_reported(self, argv, fails, tmp_path, capsys):
+        # The bs plan's round-off forecast at (c_grid, t1) exceeds tol.
+        run("window", *argv, "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert ("feasibility check failed: fail:" in err) == fails
+
     def test_equal_endpoints_rejected(self, diag_files, tmp_path):
         mpath, upath = diag_files
         code = run(

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bromell as bm
 from bromell.errors import GeometryError
-from bromell.pseudospectra import SigmaMinEvaluator
+from bromell.pseudospectra import _CERTIFY_SLACK, SigmaMinEvaluator, _level_values
 
 
 def make_grid(entries, box, n=24):
@@ -107,6 +109,77 @@ class TestEvaluationCount:
         assert eval_count() <= 100
 
 
+def _reference_scan(A, spec, levels):
+    """compute_grid's pruned scan, node by node: it visits every upper-half
+    node and lets each value raise the bound of every node in the grid.
+    Returns the grid values (NaN where skipped) and the evaluation count."""
+    ev = SigmaMinEvaluator(A)
+    xs, ys = spec.xs, spec.ys
+    sigma = np.full((spec.n_pts, spec.n_pts), np.nan)
+    rows = np.flatnonzero(ys >= 0.0)
+    nodes = xs[None, :] + 1j * ys[rows, None]
+    with np.errstate(over="ignore"):
+        theta = np.max([eps * np.exp(xs * t) for eps, t in levels], axis=0)
+    bound = np.full(nodes.shape, -np.inf)
+    for r in range(rows.size - 1, -1, -1):
+        for ix in range(xs.size):
+            if bound[r, ix] > theta[ix]:
+                continue
+            s = sigma[rows[r], ix] = ev(nodes[r, ix])
+            s_low = s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
+            np.maximum(bound, s_low - np.abs(nodes - nodes[r, ix]), out=bound)
+    for eps, t in levels:
+        inside = _level_values(sigma[rows], xs, t) >= -np.log(eps)
+        for ix in np.flatnonzero(inside.any(axis=0)):
+            above = np.flatnonzero(inside[:, ix])[-1] + 1
+            if above < rows.size and np.isnan(sigma[rows[above], ix]):
+                sigma[rows[above], ix] = ev(nodes[above, ix])
+    return sigma, ev.evaluations
+
+
+class TestPrunedScan:
+    """The scan visits only uncertified nodes and updates bounds near each
+    value; it must evaluate exactly the nodes the node-by-node scan does."""
+
+    @staticmethod
+    def check(A, spec, levels):
+        want, count = _reference_scan(A, spec, levels)
+        grid = bm.compute_grid(A, spec, levels)
+        np.testing.assert_array_equal(np.isnan(grid.sigma_min), np.isnan(want))
+        assert grid.evaluator.evaluations == count
+        # Same nodes in the same order, so the same warm starts and values.
+        np.testing.assert_array_equal(grid.sigma_min, want)
+        return count
+
+    @pytest.mark.parametrize("case, count", [("cd", 47), ("bs", 697)])
+    def test_solver_grids(self, case, count, cd_problem, bs_problem):
+        problem, t1, opts = {
+            "cd": (cd_problem, 1.0, bm.SolveOptions(z_l=-40.0, z_r=0.09)),
+            "bs": (bs_problem, 10.0, bm.SolveOptions(grid_pts=50)),
+        }[case]
+        spec = bm.prepare_contour(problem, 1.0, t1, 5e-8, opts).grid.spec
+        levels = ((opts.eps1, 1.0), (opts.eps2, 0.0))
+        assert self.check(problem.operator, spec, levels) == count
+
+    def test_random_boxes_and_levels(self):
+        rng = np.random.default_rng(16)
+        n = 30
+        M = np.diag(-rng.uniform(0.5, 8.0, n)) + 3.0 * np.triu(rng.standard_normal((n, n)), 1)
+        A = bm.Operator(M)
+        pruned = 0
+        for _ in range(10):
+            x0 = rng.uniform(-12.0, -2.0)
+            half = rng.uniform(1.0, 6.0)
+            y0 = rng.choice([-half, rng.uniform(-2.0, 0.0)])  # mirrored or not
+            spec = bm.GridSpec(x0, x0 + rng.uniform(4.0, 14.0), y0, half,
+                               int(rng.integers(12, 41)))
+            levels = tuple((10.0 ** rng.uniform(-12, -1), rng.uniform(0.0, 2.0))
+                           for _ in range(rng.integers(1, 3)))
+            count = self.check(A, spec, levels)
+            pruned += count < np.count_nonzero(spec.ys >= 0.0) * spec.n_pts
+        assert pruned >= 5
+
+
 @pytest.fixture()
 def fallback_count(monkeypatch):
     """Callable returning the number of dense-SVD fallbacks made so far in the test."""
@@ -134,6 +207,41 @@ class TestSigmaMinEvaluator:
         for z in (0.5 + 1.0j, -3.0 + 0.2j, -8.0 - 4.0j):
             ref = np.linalg.svd(z * np.eye(60) - M, compute_uv=False)[-1]
             assert ev(z) == pytest.approx(ref, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        complex_entries=st.booleans(),
+        shifts=st.lists(st.complex_numbers(max_magnitude=20.0, allow_nan=False,
+                                           allow_infinity=False), min_size=1, max_size=4),
+        near=st.floats(-12.0, 0.0),
+    )
+    def test_meets_export_bound_on_non_normal_operators(self, n, seed, complex_entries,
+                                                       shifts, near):
+        # A random non-normal operator: a diagonal plus a strong strictly
+        # upper-triangular part, turned by a random orthogonal similarity.
+        # The shifts run through one evaluator, so warm starts carry over,
+        # and one more lies 10^near from an eigenvalue.
+        rng = np.random.default_rng(seed)
+        N = np.triu(rng.standard_normal((n, n)), 1) * 10.0
+        D = np.diag(rng.standard_normal(n) * 3.0)
+        if complex_entries:
+            N = N + 1j * np.triu(rng.standard_normal((n, n)), 1) * 10.0
+            D = D + 1j * np.diag(rng.standard_normal(n) * 3.0)
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        M = V @ (D + N) @ V.T
+        lam = np.linalg.eigvals(M)
+        ev = SigmaMinEvaluator(bm.Operator(M))
+        for z in [complex(v) for v in shifts] + [lam[0] + 10.0**near * (0.6 + 0.8j)]:
+            ref = np.linalg.svd(z * np.eye(n) - M, compute_uv=False)[-1]
+            before = ev.fallbacks
+            got = ev(z)
+            assert abs(got - ref) <= 1e-9 * ref + ev.abs_error
+            # Away from the spectrum by more than round-off, no run stalls.
+            if np.min(np.abs(z - lam)) > 1e-6 * (1.0 + np.linalg.norm(M)):
+                assert ev.fallbacks == before
 
     def test_exact_eigenvalue_shift_is_zero(self):
         ev = SigmaMinEvaluator(bm.Operator(np.diag([-1.0, -2.0])))

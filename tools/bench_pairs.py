@@ -31,6 +31,7 @@ PAIRS = 10
 TRACED = (
     "numerics.lu_count",
     "numerics.lu_s",
+    "pseudospectra.grid_s",
     "pseudospectra.sigma_evals",
     "pseudospectra.sigma_eval_ms",
     "solver.node_solves",
