@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import sys
 from pathlib import Path
 
@@ -36,6 +37,28 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
+# Every flag, once: flag -> (type, SolveOptions field or None, help). The
+# config file takes the same keys. A "{default}" in the help text is
+# replaced by the field's default when the parser is built.
+_FLAGS = {
+    "problem": (str, None, "cd[:d=..,n=..], bs[:n=..,...] or file"),
+    "matrix": (str, None, "operator file (coordinate text format)"),
+    "u0": (str, None, "initial-state file, one value per line"),
+    "t": (float, None, "evolution time"),
+    "t0": (float, None, "window start time"),
+    "t1": (float, None, "window end time"),
+    "tol": (float, None, "target accuracy"),
+    "zl": (float, "z_l", "strip left edge / ellipse center"),
+    "zr": (float, "z_r", "strip right edge / right vertex"),
+    "eps1": (float, "eps1", "weighted level {default}"),
+    "eps2": (float, "eps2", "plain level {default}"),
+    "grid": (int, "grid_pts", "grid points per axis {default}"),
+    "nmax": (int, "n_max", "node-count cap {default}"),
+    "validate": (bool, "validate", "measure errors against the matrix-exponential reference"),
+    "out": (str, None, "output directory (default: current)"),
+    "times": (str, None, "comma-separated sample times (window)"),
+}
+
 
 def _parse_kv_params(text: str) -> dict:
     out = {}
@@ -49,23 +72,27 @@ def _parse_kv_params(text: str) -> dict:
     return out
 
 
+# --problem selector -> generator in bromell.problems, looked up when called.
+_GENERATORS = {"cd": "canonical_cd_problem", "bs": "black_scholes_problem"}
+
+
 def build_problem(args) -> problems.LaplaceProblem:
+    """The selected problem; each parameter's name, default and type are the generator's own."""
     selector, _, param_text = (args.problem or "").partition(":")
     params = _parse_kv_params(param_text)
-    if selector == "cd":
-        return problems.canonical_cd_problem(
-            d=float(params.get("d", 400.0)), n=int(params.get("n", 64))
-        )
-    if selector == "bs":
-        return problems.black_scholes_problem(
-            L=float(params.get("L", 0.0)),
-            S=float(params.get("S", 200.0)),
-            K=float(params.get("K", 80.0)),
-            r=float(params.get("r", 0.06)),
-            sigma=float(params.get("sigma", 0.05)),
-            n=int(params.get("n", 200)),
-        )
+    if selector in _GENERATORS:
+        generator = getattr(problems, _GENERATORS[selector])
+        accepted = inspect.signature(generator).parameters
+        for key in params:
+            if key not in accepted:
+                raise ValueError(
+                    f"unknown parameter '{key}' for problem '{selector}' "
+                    f"(use {', '.join(accepted)})"
+                )
+        return generator(**{key: type(accepted[key].default)(v) for key, v in params.items()})
     if selector == "file":
+        if params:
+            raise ValueError(f"problem 'file' takes no parameters, got '{param_text}'")
         if not args.matrix:
             raise ValueError("--problem file requires --matrix")
         return problems.load_problem(args.matrix, args.u0)
@@ -76,15 +103,7 @@ def build_problem(args) -> problems.LaplaceProblem:
 
 def build_options(args) -> SolveOptions:
     """SolveOptions from the values a flag or the config file set; the rest keep their defaults."""
-    given = dict(
-        z_l=args.zl,
-        z_r=args.zr,
-        eps1=args.eps1,
-        eps2=args.eps2,
-        grid_pts=args.grid,
-        n_max=args.nmax,
-        validate=args.validate,
-    )
+    given = {field: getattr(args, flag) for flag, (_, field, _) in _FLAGS.items() if field}
     return SolveOptions(**{key: value for key, value in given.items() if value is not None})
 
 
@@ -170,8 +189,7 @@ def cmd_window(args) -> int:
     if not args.t0 < args.t1:
         raise ValueError("--t0 must be strictly smaller than --t1")
     problem = build_problem(args)
-    opts = build_options(args)
-    plan = plan_window(problem, args.t0, args.t1, args.tol, opts)
+    plan = plan_window(problem, args.t0, args.t1, args.tol, build_options(args))
     if not plan.feasibility.passed:
         print(f"feasibility check failed: {plan.feasibility}", file=sys.stderr)
     if args.times:
@@ -183,7 +201,7 @@ def cmd_window(args) -> int:
     all_reached = True
     for t in times:
         before = plan.cache.reuse_count
-        rep = solve_at(plan, problem, t, validate=opts.validate, n_max=opts.n_max)
+        rep = solve_at(plan, problem, t)
         reused = plan.cache.reuse_count - before
         err = rep.reference_error if rep.reference_error is not None else rep.result.est_error
         rows.append((t, rep.truncation.c, rep.truncation.K, rep.result.N, err, reused))
@@ -220,34 +238,16 @@ def _load_config(path) -> dict:
     return values
 
 
-_CONFIG_TYPES = {
-    "problem": str,
-    "matrix": str,
-    "u0": str,
-    "t": float,
-    "t0": float,
-    "t1": float,
-    "tol": float,
-    "zl": float,
-    "zr": float,
-    "eps1": float,
-    "eps2": float,
-    "grid": int,
-    "nmax": int,
-    "validate": lambda v: v.lower() in ("1", "true", "yes"),
-    "out": str,
-    "times": str,
-}
-
-
 def _apply_config(args, parser):
     if args.config:
         for key, raw in _load_config(args.config).items():
-            if key not in _CONFIG_TYPES:
+            if key not in _FLAGS:
                 parser.error(f"unknown config key '{key}'")
             # Flags win: only fill values the command line left unset.
             if getattr(args, key, None) is None:
-                setattr(args, key, _CONFIG_TYPES[key](raw))
+                kind = _FLAGS[key][0]
+                value = raw.lower() in ("1", "true", "yes") if kind is bool else kind(raw)
+                setattr(args, key, value)
 
 
 def _default(field: str) -> str:
@@ -258,24 +258,13 @@ def _default(field: str) -> str:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--problem", default=None, help="cd[:d=..,n=..], bs[:n=..,...] or file")
-    p.add_argument("--matrix", default=None, help="operator file (coordinate text format)")
-    p.add_argument("--u0", default=None, help="initial-state file, one value per line")
-    p.add_argument("--t", type=float, default=None, help="evolution time")
-    p.add_argument("--t0", type=float, default=None, help="window start time")
-    p.add_argument("--t1", type=float, default=None, help="window end time")
-    p.add_argument("--tol", type=float, default=None, help="target accuracy")
-    p.add_argument("--zl", type=float, default=None, help="strip left edge / ellipse center")
-    p.add_argument("--zr", type=float, default=None, help="strip right edge / right vertex")
-    p.add_argument("--eps1", type=float, default=None, help=f"weighted level {_default('eps1')}")
-    p.add_argument("--eps2", type=float, default=None, help=f"plain level {_default('eps2')}")
-    p.add_argument("--grid", type=int, default=None,
-                   help=f"grid points per axis {_default('grid_pts')}")
-    p.add_argument("--nmax", type=int, default=None, help=f"node-count cap {_default('n_max')}")
-    p.add_argument("--validate", action="store_true", default=None,
-                   help="measure errors against the matrix-exponential reference")
-    p.add_argument("--out", default=None, help="output directory (default: current)")
-    p.add_argument("--times", default=None, help="comma-separated sample times (window)")
+    for flag, (kind, field, text) in _FLAGS.items():
+        if "{default}" in text:
+            text = text.format(default=_default(field))
+        if kind is bool:
+            p.add_argument(f"--{flag}", action="store_true", default=None, help=text)
+        else:
+            p.add_argument(f"--{flag}", type=kind, default=None, help=text)
 
 
 def main(argv=None) -> int:

@@ -376,7 +376,7 @@ def truncation_fixed_point(
     params: ContourParams,
     t: float,
     tol: float,
-    prec: float = 0.1,
+    prec: float,
     K_init: float = 100.0,
     max_iter: int = 50,
 ) -> TruncationResult:

@@ -295,8 +295,7 @@ def save_vector(path, v) -> None:
 def load_problem(path_matrix, path_u0=None, source_spec=None) -> LaplaceProblem:
     """Assemble a LaplaceProblem from files.
 
-    source_spec: None for b = 0, or an iterable of SourceTerm / (rate, vector
-    or vector-file-path) pairs.
+    source_spec: None for b = 0, or an iterable of (rate, vector) pairs.
     """
     A = load_operator(path_matrix)
     if path_u0 is None:
@@ -307,13 +306,5 @@ def load_problem(path_matrix, path_u0=None, source_spec=None) -> LaplaceProblem:
             raise FormatError(
                 f"{path_u0}: length {u0.shape[0]} does not match operator dim {A.dim}"
             )
-    terms = []
-    for item in source_spec or ():
-        if isinstance(item, SourceTerm):
-            terms.append(item)
-            continue
-        rate, vec = item
-        if isinstance(vec, (str, bytes)) or hasattr(vec, "__fspath__"):
-            vec = load_vector(vec)
-        terms.append(SourceTerm(np.asarray(vec), float(rate)))
-    return LaplaceProblem(A, u0, tuple(terms), label="file")
+    terms = tuple(SourceTerm(np.asarray(vec), float(rate)) for rate, vec in source_spec or ())
+    return LaplaceProblem(A, u0, terms, label="file")

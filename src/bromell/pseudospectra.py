@@ -38,7 +38,7 @@ class GridSpec:
     x_max: float
     y_min: float
     y_max: float
-    n_pts: int = 100
+    n_pts: int
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
@@ -123,7 +123,8 @@ class SigmaMinEvaluator:
     factor T, and zI - T is triangular, so inverse Lanczos costs O(n^2) per
     shift instead of a fresh O(n^3) SVD. A run stops at the first step from
     the third on whose largest Ritz value moved by at most 1e-12 relative,
-    as EigTool stops once its Ritz value settles (Wright & Trefethen, 2001).
+    as EigTool stops once its Ritz value settles (Wright & Trefethen, 2001),
+    or once its basis spans the whole space.
     A run from the previous shift's singular vector is accepted when its
     readout ||Mv|| agrees with the Ritz value to 1e-9 relative. Below
     sigma ~ 1e-5 both carry an absolute error of order eps * ||A||, so a
@@ -227,7 +228,11 @@ class SigmaMinEvaluator:
                     if info:
                         return None
                     theta = float(ritz_values[-1])
-                if k >= 2 and abs(theta - theta_prev) <= _LANCZOS_RTOL * abs(theta):
+                # Once the basis spans the whole space theta is final; a
+                # further step would work on a round-off residual.
+                if k + 1 == self.dim or (
+                    k >= 2 and abs(theta - theta_prev) <= _LANCZOS_RTOL * abs(theta)
+                ):
                     break
                 theta_prev = theta
                 beta = _norm(w)

@@ -483,7 +483,8 @@ class TimeWindowPlan:
     The node grid is fixed by the wider endpoint truncation c_grid, so every
     shifted solve is shared across times; per-time (c_t, K_t) follow the
     linear-K rule between the endpoint fixed points. The feasibility check
-    runs on the shared grid at t1.
+    runs on the shared grid at t1. opts are the options the plan was built
+    from; every evaluation reads its validate and n_max there.
     """
 
     t0: float
@@ -497,6 +498,7 @@ class TimeWindowPlan:
     n_nodes: int
     cache: NodeCache = field(repr=False)
     feasibility: FeasibilityReport
+    opts: SolveOptions
     label: str = ""
 
     def k_at(self, t: float) -> float:
@@ -512,15 +514,20 @@ class TimeWindowPlan:
 def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = None) -> TimeWindowPlan:
     """Build one contour for [t0, t1]: ellipse at t0, strip parameter sized for t1.
 
-    t0, t1 and tol must be finite and positive and opts.n_max at least 2;
-    they are checked before any stage runs.
+    t0, t1, tol, opts.eps1, opts.eps2 and opts.prec must be finite and
+    positive and opts.n_max at least 2; they are checked before any stage
+    runs. The plan keeps opts for every later evaluation.
     """
     if not 0 < t0 <= t1 < math.inf:
         raise ValueError("need 0 < t0 <= t1 < inf")
     if not 0 < tol < math.inf:
         raise ValueError("need tol > 0")
     opts = opts or SolveOptions()
-    _check_n_max(opts.n_max)
+    for name in ("eps1", "eps2", "prec"):
+        if not 0 < getattr(opts, name) < math.inf:
+            raise ValueError(f"need finite {name} > 0, got {getattr(opts, name)}")
+    if not opts.n_max >= 2:
+        raise ValueError(f"need n_max >= 2, got {opts.n_max}")
     prep = prepare_contour(problem, t0, t1, tol, opts)
     inner, params = prep.inner, prep.contour
     trunc0 = _stage("truncation", truncation_fixed_point, problem, params, t0, tol, opts.prec)
@@ -544,25 +551,22 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
         n_nodes,
         cache,
         feas,
+        opts,
         problem.label,
     )
 
 
-def _check_n_max(n_max: int) -> None:
-    if not n_max >= 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
-
-
-def _evaluate(plan, problem, t, truncation, feasibility, N, validate, n_max) -> SolveReport:
+def _evaluate(plan, problem, t, truncation, feasibility, N) -> SolveReport:
     """Report the plan at time t after doubling the N-point rule on its shared grid.
 
     Every doubling reuses all cached node solves. The stopping signal is the
-    measured error against the reference evolution when validate is set, the
-    model estimate otherwise; doubling stops once it meets plan.tol or 2N
-    would exceed n_max, and the first rule has at most n_max points. N None
-    runs no quadrature (a failed feasibility check).
+    measured error against the reference evolution when plan.opts.validate
+    is set, the model estimate otherwise; doubling stops once it meets
+    plan.tol or 2N would exceed plan.opts.n_max, and the first rule has at
+    most n_max points. N None runs no quadrature (a failed feasibility
+    check).
     """
-    cache = plan.cache
+    cache, validate, n_max = plan.cache, plan.opts.validate, plan.opts.n_max
     q = measured = worst = None
     table = []
     reached = False
@@ -609,41 +613,34 @@ def solve(problem, t: float, tol: float, opts: SolveOptions = None) -> SolveRepo
     """
     if not 0 < t < math.inf:
         raise ValueError("need t > 0")
-    opts = opts or SolveOptions()
     plan = plan_window(problem, t, t, tol, opts)
     params, trunc = plan.contour, plan.trunc0
     n0 = None
     if plan.feasibility.passed:
         n0 = max(5, math.ceil(predicted_nodes(params.a, trunc.c, params.D, t, tol) / 4))
-    report = _evaluate(plan, problem, t, trunc, plan.feasibility, n0, opts.validate, opts.n_max)
+    report = _evaluate(plan, problem, t, trunc, plan.feasibility, n0)
     if report.result is None:
         return report
     k_ell = _stage("truncation-bound", estimate_k_ell, problem, params, t)
     return replace(report, truncation_bound=truncation_bound(params, trunc.c, t, k_ell, tol))
 
 
-def solve_at(
-    plan: TimeWindowPlan,
-    problem,
-    t: float,
-    validate: bool = False,
-    n_max: int = SolveOptions.n_max,
-) -> SolveReport:
+def solve_at(plan: TimeWindowPlan, problem, t: float) -> SolveReport:
     """Evaluate the window plan at one time, reusing all cached node solves.
 
     The quadrature runs on the plan's shared grid (width c_grid) from
-    plan.n_nodes nodes; the per-time truncation pair (c_t, K_t) is
-    interpolated and reported, and the round-off forecast uses the plan's
-    worst condition number with the stability constant at (c_t, t).
+    plan.n_nodes nodes, with the validate and n_max of plan.opts; the
+    per-time truncation pair (c_t, K_t) is interpolated and reported, and
+    the round-off forecast uses the plan's worst condition number with the
+    stability constant at (c_t, t).
     """
-    _check_n_max(n_max)
     if not plan.t0 <= t <= plan.t1:
         raise ValueError(f"t = {t} outside the window [{plan.t0}, {plan.t1}]")
     c_t = plan.c_at(t)
     trunc_t = TruncationResult(c_t, plan.k_at(t), 0)
     stab = stability_constant(plan.contour, c_t, t)
     feas = FeasibilityReport.forecast(plan.feasibility.max_cond, stab, plan.tol)
-    return _evaluate(plan, problem, t, trunc_t, feas, plan.n_nodes, validate, n_max)
+    return _evaluate(plan, problem, t, trunc_t, feas, plan.n_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ lines. Expected values marked as 'reference' are the published behavior of
 this configuration; tolerances are part of the gate and are not tunable.
 """
 
+import dataclasses
 import math
 import time
 
@@ -238,14 +239,14 @@ def test_criterion_09_time_window(bs_problem, bs_window):
     # One plan on [1, 10] at tol = 5e-8: every sampled time meets tol, the
     # per-time truncation follows the linear-K rule, and the counters show
     # node reuse across times.
-    plan = bs_window
+    plan = dataclasses.replace(bs_window, opts=dataclasses.replace(bs_window.opts, validate=True))
     times = (1.0, 2.0, 5.0, 10.0)
     ok = True
     details = []
     reuse_expected = 0
     for i, t in enumerate(times):
         known = set(plan.cache.entries)
-        rep = bm.solve_at(plan, bs_problem, t, validate=True)
+        rep = bm.solve_at(plan, bs_problem, t)
         ok_err = rep.reference_error is not None and rep.reference_error <= 5e-8
         k_t = plan.trunc0.K + (plan.trunc1.K - plan.trunc0.K) * (t - plan.t0) / (plan.t1 - plan.t0)
         arg = math.log(plan.tol / k_t) / (plan.contour.A1 * t) - plan.contour.A3 / plan.contour.A1

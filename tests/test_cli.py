@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, files, determinism, config handling."""
 
+import argparse
 import json
 import math
 import re
@@ -12,7 +13,7 @@ import pytest
 
 import bromell as bm
 from bromell import solver
-from bromell.cli import main
+from bromell.cli import build_problem, main
 from bromell.solver import SolveOptions
 
 
@@ -261,6 +262,28 @@ class TestConfigFile:
             "--out", str(tmp_path / "cd_out"),
         )
         assert code == 0
+
+    def test_problem_parameters_take_the_generator_types(self):
+        args = argparse.Namespace(problem="bs:n=12,sigma=0.1,K=90", matrix=None, u0=None)
+        built = build_problem(args)
+        expected = bm.black_scholes_problem(n=12, sigma=0.1, K=90.0)
+        assert np.array_equal(built.operator.entries, expected.operator.entries)
+        assert built.operator.source_tag == expected.operator.source_tag
+
+    @pytest.mark.parametrize("problem, message", [
+        ("bs:N=40", "unknown parameter 'N' for problem 'bs'"),
+        ("cd:d=40,size=12", "unknown parameter 'size' for problem 'cd'"),
+        ("file:N=40", "problem 'file' takes no parameters, got 'N=40'"),
+    ])
+    def test_unknown_problem_parameter_rejected(self, problem, message, tmp_path, capsys,
+                                                monkeypatch):
+        stages = []
+        monkeypatch.setattr(solver, "eigenvalues", lambda *args: stages.append(1))
+        code = run("solve", "--problem", problem, "--t", "1", "--tol", "1e-6",
+                   "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert stages == []
 
 
 class TestEndToEndRecipe:

@@ -243,6 +243,27 @@ class TestSigmaMinEvaluator:
             if np.min(np.abs(z - lam)) > 1e-6 * (1.0 + np.linalg.norm(M)):
                 assert ev.fallbacks == before
 
+    def test_dim_two_near_eigenvalue_shifts_without_fallback(self):
+        # At n = 2 two Lanczos steps span the whole space; a third would
+        # work on a round-off residual and send near-eigenvalue shifts to
+        # the dense SVD.
+        rng = np.random.default_rng(2)
+        fallbacks = 0
+        for _ in range(100):
+            M = np.diag(rng.standard_normal(2) * 3.0)
+            M[0, 1] = rng.standard_normal() * 10.0
+            V, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+            M = V @ M @ V.T
+            lam = np.linalg.eigvals(M)
+            ev = SigmaMinEvaluator(bm.Operator(M))
+            for _ in range(2):
+                z = lam[rng.integers(2)] + 10.0 ** rng.uniform(-14, -8) * np.exp(
+                    2j * np.pi * rng.uniform())
+                ref = np.linalg.svd(z * np.eye(2) - M, compute_uv=False)[-1]
+                assert abs(ev(z) - ref) <= 1e-9 * ref + ev.abs_error
+            fallbacks += ev.fallbacks
+        assert fallbacks == 0
+
     def test_exact_eigenvalue_shift_is_zero(self):
         ev = SigmaMinEvaluator(bm.Operator(np.diag([-1.0, -2.0])))
         assert ev(-1.0) == pytest.approx(0.0, abs=1e-12)

@@ -419,6 +419,17 @@ class TestEntryValidation:
             ("solve", (1.0, -1e-8), "need tol > 0"),
             ("solve", (1.0, 1e-6, bm.SolveOptions(n_max=-5)), "need n_max >= 2"),
             ("solve", (1.0, 1e-6, bm.SolveOptions(n_max=1)), "need n_max >= 2"),
+            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(n_max=-5)), "need n_max >= 2"),
+            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(n_max=1)), "need n_max >= 2"),
+            ("solve", (1.0, 1e-6, bm.SolveOptions(eps1=0.0)), "need finite eps1 > 0"),
+            ("solve", (1.0, 1e-6, bm.SolveOptions(eps1=math.nan)), "need finite eps1 > 0"),
+            ("solve", (1.0, 1e-6, bm.SolveOptions(eps2=0.0)), "need finite eps2 > 0"),
+            ("solve", (1.0, 1e-6, bm.SolveOptions(eps2=math.inf)), "need finite eps2 > 0"),
+            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(eps2=-1e-13)),
+             "need finite eps2 > 0"),
+            ("solve", (1.0, 1e-6, bm.SolveOptions(prec=0.0)), "need finite prec > 0"),
+            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(prec=math.nan)),
+             "need finite prec > 0"),
         ],
     )
     def test_rejected_before_any_stage(self, monkeypatch, bs_problem, entry, args, message):
@@ -431,17 +442,6 @@ class TestEntryValidation:
 
 
 class TestNodeBudget:
-    @pytest.mark.parametrize("n_max", [-5, 1])
-    def test_solve_at_rejects_a_budget_below_two(self, monkeypatch, diag_problem, diag_plan,
-                                                 n_max):
-        def stage_ran(*_args, **_kwargs):
-            raise AssertionError("a pipeline stage ran")
-
-        monkeypatch.setattr(solver, "trapezoid_sum", stage_ran)
-        monkeypatch.setattr(solver, "stability_constant", stage_ran)
-        with pytest.raises(ValueError, match="need n_max >= 2"):
-            bm.solve_at(diag_plan, diag_problem, 2.0, n_max=n_max)
-
     def test_solve_first_rule_within_budget(self, diag_problem):
         report = bm.solve(diag_problem, 1.0, 1e-8, bm.SolveOptions(grid_pts=24, n_max=3))
         assert report.result.N == 3
@@ -449,11 +449,23 @@ class TestNodeBudget:
         assert not report.reached_tol
 
     def test_solve_at_first_rule_within_budget(self, diag_problem):
-        plan = bm.plan_window(diag_problem, 1.0, 4.0, 1e-8, bm.SolveOptions(grid_pts=24))
+        plan = bm.plan_window(diag_problem, 1.0, 4.0, 1e-8, bm.SolveOptions(grid_pts=24, n_max=3))
         assert plan.n_nodes > 3
-        report = bm.solve_at(plan, diag_problem, 2.0, n_max=3)
+        report = bm.solve_at(plan, diag_problem, 2.0)
         assert report.result.N == 3
         assert not report.reached_tol
+
+
+class TestPlanOptions:
+    def test_solve_at_reads_the_plan_options(self, diag_problem):
+        opts = bm.SolveOptions(grid_pts=24, validate=True)
+        plan = bm.plan_window(diag_problem, 1.0, 4.0, 1e-8, opts)
+        assert plan.opts is opts
+        report = bm.solve_at(plan, diag_problem, 2.0)
+        assert report.reference_error is not None
+        assert report.reference_error <= 1e-8
+        unvalidated = dataclasses.replace(plan, opts=dataclasses.replace(opts, validate=False))
+        assert bm.solve_at(unvalidated, diag_problem, 2.0).reference_error is None
 
 
 class TestOnePipeline:
