@@ -636,6 +636,8 @@ def solve_at(plan: TimeWindowPlan, problem, t: float) -> SolveReport:
     """
     if not plan.t0 <= t <= plan.t1:
         raise ValueError(f"t = {t} outside the window [{plan.t0}, {plan.t1}]")
+    if not plan.opts.n_max >= 2:
+        raise ValueError(f"need n_max >= 2, got {plan.opts.n_max}")
     c_t = plan.c_at(t)
     trunc_t = TruncationResult(c_t, plan.k_at(t), 0)
     stab = stability_constant(plan.contour, c_t, t)

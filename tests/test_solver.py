@@ -442,6 +442,18 @@ class TestEntryValidation:
 
 
 class TestNodeBudget:
+    @pytest.mark.parametrize("n_max", [-5, 1])
+    def test_solve_at_rejects_a_budget_below_two(self, monkeypatch, diag_problem, diag_plan,
+                                                 n_max):
+        def stage_ran(*_args, **_kwargs):
+            raise AssertionError("a pipeline stage ran")
+
+        monkeypatch.setattr(solver, "trapezoid_sum", stage_ran)
+        monkeypatch.setattr(solver, "stability_constant", stage_ran)
+        plan = dataclasses.replace(diag_plan, opts=dataclasses.replace(diag_plan.opts, n_max=n_max))
+        with pytest.raises(ValueError, match="need n_max >= 2"):
+            bm.solve_at(plan, diag_problem, 2.0)
+
     def test_solve_first_rule_within_budget(self, diag_problem):
         report = bm.solve(diag_problem, 1.0, 1e-8, bm.SolveOptions(grid_pts=24, n_max=3))
         assert report.result.N == 3
