@@ -14,7 +14,6 @@ override file values. Exit codes: 0 when the target accuracy was reached,
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import sys
 from pathlib import Path
@@ -65,10 +64,12 @@ def _parse_kv_params(text: str) -> dict:
     if not text:
         return out
     for piece in text.split(","):
-        key, sep, value = piece.partition("=")
+        key, sep, value = (part.strip() for part in piece.partition("="))
         if not sep or not key:
             raise ValueError(f"bad parameter '{piece}' (expected key=value)")
-        out[key.strip()] = value.strip()
+        if key in out:
+            raise ValueError(f"parameter '{key}' given more than once")
+        out[key] = value
     return out
 
 
@@ -154,18 +155,11 @@ def cmd_pseudo(args) -> int:
     pseudospectra.curve_to_csv(prep.c1, out / "curve_c1.csv")
     pseudospectra.curve_to_csv(prep.c2, out / "curve_c2.csv")
     pseudospectra.curve_to_csv(prep.critical, out / "curve_critical.csv")
-    _points_to_csv(prep.inner.boundary_points(361), out / "gamma_plus.csv")
-    _points_to_csv(prep.contour.arc_points(361), out / "gamma.csv")
+    for name, points in (("gamma_plus.csv", prep.inner.boundary_points(361)),
+                         ("gamma.csv", prep.contour.arc_points(361))):
+        problems.write_csv(out / name, ["x", "y"], zip(points.real, points.imag))
     print(f"wrote grid and curves for box [{prep.z_l}, {prep.z_r}] to {out}")
     return EXIT_OK
-
-
-def _points_to_csv(points, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for p in points:
-            writer.writerow([f"{p.real:.16e}", f"{p.imag:.16e}"])
 
 
 def cmd_convergence(args) -> int:
@@ -206,13 +200,8 @@ def cmd_window(args) -> int:
         err = rep.reference_error if rep.reference_error is not None else rep.result.est_error
         rows.append((t, rep.truncation.c, rep.truncation.K, rep.result.N, err, reused))
         all_reached = all_reached and rep.reached_tol
-    with open(out / "window.csv", "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "c_t", "K_t", "N_used", "error", "reused_solves"])
-        for t, c_t, k_t, n_used, err, reused in rows:
-            writer.writerow(
-                [f"{t:.16e}", f"{c_t:.16e}", f"{k_t:.16e}", n_used, f"{err:.16e}", reused]
-            )
+    header = ["t", "c_t", "K_t", "N_used", "error", "reused_solves"]
+    problems.write_csv(out / "window.csv", header, rows)
     print(
         f"plan: a = {plan.contour.a:.4f}, grid width c = {plan.c_grid:.4f}, "
         f"{plan.n_nodes} nodes"
@@ -287,10 +276,7 @@ def main(argv=None) -> int:
         if args.problem is None:
             raise ValueError("missing required option: --problem")
         return handlers[args.command](args)
-    except BromellError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (BromellError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -3,11 +3,12 @@
 Two built-in spatial discretizations (a convection-diffusion two-point
 problem on a Chebyshev grid and a European-call finite-difference operator),
 plus readers/writers for coordinate-format sparse matrix files and plain
-one-value-per-line vectors.
+one-value-per-line vectors, and the one writer of CSV tables.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -150,7 +151,7 @@ def canonical_cd_problem(d: float = 400.0, n: int = 64) -> LaplaceProblem:
     )
 
 
-def canonical_cd_steady_state(problem: LaplaceProblem, d: float, n: int) -> np.ndarray:
+def canonical_cd_steady_state(d: float, n: int) -> np.ndarray:
     """Analytic steady profile (1 - e^{-x}) / (1 - e^{-d}) on the interior grid."""
     x = (chebyshev_points(n)[1:n] + 1.0) * (d / 2.0)
     return np.expm1(-x) / np.expm1(-d)
@@ -290,6 +291,17 @@ def save_vector(path, v) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for val in np.asarray(v):
             fh.write(f"{float(np.real_if_close(val)):.17g}\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """ASCII CSV: the header row, then each row with integers (Python or
+    numpy) unchanged, None as nan and every other value, numpy floats too,
+    as %.16e. Python counts a bool as an integer, so rows hold none."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([v if isinstance(v, (int, np.integer)) else "nan" if v is None
+                          else f"{v:.16e}" for v in row] for row in rows)
 
 
 def load_problem(path_matrix, path_u0=None, source_spec=None) -> LaplaceProblem:

@@ -9,7 +9,6 @@ into the critical curve that the bounding ellipse must enclose.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +17,7 @@ import scipy.linalg as sla
 
 from .errors import GeometryError
 from .numerics import _TRTRS, as_operator
+from .problems import write_csv
 
 _LOG_CAP = 700.0  # exp(700) is near the double-precision overflow edge
 # Relative slack on an evaluated sigma_min before it certifies neighbours: the
@@ -406,27 +406,15 @@ def critical_curve(c1: LevelCurve, c2: LevelCurve) -> LevelCurve:
     return LevelCurve(c1.xs, ys, min(c1.epsilon, c2.epsilon), c1.weighted_time)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.16e}"
-
-
 def grid_to_csv(grid: PseudoGrid, path) -> None:
     """Rows x,y,sigma_min for every node (n_pts^2 data rows).
 
     Nodes the grid skipped are evaluated first, so every row holds a value.
     """
     grid = grid.completed()
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "sigma_min"])
-        for iy, y in enumerate(grid.ys):
-            for ix, x in enumerate(grid.xs):
-                writer.writerow([_fmt(x), _fmt(y), _fmt(grid.sigma_min[iy, ix])])
+    rows = ((x, y, s) for y, sigma in zip(grid.ys, grid.sigma_min) for x, s in zip(grid.xs, sigma))
+    write_csv(path, ["x", "y", "sigma_min"], rows)
 
 
 def curve_to_csv(curve: LevelCurve, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y_level"])
-        for x, y in zip(curve.xs, curve.ys):
-            writer.writerow([_fmt(x), _fmt(y)])
+    write_csv(path, ["x", "y_level"], zip(curve.xs, curve.ys))

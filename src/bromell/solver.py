@@ -10,7 +10,6 @@ share one contour's node solves.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -35,6 +34,7 @@ from .contour import (
 )
 from .errors import GeometryError, SingularSystemError, StageError
 from .numerics import eigenvalues, reference_solution, transformed_solution
+from .problems import write_csv
 from .pseudospectra import (
     GridSpec,
     SigmaMinEvaluator,
@@ -222,7 +222,7 @@ def b_term(params: ContourParams, c: float, t: float, N: int, Delta: float = 1.0
     )
 
 
-def estimate_delta(problem, params: ContourParams, c: float, t: float, N: int) -> float:
+def estimate_delta(problem, params: ContourParams, c: float, N: int) -> float:
     """Sampled bound (x2 safety) on ||uhat z'|| along the end verticals x = +/-(pi/2 - delta)."""
     delta = delta_offset(c, N)
     ys = np.linspace(-params.a, params.a, _EDGE_SAMPLES)
@@ -312,7 +312,7 @@ def rigorous_error_bound(problem, params: ContourParams, c: float, t: float, N: 
     growth = math.expm1((params.a / c) * N)  # e^{(a/c)N} - 1
     main = (TWO_PI * c * (1 + 1.0 / N) * m_minus + 2.0 * s_span * s_minus + PI * m_plus) / growth
     floor = 4.0 * (PI / 2 - cpi + cpi / (2.0 * N)) * tol
-    leak = b_term(params, c, t, N, Delta=estimate_delta(problem, params, c, t, N))
+    leak = b_term(params, c, t, N, Delta=estimate_delta(problem, params, c, N))
     return main + floor + leak
 
 
@@ -435,8 +435,16 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
 
     The weighted level curve uses t_weight while the strip parameter is
     optimized against t_opt (they coincide for a single-time solve).
+    t_weight, t_opt, tol, opts.eps1 and opts.eps2 must be finite and
+    positive; they are checked before any stage runs.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"need tol > 0, got {tol}")
     opts = opts or SolveOptions()
+    checked = {"t_weight": t_weight, "t_opt": t_opt, "eps1": opts.eps1, "eps2": opts.eps2}
+    for name, value in checked.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"need finite {name} > 0, got {value}")
     eigs = _stage("eigenvalues", eigenvalues, problem.operator)
     z_l = opts.z_l if opts.z_l is not None else default_z_l(t_weight)
     z_r = (
@@ -514,18 +522,15 @@ class TimeWindowPlan:
 def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = None) -> TimeWindowPlan:
     """Build one contour for [t0, t1]: ellipse at t0, strip parameter sized for t1.
 
-    t0, t1, tol, opts.eps1, opts.eps2 and opts.prec must be finite and
-    positive and opts.n_max at least 2; they are checked before any stage
-    runs. The plan keeps opts for every later evaluation.
+    t0, t1 and opts.prec must be finite and positive with t0 <= t1, and
+    opts.n_max at least 2; these and prepare_contour's checks run before any
+    stage. The plan keeps opts for every later evaluation.
     """
     if not 0 < t0 <= t1 < math.inf:
         raise ValueError("need 0 < t0 <= t1 < inf")
-    if not 0 < tol < math.inf:
-        raise ValueError("need tol > 0")
     opts = opts or SolveOptions()
-    for name in ("eps1", "eps2", "prec"):
-        if not 0 < getattr(opts, name) < math.inf:
-            raise ValueError(f"need finite {name} > 0, got {getattr(opts, name)}")
+    if not 0 < opts.prec < math.inf:
+        raise ValueError(f"need finite prec > 0, got {opts.prec}")
     if not opts.n_max >= 2:
         raise ValueError(f"need n_max >= 2, got {opts.n_max}")
     prep = prepare_contour(problem, t0, t1, tol, opts)
@@ -730,12 +735,4 @@ def read_report(path):
 
 def write_errors_csv(report: SolveReport, path) -> None:
     """Error-vs-N table: columns N, measured_error, model_error, B_term."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "measured_error", "model_error", "B_term"])
-        for N, measured, model, b in report.errors_table:
-            writer.writerow([N, _fmt_sci(measured), _fmt_sci(model), _fmt_sci(b)])
-
-
-def _fmt_sci(v) -> str:
-    return "nan" if v is None else f"{v:.16e}"
+    write_csv(path, ["N", "measured_error", "model_error", "B_term"], report.errors_table)

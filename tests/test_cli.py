@@ -160,6 +160,23 @@ class TestPseudoCommand:
         np.testing.assert_allclose(form, np.ones_like(form), atol=1e-10)
         assert (out / "gamma.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--t", "1", "--tol", "1e-6", "--eps2", "0"), "need finite eps2 > 0, got 0.0"),
+        (("--t", "nan", "--tol", "1e-6"), "need finite t_weight > 0, got nan"),
+        (("--t", "1", "--tol", "-1"), "need tol > 0, got -1.0"),
+    ])
+    def test_bad_option_rejected_before_any_stage(self, flags, message, tmp_path, capsys,
+                                                  monkeypatch):
+        stages = []
+        for stage in ("eigenvalues", "compute_grid"):
+            monkeypatch.setattr(solver, stage, lambda *args, _s=stage: stages.append(_s))
+        code = run("pseudo", "--problem", "bs", *flags, "--grid", "20",
+                   "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert stages == []
+        assert not (tmp_path / "o").exists()
+
 
 class TestConvergenceCommand:
     def test_table_and_model_echo(self, diag_files, tmp_path):
@@ -274,6 +291,8 @@ class TestConfigFile:
         ("bs:N=40", "unknown parameter 'N' for problem 'bs'"),
         ("cd:d=40,size=12", "unknown parameter 'size' for problem 'cd'"),
         ("file:N=40", "problem 'file' takes no parameters, got 'N=40'"),
+        ("bs:n=12,n=20", "parameter 'n' given more than once"),
+        ("cd:d=40, n=12,d=50", "parameter 'd' given more than once"),
     ])
     def test_unknown_problem_parameter_rejected(self, problem, message, tmp_path, capsys,
                                                 monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 import bromell as bm
 from bromell.errors import DimensionLimitError, FormatError
-from bromell.problems import MM_HEADER, canonical_cd_steady_state, chebyshev_points
+from bromell.problems import MM_HEADER, canonical_cd_steady_state, chebyshev_points, write_csv
 
 
 class TestChebyshev:
@@ -41,13 +41,13 @@ class TestCanonicalCD:
         A = cd_problem.operator.entries
         b = cd_problem.source_terms[0].vector
         u_inf = np.linalg.solve(A, -b)
-        expected = canonical_cd_steady_state(cd_problem, 400.0, 64)
+        expected = canonical_cd_steady_state(400.0, 64)
         assert np.max(np.abs(u_inf - expected)) <= 1e-5
 
     def test_steady_state_spectrally_exact_at_higher_order(self):
         prob = bm.canonical_cd_problem(400.0, 96)
         u_inf = np.linalg.solve(prob.operator.entries, -prob.source_terms[0].vector)
-        expected = canonical_cd_steady_state(prob, 400.0, 96)
+        expected = canonical_cd_steady_state(400.0, 96)
         assert np.max(np.abs(u_inf - expected)) <= 1e-8
 
     def test_source_pole_amplification(self, cd_problem):
@@ -206,3 +206,15 @@ class TestVectorsAndProblems:
             bm.SourceTerm(np.array([1.0, math.inf]))
         with pytest.raises(ValueError, match="source term rate must be finite"):
             bm.SourceTerm(np.array([1.0, 1.0]), rate=math.nan)
+
+
+class TestWriteCsv:
+    def test_pins_the_one_format(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [(1, 0.1, None), (np.int64(12), np.float64(-2.5e-300), 3.0)]
+        write_csv(path, ["N", "x", "y"], rows)
+        assert path.read_bytes() == (
+            b"N,x,y\r\n"
+            b"1,1.0000000000000001e-01,nan\r\n"
+            b"12,-2.5000000000000000e-300,3.0000000000000000e+00\r\n"
+        )

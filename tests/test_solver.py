@@ -430,6 +430,14 @@ class TestEntryValidation:
             ("solve", (1.0, 1e-6, bm.SolveOptions(prec=0.0)), "need finite prec > 0"),
             ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(prec=math.nan)),
              "need finite prec > 0"),
+            ("prepare_contour", (1.0, 1.0, 1e-6, bm.SolveOptions(eps2=0.0)),
+             "need finite eps2 > 0, got 0.0"),
+            ("prepare_contour", (1.0, 1.0, 1e-6, bm.SolveOptions(eps1=-1e-9)),
+             "need finite eps1 > 0, got -1e-09"),
+            ("prepare_contour", (math.nan, math.nan, 1e-6), "need finite t_weight > 0, got nan"),
+            ("prepare_contour", (1.0, math.inf, 1e-6), "need finite t_opt > 0, got inf"),
+            ("prepare_contour", (1.0, 1.0, -1.0), "need tol > 0, got -1.0"),
+            ("prepare_contour", (1.0, 1.0, math.nan), "need tol > 0, got nan"),
         ],
     )
     def test_rejected_before_any_stage(self, monkeypatch, bs_problem, entry, args, message):
@@ -655,11 +663,24 @@ class TestTimeWindow:
         error = np.linalg.norm(rep.solution - bm.reference_solution(bs_problem, 10.0))
         assert not rep.reached_tol or error <= rep.tol
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="wide-window false claim: on [0.5, 10] the unvalidated evaluation at "
+        "t=10 stops at N=237 with reached_tol=True while the reference error is "
+        "3.83 tol (one BLAS thread; 3.79 with two) against tol 5e-8; the plan's "
+        "feasibility check already fails",
+    )
+    def test_unvalidated_wide_window_end_claim_holds(self, bs_problem):
+        plan = bm.plan_window(bs_problem, 0.5, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
+        rep = bm.solve_at(plan, bs_problem, 10.0)
+        error = np.linalg.norm(rep.solution - bm.reference_solution(bs_problem, 10.0))
+        assert not rep.reached_tol or error <= rep.tol
+
 
 class TestSamplingEstimates:
     def test_delta_and_k_ell_positive(self, cd_problem, cd_report):
         params, c = cd_report.contour, cd_report.truncation.c
-        assert estimate_delta(cd_problem, params, c, 1.0, 10) > 0
+        assert estimate_delta(cd_problem, params, c, 10) > 0
         assert estimate_k_ell(cd_problem, params, 1.0) > 0
 
     def test_model_tracks_measured_at_convergence(self, cd_report):

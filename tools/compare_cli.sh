@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-compare eleven bromell CLI runs between a git revision and the working tree.
+# Byte-compare twelve bromell CLI runs between a git revision and the working tree.
 #
 #   tools/compare_cli.sh <rev>
 #
@@ -47,7 +47,8 @@ BS="--problem bs --t 1 --tol 5e-6 --zl -40"
 WIN="--problem bs --t0 1 --t1 10 --tol 5e-8"
 # The tenth run's tolerance is below the round-off forecast: solve stops at
 # the feasibility check and the CLI exits 2 with a report and no quadrature.
-# The eleventh run parses non-default problem parameters.
+# The eleventh run parses non-default problem parameters. The twelfth leaves
+# out --times, so window samples its five default times (numpy floats).
 RUNS=(
     "cd-solve|solve $CD --zr 0.09 --grid 40 --validate"
     "cd-convergence|convergence $CD --zr 0.09 --grid 30 --validate"
@@ -60,6 +61,7 @@ RUNS=(
     "bs-solve-config|solve --config $work/bs.conf --grid 40"
     "cd-solve-infeasible|solve --problem cd:d=400,n=64 --t 1 --tol 1e-13 --zl -40 --zr 0.09 --grid 30"
     "bs-solve-params|solve --problem bs:n=120,sigma=0.1,K=90 --t 1 --tol 5e-6 --zl -40 --grid 30 --validate"
+    "bs-window-default-times|window $WIN"
 )
 
 run_side() {  # run_side <src dir> <output root>
