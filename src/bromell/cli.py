@@ -148,6 +148,9 @@ def cmd_solve(args) -> int:
 
 def cmd_pseudo(args) -> int:
     _require(args, "t", "tol")
+    unread = [f"--{flag}" for flag in ("nmax", "validate") if getattr(args, flag) is not None]
+    if unread:
+        raise ValueError(f"pseudo runs no quadrature and takes no {' or '.join(unread)}")
     problem = build_problem(args)
     prep = prepare_contour(problem, args.t, args.t, args.tol, build_options(args))
     out = _out_dir(args)
@@ -178,18 +181,32 @@ def cmd_convergence(args) -> int:
     return EXIT_OK if report.reached_tol else EXIT_ERROR
 
 
+def _window_times(args) -> list:
+    """The sample times of --times, each checked against [t0, t1]; five
+    geometrically spaced ones when --times is not given."""
+    if not args.times:
+        return list(np.geomspace(args.t0, args.t1, 5))
+    times = []
+    for text in args.times.split(","):
+        try:
+            t = float(text)
+        except ValueError:
+            raise ValueError(f"bad --times value '{text}' (expected a number)") from None
+        if not args.t0 <= t <= args.t1:
+            raise ValueError(f"t = {t} outside the window [{args.t0}, {args.t1}]")
+        times.append(t)
+    return times
+
+
 def cmd_window(args) -> int:
     _require(args, "t0", "t1", "tol")
     if not args.t0 < args.t1:
         raise ValueError("--t0 must be strictly smaller than --t1")
+    times = _window_times(args)
     problem = build_problem(args)
     plan = plan_window(problem, args.t0, args.t1, args.tol, build_options(args))
     if not plan.feasibility.passed:
         print(f"feasibility check failed: {plan.feasibility}", file=sys.stderr)
-    if args.times:
-        times = [float(v) for v in args.times.split(",")]
-    else:
-        times = list(np.geomspace(args.t0, args.t1, 5))
     out = _out_dir(args)
     rows = []
     all_reached = True
@@ -223,7 +240,10 @@ def _load_config(path) -> dict:
             key, sep, value = text.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key '{key}' given more than once")
+            values[key] = value.strip()
     return values
 
 

@@ -19,6 +19,8 @@ from .errors import GeometryError
 from .numerics import _TRTRS, as_operator
 from .problems import write_csv
 
+_DTRTRS = sla.get_lapack_funcs("trtrs", dtype=float)
+
 _LOG_CAP = 700.0  # exp(700) is near the double-precision overflow edge
 # Relative slack on an evaluated sigma_min before it certifies neighbours: the
 # Lanczos readout is an upper bound on sigma_min converged to about 1e-9. The
@@ -28,6 +30,9 @@ _CERTIFY_SLACK = 1e-6
 # third on whose largest Ritz value moved by at most this much relative.
 _LANCZOS_STEPS = 40
 _LANCZOS_RTOL = 1e-12
+# Relative allowance for rounding in lower_bound's two triangular solves:
+# every term of their back substitutions is nonnegative, so nothing cancels.
+_BOUND_ROUNDING = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,11 +139,14 @@ class SigmaMinEvaluator:
     by round-off does not depend on the order in which shifts are
     evaluated. A dense SVD of the triangular shift runs only when both runs
     stall. ``evaluations``, ``lanczos_steps``, ``second_runs`` and
-    ``fallbacks`` count the work done so far.
+    ``fallbacks`` count the work done so far, and ``bounds`` the calls to
+    ``lower_bound``, a cheap certificate from below that runs no Lanczos.
 
     zI - T is the operator's one shift buffer (``Operator._shift_buffer``),
     which ShiftedSystem shares; each evaluation rewrites its diagonal, so the
-    evaluator allocates no n x n matrix of its own.
+    evaluator allocates no complex n x n matrix of its own. ``lower_bound``
+    works in the operator's real comparison buffer
+    (``Operator._comparison_buffer``) the same way.
     """
 
     def __init__(self, A):
@@ -150,6 +158,9 @@ class SigmaMinEvaluator:
         self._diag = np.diag(T)
         self._M = op._shift_buffer
         self._M_diag = self._M.reshape(-1, order="F")[:: self.dim + 1]
+        self._C = op._comparison_buffer
+        self._C_diag = self._C.reshape(-1, order="F")[:: self.dim + 1]
+        self._ones = np.ones(self.dim)
         self._sterf, self._stevd = sla.get_lapack_funcs(("sterf", "stevd"), dtype=float)
         # Lanczos workspace, shared by every run: the basis vectors as rows,
         # their conjugates, and the tridiagonal's diagonal and off-diagonal.
@@ -164,11 +175,12 @@ class SigmaMinEvaluator:
         # the iteration count several-fold on grid sweeps.
         self._warm = self._start
         # Work counters: calls, Lanczos steps of every run, runs from the
-        # fixed start after a rejected warm run, and dense SVDs.
+        # fixed start after a rejected warm run, dense SVDs, and lower bounds.
         self.evaluations = 0
         self.lanczos_steps = 0
         self.second_runs = 0
         self.fallbacks = 0
+        self.bounds = 0
 
     def __call__(self, z: complex) -> float:
         self.evaluations += 1
@@ -185,6 +197,28 @@ class SigmaMinEvaluator:
             self.fallbacks += 1
             sigma = self._dense_sigma_min()
         return sigma
+
+    def lower_bound(self, z: complex) -> float:
+        """A rigorous lower bound on sigma_min(zI - T), from two real triangular solves.
+
+        The comparison matrix C of zI - T has |z - t_ii| on its diagonal and
+        -|t_ij| above it, so |(zI - T)^-1| <= C^-1 entrywise (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §8.3) and
+        ||(zI - T)^-1||_2 <= sqrt(||C^-1||_1 ||C^-1||_inf). C^-1 is
+        nonnegative, so its inf- and 1-norms are ||C^-1 e||_inf and
+        ||C^-T e||_inf for the vector e of ones. Returns 0.0 on a zero
+        pivot or when the product of the two norms is not finite.
+        """
+        self.bounds += 1
+        np.abs(complex(z) - self._diag, out=self._C_diag)
+        x, info = _DTRTRS(self._C, self._ones)
+        if info:  # a zero pivot: z is an eigenvalue
+            return 0.0
+        y = _DTRTRS(self._C, self._ones, trans=1)[0]
+        product = float(x.max()) * float(y.max())
+        if not 0.0 < product < math.inf:  # NaN and overflow fail too
+            return 0.0
+        return (1.0 - _BOUND_ROUNDING) / math.sqrt(product)
 
     def _dense_sigma_min(self) -> float:
         """sigma_min of the current shift by dense SVD, for a stalled iteration."""
@@ -312,7 +346,12 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
     (Weyl's inequality), so node z' is certified once
     max over evaluated z of s(z)(1 - slack) - abs_error - |z - z'| exceeds
     max over levels of eps e^{Re(z') t}, where slack and the evaluator's
-    abs_error bound the error of each value s. The node directly above each
+    abs_error bound the error of each value s. Before it evaluates a node,
+    the scan tries ``SigmaMinEvaluator.lower_bound`` there, a rigorous lower
+    bound b on sigma_min from two real triangular solves: when b(1 - slack)
+    - abs_error already exceeds the node's level, the node is certified
+    without an evaluation, and that value raises its neighbours' bounds as
+    an evaluated s would. The node directly above each
     column's topmost in-set node is evaluated as well, because level_curve
     interpolates against it. Every other node, the lower rows included, is
     NaN, which level_curve reads as outside; ``PseudoGrid.completed``
@@ -342,8 +381,12 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
             if bound[r, ix] > theta[ix]:
                 continue
             z = nodes[r, ix]
-            s = sigma[rows[r], ix] = ev(z)
-            s_low = s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
+            # The comparison-matrix bound is two real triangular solves, a
+            # twentieth of an evaluation or less; a node it certifies stays NaN.
+            s_low = ev.lower_bound(z) * (1.0 - _CERTIFY_SLACK) - ev.abs_error
+            if not s_low > theta[ix]:
+                s = sigma[rows[r], ix] = ev(z)
+                s_low = s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
             if s_low <= 0.0:
                 continue  # no node gains a positive bound
             # Only nodes within s_low of z gain a positive bound; one more

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bromell as bm
-from bromell import solver
+from bromell import cli, solver
 from bromell.cli import build_problem, main
 from bromell.solver import SolveOptions
 
@@ -177,6 +177,22 @@ class TestPseudoCommand:
         assert stages == []
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--nmax", "1"), "pseudo runs no quadrature and takes no --nmax"),
+        (("--validate",), "pseudo runs no quadrature and takes no --validate"),
+    ])
+    def test_unread_flag_rejected_before_any_stage(self, flags, message, tmp_path, capsys,
+                                                   monkeypatch):
+        stages = []
+        for stage in ("eigenvalues", "compute_grid"):
+            monkeypatch.setattr(solver, stage, lambda *args, _s=stage: stages.append(_s))
+        code = run("pseudo", "--problem", "bs", "--t", "1", "--tol", "1e-6", "--grid", "20",
+                   *flags, "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert stages == []
+        assert not (tmp_path / "o").exists()
+
 
 class TestConvergenceCommand:
     def test_table_and_model_echo(self, diag_files, tmp_path):
@@ -248,6 +264,24 @@ class TestWindowCommand:
         assert "need n_max >= 2, got 1" in capsys.readouterr().err
         assert stages == []
 
+    @pytest.mark.parametrize("times, message", [
+        ("1,20", "t = 20.0 outside the window [1.0, 10.0]"),
+        ("1,x", "bad --times value 'x' (expected a number)"),
+    ])
+    def test_bad_times_rejected_before_planning(self, times, message, tmp_path, capsys,
+                                                monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("plan_window called")
+
+        monkeypatch.setattr(cli, "plan_window", no_plan)
+        code = run(
+            "window", "--problem", "bs", "--t0", "1", "--t1", "10", "--tol", "5e-8",
+            "--grid", "30", "--times", times, "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_values_flags_win(self, diag_files, tmp_path):
@@ -271,6 +305,16 @@ class TestConfigFile:
         cfg.write_text("nonsense=1\n")
         with pytest.raises(SystemExit):
             run("solve", "--config", str(cfg), "--problem", "cd")
+
+    def test_repeated_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem=bs\ngrid=30\n# the same key again\ngrid=40\n")
+        out = tmp_path / "o"
+        code = run("pseudo", "--config", str(cfg), "--t", "1", "--tol", "1e-6",
+                   "--out", str(out))
+        assert code == 1
+        assert f"{cfg}:4: key 'grid' given more than once" in capsys.readouterr().err
+        assert not (out / "grid.csv").exists()
 
     def test_builtin_problem_selectors(self, tmp_path):
         code = run(

@@ -103,15 +103,23 @@ class TestEvaluationCount:
         assert values.size == 2500 and np.all(np.isfinite(values))
 
     def test_pruned_cd_recipe(self, cd_problem, eval_count):
+        # The comparison-matrix bound certifies every node the Lipschitz
+        # bound leaves, so the recipe's grid makes no Lanczos run at all.
         opts = bm.SolveOptions(z_l=-40.0, z_r=0.09)
         prep = bm.prepare_contour(cd_problem, 1.0, 1.0, 5e-8, opts)
         assert prep.grid.spec.n_pts == 100
-        assert eval_count() <= 100
+        assert prep.grid.evaluator.bounds > 0
+        assert eval_count() == 0
+
+    def test_pruned_bs_window(self, bs_problem):
+        prep = bm.prepare_contour(bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
+        assert prep.grid.evaluator.evaluations <= 80
 
 
 def _reference_scan(A, spec, levels):
     """compute_grid's pruned scan, node by node: it visits every upper-half
-    node and lets each value raise the bound of every node in the grid.
+    node, tries the comparison-matrix bound before it evaluates, and lets
+    each value raise the bound of every node in the grid.
     Returns the grid values (NaN where skipped) and the evaluation count."""
     ev = SigmaMinEvaluator(A)
     xs, ys = spec.xs, spec.ys
@@ -125,8 +133,10 @@ def _reference_scan(A, spec, levels):
         for ix in range(xs.size):
             if bound[r, ix] > theta[ix]:
                 continue
-            s = sigma[rows[r], ix] = ev(nodes[r, ix])
-            s_low = s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
+            s_low = ev.lower_bound(nodes[r, ix]) * (1.0 - _CERTIFY_SLACK) - ev.abs_error
+            if s_low <= theta[ix]:
+                s = sigma[rows[r], ix] = ev(nodes[r, ix])
+                s_low = s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
             np.maximum(bound, s_low - np.abs(nodes - nodes[r, ix]), out=bound)
     for eps, t in levels:
         inside = _level_values(sigma[rows], xs, t) >= -np.log(eps)
@@ -151,7 +161,7 @@ class TestPrunedScan:
         np.testing.assert_array_equal(grid.sigma_min, want)
         return count
 
-    @pytest.mark.parametrize("case, count", [("cd", 47), ("bs", 697)])
+    @pytest.mark.parametrize("case, count", [("cd", 0), ("bs", 69)])
     def test_solver_grids(self, case, count, cd_problem, bs_problem):
         problem, t1, opts = {
             "cd": (cd_problem, 1.0, bm.SolveOptions(z_l=-40.0, z_r=0.09)),
@@ -194,6 +204,32 @@ def fallback_count(monkeypatch):
     return lambda: len(calls)
 
 
+def _random_non_normal(seed, n, complex_entries):
+    """A diagonal plus a strong strictly upper-triangular part, turned by a
+    random orthogonal similarity."""
+    rng = np.random.default_rng(seed)
+    N = np.triu(rng.standard_normal((n, n)), 1) * 10.0
+    D = np.diag(rng.standard_normal(n) * 3.0)
+    if complex_entries:
+        N = N + 1j * np.triu(rng.standard_normal((n, n)), 1) * 10.0
+        D = D + 1j * np.diag(rng.standard_normal(n) * 3.0)
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return V @ (D + N) @ V.T
+
+
+def _window_sweep(problem):
+    """An evaluator after a top-down sweep of the six upper-half rows of the
+    Black-Scholes window grid nearest the real axis (300 shifts), where
+    sigma_min falls to round-off."""
+    spec = bm.prepare_contour(problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50)).grid.spec
+    ev = SigmaMinEvaluator(problem.operator)
+    upper = np.flatnonzero(spec.ys >= 0.0)
+    for y in spec.ys[upper[:6]][::-1]:
+        for x in spec.xs:
+            ev(complex(x, y))
+    return ev
+
+
 def _export_bound(sigma_ref, A):
     """The export contract: agreement with dense SVD to 1e-9 sigma + 10 eps ||A||_2."""
     return 1e-9 * sigma_ref + 10 * np.finfo(float).eps * np.linalg.norm(A, 2)
@@ -220,18 +256,9 @@ class TestSigmaMinEvaluator:
     )
     def test_meets_export_bound_on_non_normal_operators(self, n, seed, complex_entries,
                                                        shifts, near):
-        # A random non-normal operator: a diagonal plus a strong strictly
-        # upper-triangular part, turned by a random orthogonal similarity.
         # The shifts run through one evaluator, so warm starts carry over,
         # and one more lies 10^near from an eigenvalue.
-        rng = np.random.default_rng(seed)
-        N = np.triu(rng.standard_normal((n, n)), 1) * 10.0
-        D = np.diag(rng.standard_normal(n) * 3.0)
-        if complex_entries:
-            N = N + 1j * np.triu(rng.standard_normal((n, n)), 1) * 10.0
-            D = D + 1j * np.diag(rng.standard_normal(n) * 3.0)
-        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        M = V @ (D + N) @ V.T
+        M = _random_non_normal(seed, n, complex_entries)
         lam = np.linalg.eigvals(M)
         ev = SigmaMinEvaluator(bm.Operator(M))
         for z in [complex(v) for v in shifts] + [lam[0] + 10.0**near * (0.6 + 0.8j)]:
@@ -242,6 +269,50 @@ class TestSigmaMinEvaluator:
             # Away from the spectrum by more than round-off, no run stalls.
             if np.min(np.abs(z - lam)) > 1e-6 * (1.0 + np.linalg.norm(M)):
                 assert ev.fallbacks == before
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        complex_entries=st.booleans(),
+        shifts=st.lists(st.complex_numbers(max_magnitude=20.0, allow_nan=False,
+                                           allow_infinity=False), min_size=1, max_size=4),
+        near=st.floats(-12.0, 0.0),
+    )
+    def test_lower_bound_below_sigma_min(self, n, seed, complex_entries, shifts, near):
+        M = _random_non_normal(seed, n, complex_entries)
+        op = bm.Operator(M)
+        lam = np.diag(op.schur_factor)
+        ev = SigmaMinEvaluator(op)
+        for z in [complex(v) for v in shifts] + [lam[0] + 10.0**near * (0.6 + 0.8j)]:
+            ref = np.linalg.svd(z * np.eye(n) - M, compute_uv=False)[-1]
+            assert 0.0 <= ev.lower_bound(z) <= ref + ev.abs_error
+        assert ev.lower_bound(lam[-1]) == 0.0  # an exact eigenvalue shift
+        assert ev.bounds == len(shifts) + 2
+        assert ev.evaluations == 0
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 20),
+        seed=st.integers(0, 2**32 - 1),
+        complex_entries=st.booleans(),
+        near=st.floats(-150.0, 0.0),
+    )
+    def test_lower_bound_is_zero_where_its_solves_overflow(self, n, seed, complex_entries,
+                                                           near):
+        # Entries of 1e200 above the diagonal overflow the comparison
+        # matrix's solves at any shift within 1 of an eigenvalue.
+        rng = np.random.default_rng(seed)
+        T = np.triu(np.full((n, n), 1e200), 1) + np.diag(rng.standard_normal(n))
+        if complex_entries:
+            T = T + 1j * np.diag(rng.standard_normal(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = bm.Operator(T)
+            ev = SigmaMinEvaluator(op)
+            lam = np.diag(op.schur_factor)
+            assert ev.lower_bound(lam[rng.integers(n)] + 10.0**near * (0.6 + 0.8j)) == 0.0
 
     def test_dim_two_near_eigenvalue_shifts_without_fallback(self):
         # At n = 2 two Lanczos steps span the whole space; a third would
@@ -284,18 +355,20 @@ class TestSigmaMinEvaluator:
                 assert abs(ev(z) - ref) <= _export_bound(ref, A)
         assert fallback_count() == 0
 
-    def test_window_plan_makes_no_dense_fallback(self, bs_problem, eval_count, fallback_count):
+    def test_window_plan_makes_no_dense_fallback(self, bs_problem, fallback_count):
         bm.plan_window(bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
-        assert eval_count() > 600
+        assert fallback_count() == 0
+        # The plan's grid now evaluates too few nodes to show a rare
+        # fallback; the sweep covers the rows where sigma reaches round-off.
+        assert _window_sweep(bs_problem).evaluations == 300
         assert fallback_count() == 0
 
     def test_window_plan_steps_per_evaluation(self, bs_problem):
         # Each run stops at the first step from the third on whose Ritz
         # value settled; requiring two settled steps and at least seven
-        # made 7.8 steps per evaluation on this grid.
-        prep = bm.prepare_contour(bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
-        ev = prep.grid.evaluator
-        assert ev.evaluations > 600
+        # made 7.8 steps per evaluation on the window grid.
+        ev = _window_sweep(bs_problem)
+        assert ev.evaluations == 300
         assert ev.lanczos_steps <= 4.5 * ev.evaluations
         assert ev.fallbacks == 0
 

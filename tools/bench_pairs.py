@@ -34,6 +34,7 @@ TRACED = (
     "pseudospectra.grid_s",
     "pseudospectra.sigma_evals",
     "pseudospectra.sigma_eval_ms",
+    "pseudospectra.evals_per_node",
     "solver.node_solves",
     "solver.node_reuses",
     "solver.false_claims",
