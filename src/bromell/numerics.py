@@ -9,7 +9,7 @@ triangular condition estimate of the feasibility check, dense eigenvalues,
 and a matrix-exponential reference evolution used as validation oracle.
 
 All functions are deterministic and never mutate their inputs; the only
-state is the operator's cached Schur form and its two shift buffers.
+state is the operator's cached Schur form and its one shift buffer.
 """
 
 from __future__ import annotations
@@ -91,14 +91,6 @@ class Operator:
         pseudospectra.SigmaMinEvaluator both work in it, one shift at a time.
         """
         return np.asfortranarray(-self.schur_factor)
-
-    @cached_property
-    def _comparison_buffer(self) -> np.ndarray:
-        """Real Fortran-order -|T|, the off-diagonal of the comparison matrix
-        of zI - T; pseudospectra.SigmaMinEvaluator.lower_bound rewrites its
-        diagonal with |z - t_ii| for each shift (8 n^2 bytes).
-        """
-        return np.asfortranarray(-np.abs(self.schur_factor))
 
 
 def as_operator(A) -> Operator:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -130,23 +131,21 @@ class SigmaMinEvaluator:
     the third on whose largest Ritz value moved by at most 1e-12 relative,
     as EigTool stops once its Ritz value settles (Wright & Trefethen, 2001),
     or once its basis spans the whole space.
-    A run from the previous shift's singular vector is accepted when its
-    readout ||Mv|| agrees with the Ritz value to 1e-9 relative. Below
-    sigma ~ 1e-5 both carry an absolute error of order eps * ||A||, so a
-    second run from a fixed start vector is accepted within
-    ``1e-9 * sigma + abs_error``, where ``abs_error = 10 eps ||T||_F``
-    (||T||_F >= ||A||_2). That run depends on z alone, so a value dominated
-    by round-off does not depend on the order in which shifts are
-    evaluated. A dense SVD of the triangular shift runs only when both runs
-    stall. ``evaluations``, ``lanczos_steps``, ``second_runs`` and
-    ``fallbacks`` count the work done so far, and ``bounds`` the calls to
-    ``lower_bound``, a cheap certificate from below that runs no Lanczos.
+    Every evaluation is one run from the same fixed start vector, so its
+    value depends on z alone. The run is accepted when its readout ||Mv||
+    agrees with the Ritz value within ``1e-9 * sigma + abs_error``, where
+    ``abs_error = 10 eps ||T||_F`` (||T||_F >= ||A||_2): below sigma ~ 1e-5
+    both carry an absolute error of order eps * ||A||. A dense SVD of the
+    triangular shift runs only when the run is rejected. ``evaluations``,
+    ``lanczos_steps`` and ``fallbacks`` count the work done so far, and
+    ``bounds`` the calls to ``lower_bound``, a cheap certificate from below
+    that runs no Lanczos.
 
     zI - T is the operator's one shift buffer (``Operator._shift_buffer``),
     which ShiftedSystem shares; each evaluation rewrites its diagonal, so the
     evaluator allocates no complex n x n matrix of its own. ``lower_bound``
-    works in the operator's real comparison buffer
-    (``Operator._comparison_buffer``) the same way.
+    works the same way in a real n x n buffer that the evaluator builds on
+    its first call.
     """
 
     def __init__(self, A):
@@ -158,27 +157,22 @@ class SigmaMinEvaluator:
         self._diag = np.diag(T)
         self._M = op._shift_buffer
         self._M_diag = self._M.reshape(-1, order="F")[:: self.dim + 1]
-        self._C = op._comparison_buffer
-        self._C_diag = self._C.reshape(-1, order="F")[:: self.dim + 1]
         self._ones = np.ones(self.dim)
         self._sterf, self._stevd = sla.get_lapack_funcs(("sterf", "stevd"), dtype=float)
         # Lanczos workspace, shared by every run: the basis vectors as rows,
         # their conjugates, and the tridiagonal's diagonal and off-diagonal.
+        # Row 0 is the one start vector of every run and is never rewritten.
         self._Q = np.empty((_LANCZOS_STEPS + 1, self.dim), dtype=complex)
         self._Qc = np.empty_like(self._Q)
         self._alphas = np.empty(_LANCZOS_STEPS)
         self._betas = np.empty(_LANCZOS_STEPS)
         start = np.ones(self.dim, dtype=complex)
         start[1::2] += 0.5j
-        self._start = start / np.linalg.norm(start)
-        # Warm start: neighbouring shifts share singular vectors, which cuts
-        # the iteration count several-fold on grid sweeps.
-        self._warm = self._start
-        # Work counters: calls, Lanczos steps of every run, runs from the
-        # fixed start after a rejected warm run, dense SVDs, and lower bounds.
+        np.divide(start, _norm(start), out=self._Q[0])
+        np.conjugate(self._Q[0], out=self._Qc[0])
+        # Work counters: calls, Lanczos steps, dense SVDs, and lower bounds.
         self.evaluations = 0
         self.lanczos_steps = 0
-        self.second_runs = 0
         self.fallbacks = 0
         self.bounds = 0
 
@@ -187,16 +181,19 @@ class SigmaMinEvaluator:
         np.subtract(complex(z), self._diag, out=self._M_diag)
         if not self._M_diag.all():  # a zero pivot: z is an eigenvalue
             return 0.0
-        # Blending in the generic start keeps the warm vector from being
-        # (numerically) orthogonal to the new minimal singular direction.
-        sigma = self._lanczos(self._warm + 0.1 * self._start, 0.0)
-        if sigma is None:
-            self.second_runs += 1
-            sigma = self._lanczos(self._start, self.abs_error)
+        sigma = self._lanczos()
         if sigma is None:
             self.fallbacks += 1
             sigma = self._dense_sigma_min()
         return sigma
+
+    @cached_property
+    def _comparison(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real Fortran-order -|T|, the off-diagonal of the comparison matrix
+        of zI - T, and a view of its diagonal, which lower_bound rewrites
+        with |z - t_ii| for each shift (8 n^2 bytes). M is -T off the diagonal."""
+        C = np.asfortranarray(-np.abs(self._M))
+        return C, C.reshape(-1, order="F")[:: self.dim + 1]
 
     def lower_bound(self, z: complex) -> float:
         """A rigorous lower bound on sigma_min(zI - T), from two real triangular solves.
@@ -210,11 +207,12 @@ class SigmaMinEvaluator:
         pivot or when the product of the two norms is not finite.
         """
         self.bounds += 1
-        np.abs(complex(z) - self._diag, out=self._C_diag)
-        x, info = _DTRTRS(self._C, self._ones)
+        C, C_diag = self._comparison
+        np.abs(complex(z) - self._diag, out=C_diag)
+        x, info = _DTRTRS(C, self._ones)
         if info:  # a zero pivot: z is an eigenvalue
             return 0.0
-        y = _DTRTRS(self._C, self._ones, trans=1)[0]
+        y = _DTRTRS(C, self._ones, trans=1)[0]
         product = float(x.max()) * float(y.max())
         if not 0.0 < product < math.inf:  # NaN and overflow fail too
             return 0.0
@@ -224,19 +222,17 @@ class SigmaMinEvaluator:
         """sigma_min of the current shift by dense SVD, for a stalled iteration."""
         return float(np.linalg.svd(self._M, compute_uv=False)[-1])
 
-    def _lanczos(self, v0, abs_slack: float):
+    def _lanczos(self):
         """Largest eigenvalue of (M^H M)^{-1} by Lanczos with full reorthogonalization.
 
-        M is the current shift zI - T. Returns ||M v|| for the converged Ritz
-        vector v (an upper bound on sigma_min that is tight at convergence),
-        or None when it and the Ritz value disagree by more than
-        1e-9 relative plus ``abs_slack``, signalling the caller to retry or
-        fall back to a dense SVD.
+        M is the current shift zI - T and the run starts from Q[0]. Returns
+        ||M v|| for the converged Ritz vector v (an upper bound on sigma_min
+        that is tight at convergence), or None when it and the Ritz value
+        disagree by more than 1e-9 relative plus ``abs_error``, signalling
+        the caller to fall back to a dense SVD.
         """
         M, trtrs = self._M, _TRTRS
         Q, Qc, alphas, betas = self._Q, self._Qc, self._alphas, self._betas
-        np.divide(v0, _norm(v0), out=Q[0])
-        np.conjugate(Q[0], out=Qc[0])
         theta = theta_prev = None
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(_LANCZOS_STEPS):
@@ -292,9 +288,8 @@ class SigmaMinEvaluator:
         v /= nv
         val = _norm(M @ v)
         ritz = 1.0 / math.sqrt(theta)
-        if not math.isfinite(val) or abs(val - ritz) > 1e-9 * max(val, ritz) + abs_slack:
+        if not math.isfinite(val) or abs(val - ritz) > 1e-9 * max(val, ritz) + self.abs_error:
             return None
-        self._warm = v
         return val
 
 

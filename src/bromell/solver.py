@@ -385,8 +385,8 @@ def default_z_l(t: float) -> float:
 def default_z_r(problem, eigs, eps1: float) -> float:
     """Rightmost real-axis crossing of sigma_min = eps1, kept right of source poles.
 
-    The crossing is bisected to 1e-12 on a SigmaMinEvaluator of its own, so
-    no warm-start state passes to or from the grid's evaluator.
+    The crossing is bisected to 1e-12 on a SigmaMinEvaluator, whose values
+    depend on the shift alone.
     """
     sigma = SigmaMinEvaluator(problem.operator)
     lo = float(np.max(eigs.real))

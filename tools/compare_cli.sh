@@ -12,7 +12,10 @@
 # code. The two sides are then compared byte by byte. Each differing file
 # is summarised by number: a CSV file (and a report's [errors] table) by the
 # largest absolute and relative change per column, a report.txt by the keys
-# whose values changed, and any other file by a short unified diff.
+# whose values changed, and any other file by a short unified diff. When
+# bs-pseudo's grid.csv differs, each side's worst node against a dense SVD
+# of zI - A is printed as a fraction of the export bound
+# 1e-9 sigma + 10 eps ||A||_2 (the working tree's bromell builds A).
 #
 # Exit status: 0 when every file is identical, 1 when any differs, 2 on a
 # usage or export error.
@@ -86,13 +89,14 @@ run_side "$work/base/src" "$work/out-base"
 echo "working tree:"
 run_side "$repo/src" "$work/out-work"
 
-python3 - "$work/out-base" "$work/out-work" <<'PY'
+OPENBLAS_NUM_THREADS=1 python3 - "$work/out-base" "$work/out-work" "$repo/src" <<'PY'
 import difflib
 import math
 import sys
 from pathlib import Path
 
 base, work = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path.insert(0, sys.argv[3])
 
 
 def files(root):
@@ -122,6 +126,30 @@ def table_changes(old, new):
             worst_rel = max(worst_rel, d / max(abs(x), abs(y)))
         if rows:
             out.append(f"    {name}: {rows} rows, max abs {worst_abs:.3g}, max rel {worst_rel:.3g}")
+    return out
+
+
+def export_bound_use(sides):
+    """Each side's worst node of a Black-Scholes grid.csv against a dense SVD,
+    as a fraction of the export bound 1e-9 sigma + 10 eps ||A||_2."""
+    import numpy as np
+    from bromell.problems import black_scholes_problem
+
+    A = black_scholes_problem().operator.entries
+    n = A.shape[0]
+    floor = 10 * np.finfo(float).eps * np.linalg.norm(A, 2)
+    refs = {}
+    out = []
+    for side, lines in sides:
+        worst = (-1.0, None)
+        for line in lines[1:]:
+            x, y, s = map(float, line.split(","))
+            if (x, y) not in refs:
+                refs[x, y] = np.linalg.svd(complex(x, y) * np.eye(n) - A, compute_uv=False)[-1]
+            ref = refs[x, y]
+            worst = max(worst, (abs(s - ref) / (1e-9 * ref + floor), (x, y)))
+        out.append(f"    {side}: worst node x={worst[1][0]:.6g}, y={worst[1][1]:.6g} "
+                   f"at {worst[0]:.3g} of the export bound")
     return out
 
 
@@ -160,6 +188,8 @@ for name in sorted(names_base | names_work):
     try:
         if name.endswith(".csv"):
             lines = table_changes(old, new)
+            if name == "bs-pseudo/grid.csv":
+                lines += export_bound_use([("revision", old), ("working tree", new)])
         elif name.endswith("report.txt"):
             lines = report_changes(old, new)
         else:
