@@ -139,7 +139,7 @@ class SigmaMinEvaluator:
     triangular shift runs only when the run is rejected. ``evaluations``,
     ``lanczos_steps`` and ``fallbacks`` count the work done so far, and
     ``bounds`` the calls to ``lower_bound``, a cheap certificate from below
-    that runs no Lanczos.
+    that runs no Lanczos. ``schur_diagonal`` holds the eigenvalues t_ii.
 
     zI - T is the operator's one shift buffer (``Operator._shift_buffer``),
     which ShiftedSystem shares; each evaluation rewrites its diagonal, so the
@@ -154,7 +154,7 @@ class SigmaMinEvaluator:
         self.is_real = op.is_real
         T = op.schur_factor
         self.abs_error = 10.0 * np.finfo(float).eps * _frobenius(T)
-        self._diag = np.diag(T)
+        self.schur_diagonal = np.diag(T)
         self._M = op._shift_buffer
         self._M_diag = self._M.reshape(-1, order="F")[:: self.dim + 1]
         self._ones = np.ones(self.dim)
@@ -178,7 +178,7 @@ class SigmaMinEvaluator:
 
     def __call__(self, z: complex) -> float:
         self.evaluations += 1
-        np.subtract(complex(z), self._diag, out=self._M_diag)
+        np.subtract(complex(z), self.schur_diagonal, out=self._M_diag)
         if not self._M_diag.all():  # a zero pivot: z is an eigenvalue
             return 0.0
         sigma = self._lanczos()
@@ -208,7 +208,7 @@ class SigmaMinEvaluator:
         """
         self.bounds += 1
         C, C_diag = self._comparison
-        np.abs(complex(z) - self._diag, out=C_diag)
+        np.abs(complex(z) - self.schur_diagonal, out=C_diag)
         x, info = _DTRTRS(C, self._ones)
         if info:  # a zero pivot: z is an eigenvalue
             return 0.0
@@ -346,8 +346,14 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
     bound b on sigma_min from two real triangular solves: when b(1 - slack)
     - abs_error already exceeds the node's level, the node is certified
     without an evaluation, and that value raises its neighbours' bounds as
-    an evaluated s would. The node directly above each
-    column's topmost in-set node is evaluated as well, because level_curve
+    an evaluated s would. Another node is at least one grid step away, so a
+    value of at most half a step raises no neighbour and updates nothing.
+    From the first row with y >= max(Im t_ii, 0) up, the bound grows up each
+    column (``_certify_column``). So once two successive nodes of a column
+    certify only themselves, one binary search finds the lowest row down to
+    there whose bound still certifies, and that one bound certifies every
+    row between it and the node. The node directly above each column's
+    topmost in-set node is evaluated as well, because level_curve
     interpolates against it. Every other node, the lower rows included, is
     NaN, which level_curve reads as outside; ``PseudoGrid.completed``
     evaluates them. Without levels every node is evaluated.
@@ -369,6 +375,12 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
     with np.errstate(over="ignore"):
         theta = np.max([eps * np.exp(xs * t) for eps, t in levels], axis=0)
     bound = np.full(nodes.shape, -np.inf)  # certified lower bound on sigma_min
+    # Every other node is at least one grid step from z, so an s_low of at
+    # most half a step gives none of them a positive bound.
+    reach = 0.5 * min(np.diff(xs).min(), np.diff(ys).min())
+    # From row r_up on, y >= Im t_ii for every i: lower_bound grows up each column.
+    r_up = int(np.searchsorted(yr, max(float(ev.schur_diagonal.imag.max()), 0.0)))
+    alone = np.zeros(xs.size, dtype=int)  # per column: run of nodes certified alone
     for r in range(rows.size - 1, -1, -1):  # top row first
         # Candidates as the row starts; the re-check skips those that an
         # evaluation earlier in this row has certified since.
@@ -378,12 +390,19 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
             z = nodes[r, ix]
             # The comparison-matrix bound is two real triangular solves, a
             # twentieth of an evaluation or less; a node it certifies stays NaN.
-            s_low = ev.lower_bound(z) * (1.0 - _CERTIFY_SLACK) - ev.abs_error
-            if not s_low > theta[ix]:
+            s_low = _slackened(ev, ev.lower_bound(z))
+            certified = s_low > theta[ix]
+            if not certified:
                 s = sigma[rows[r], ix] = ev(z)
-                s_low = s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
-            if s_low <= 0.0:
-                continue  # no node gains a positive bound
+                s_low = _slackened(ev, s)
+            if s_low <= reach:
+                # The column's second node in succession that its own bound
+                # certifies alone: one bound may certify its rows below, down to r_up.
+                alone[ix] = alone[ix] + 1 if certified else 0
+                if alone[ix] == 2 and r > r_up:
+                    _certify_column(ev, bound[:, ix], nodes[:, ix], theta[ix], r_up, r)
+                continue  # no other node gains a positive bound
+            alone[ix] = 0
             # Only nodes within s_low of z gain a positive bound; one more
             # node on each side keeps rounding in the search from dropping one.
             r0, r1 = np.searchsorted(yr, (z.imag - s_low, z.imag + s_low))
@@ -396,6 +415,34 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
             above = np.flatnonzero(inside[:, ix])[-1] + 1
             if above < rows.size and np.isnan(sigma[rows[above], ix]):
                 sigma[rows[above], ix] = ev(nodes[above, ix])
+
+
+def _slackened(ev, s: float) -> float:
+    """A lower bound on sigma_min from a value or bound s of ev: s less its error allowances."""
+    return s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
+
+
+def _certify_column(ev, bound, column, theta, r_up, r) -> None:
+    """Certify rows [m, r) of one column with the bound of row m, the lowest
+    row in [r_up, r) whose comparison-matrix bound exceeds theta.
+
+    From row r_up on, moving up a column moves away from every eigenvalue,
+    so the diagonal of the comparison matrix C grows; C is a triangular
+    M-matrix, so C^-1 shrinks entrywise and lower_bound grows. A bound that
+    certifies row m therefore certifies every row above it. The scan calls
+    this when row r certified only itself, so the rows below it would each
+    have certified only themselves as well: the evaluated nodes stay the same.
+    """
+    lo, hi, b = r_up, r, None
+    while lo < hi:  # rows >= hi certify, rows < lo do not
+        mid = (lo + hi) // 2
+        s_low = _slackened(ev, ev.lower_bound(column[mid]))
+        if s_low > theta:
+            hi, b = mid, s_low
+        else:
+            lo = mid + 1
+    if b is not None:
+        np.maximum(bound[hi:r], b, out=bound[hi:r])
 
 
 def level_curve(grid: PseudoGrid, eps: float, t: float = 0.0) -> LevelCurve:

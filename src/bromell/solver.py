@@ -383,17 +383,25 @@ def default_z_l(t: float) -> float:
 
 
 def default_z_r(problem, eigs, eps1: float) -> float:
-    """Rightmost real-axis crossing of sigma_min = eps1, kept right of source poles.
+    """Real-axis crossing of sigma_min = eps1, kept right of source poles.
 
-    The crossing is bisected to 1e-12 on a SigmaMinEvaluator, whose values
-    depend on the shift alone.
+    When sigma_min is below eps1 at the rightmost eigenvalue, a bracket
+    doubles rightward from it until sigma_min reaches eps1, and the bracket
+    is then bisected to 1e-12 on a SigmaMinEvaluator, whose values depend on
+    the shift alone. The result is clamped to 0.01 right of the rightmost
+    source pole, so the bisection stops once the bracket lies left of that
+    clamp: its upper end only falls, and the clamp is then the answer.
     """
     sigma = SigmaMinEvaluator(problem.operator)
+    poles = problem.singularities
+    floor = max(p.real for p in poles) + 0.01 if poles else -math.inf
     lo = float(np.max(eigs.real))
     z_r = lo + eps1
     if sigma(lo) < eps1:
         hi = lo + 1.0
         step = 1.0
+        # hi is an upper end of the bracket only once this loop exits, so
+        # the clamp cannot stop it.
         while sigma(hi) < eps1:
             if hi >= lo + 1e6:
                 raise GeometryError(
@@ -403,17 +411,14 @@ def default_z_r(problem, eigs, eps1: float) -> float:
             hi += step
         # Widened by a few ulps of hi: far from 0, 1e-12 is below the spacing
         # of doubles and the midpoint would stop moving.
-        while hi - lo > 1e-12 + 4.0 * np.finfo(float).eps * abs(hi):
+        while hi > floor and hi - lo > 1e-12 + 4.0 * np.finfo(float).eps * abs(hi):
             mid = 0.5 * (lo + hi)
             if sigma(mid) < eps1:
                 lo = mid
             else:
                 hi = mid
         z_r = hi
-    poles = problem.singularities
-    if poles:
-        z_r = max(z_r, max(p.real for p in poles) + 0.01)
-    return z_r
+    return max(z_r, floor)
 
 
 @dataclass(frozen=True)

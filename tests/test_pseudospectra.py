@@ -108,12 +108,15 @@ class TestEvaluationCount:
         opts = bm.SolveOptions(z_l=-40.0, z_r=0.09)
         prep = bm.prepare_contour(cd_problem, 1.0, 1.0, 5e-8, opts)
         assert prep.grid.spec.n_pts == 100
-        assert prep.grid.evaluator.bounds > 0
+        assert 0 < prep.grid.evaluator.bounds <= 133
         assert eval_count() == 0
 
     def test_pruned_bs_window(self, bs_problem):
+        # One bound certifies most of each column above the real axis; one
+        # bound per visited node made 1,168.
         prep = bm.prepare_contour(bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
         assert prep.grid.evaluator.evaluations <= 80
+        assert prep.grid.evaluator.bounds <= 500
 
 
 def _reference_scan(A, spec, levels):
@@ -161,13 +164,15 @@ class TestPrunedScan:
         np.testing.assert_array_equal(grid.sigma_min, want)
         return count
 
-    @pytest.mark.parametrize("case, count", [("cd", 0), ("bs", 69)])
+    @pytest.mark.parametrize("case, count", [("cd", 0), ("bs", 69), ("bs-pseudo", 71)])
     def test_solver_grids(self, case, count, cd_problem, bs_problem):
-        problem, t1, opts = {
-            "cd": (cd_problem, 1.0, bm.SolveOptions(z_l=-40.0, z_r=0.09)),
-            "bs": (bs_problem, 10.0, bm.SolveOptions(grid_pts=50)),
+        problem, t1, tol, opts = {
+            "cd": (cd_problem, 1.0, 5e-8, bm.SolveOptions(z_l=-40.0, z_r=0.09)),
+            "bs": (bs_problem, 10.0, 5e-8, bm.SolveOptions(grid_pts=50)),
+            "bs-pseudo": (bs_problem, 1.0, 5e-6,
+                          bm.SolveOptions(z_l=-40.0, z_r=0.05, grid_pts=50)),
         }[case]
-        spec = bm.prepare_contour(problem, 1.0, t1, 5e-8, opts).grid.spec
+        spec = bm.prepare_contour(problem, 1.0, t1, tol, opts).grid.spec
         levels = ((opts.eps1, 1.0), (opts.eps2, 0.0))
         assert self.check(problem.operator, spec, levels) == count
 
@@ -294,6 +299,31 @@ class TestSigmaMinEvaluator:
         assert ev.lower_bound(lam[-1]) == 0.0  # an exact eigenvalue shift
         assert ev.bounds == len(shifts) + 2
         assert ev.evaluations == 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        x=st.floats(-10.0, 10.0),
+        above=st.floats(0.0, 10.0),
+        rise=st.floats(0.0, 10.0),
+    )
+    def test_lower_bound_grows_up_a_column(self, n, seed, x, above, rise):
+        # Above every Im t_ii, raising y moves z away from every eigenvalue,
+        # so the comparison matrix's diagonal grows and its inverse shrinks
+        # entrywise: the bound can only grow. The grid scan certifies whole
+        # column stretches on this.
+        rng = np.random.default_rng(seed)
+        T = 10.0 * np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
+        T += np.diag(3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        ev = SigmaMinEvaluator(bm.Operator(T))
+        y = float(ev.schur_diagonal.imag.max()) + above
+        lower, upper = complex(x, y), complex(x, y + rise)
+        b_lower, b_upper = ev.lower_bound(lower), ev.lower_bound(upper)
+        assert b_upper >= b_lower * (1.0 - 1e-9)
+        for z, b in ((lower, b_lower), (upper, b_upper)):
+            assert b <= np.linalg.svd(z * np.eye(n) - T, compute_uv=False)[-1]
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(

@@ -536,7 +536,79 @@ def _dense_bisection_z_r(A, eps1: float) -> float:
     return hi
 
 
+def _unstopped_default_z_r(problem, eigs, eps1: float) -> tuple:
+    """default_z_r's search with the whole bisection run before the pole
+    clamp is applied; returns z_r and the evaluation count."""
+    sigma = pseudospectra.SigmaMinEvaluator(problem.operator)
+    lo = float(np.max(eigs.real))
+    z_r = lo + eps1
+    if sigma(lo) < eps1:
+        hi = lo + 1.0
+        step = 1.0
+        while sigma(hi) < eps1:
+            step *= 2.0
+            hi += step
+        while hi - lo > 1e-12 + 4.0 * np.finfo(float).eps * abs(hi):
+            mid = 0.5 * (lo + hi)
+            if sigma(mid) < eps1:
+                lo = mid
+            else:
+                hi = mid
+        z_r = hi
+    poles = problem.singularities
+    if poles:
+        z_r = max(z_r, max(p.real for p in poles) + 0.01)
+    return z_r, sigma.evaluations
+
+
+@pytest.fixture()
+def z_r_evaluators(monkeypatch):
+    """List of the SigmaMinEvaluators that solver builds during the test."""
+    made = []
+
+    class Recorded(pseudospectra.SigmaMinEvaluator):
+        def __init__(self, A):
+            super().__init__(A)
+            made.append(self)
+
+    monkeypatch.setattr(solver, "SigmaMinEvaluator", Recorded)
+    return made
+
+
 class TestDefaultZr:
+    # The bisection stops once its bracket lies left of the pole clamp. On
+    # bs the clamp (0.01) is right of the crossing; with one pole at -5 it
+    # is left of it and the whole bisection runs. On diag(-1, -2) with a
+    # pole at 0.5 and eps1 = 3 the first doubling bracket, [-1, 0], lies
+    # left of the clamp, but hi = 0 is not yet an upper end: the crossing
+    # is at 2, and stopping the doubling at the clamp would give 0.51.
+    @pytest.mark.parametrize(
+        "case, eps1, count, unstopped_count",
+        [("bs", 1e-9, 5, 42), ("cd", 1e-6, 7, 42), ("bs-pole-5", 1e-9, 42, 42),
+         ("diag-pole", 3.0, 45, 45)],
+    )
+    def test_clamp_stop_matches_unstopped_bisection(
+        self, case, eps1, count, unstopped_count, cd_problem, bs_problem, z_r_evaluators
+    ):
+        e_n = np.zeros(bs_problem.dim)
+        e_n[-1] = 1.0
+        problem = {
+            "bs": bs_problem,
+            "cd": cd_problem,
+            "bs-pole-5": bm.LaplaceProblem(bs_problem.operator, bs_problem.u0,
+                                           (bm.SourceTerm(e_n, 5.0),)),
+            "diag-pole": bm.LaplaceProblem(bm.Operator(np.diag([-1.0, -2.0])), np.ones(2),
+                                           (bm.SourceTerm(np.ones(2), -0.5),)),
+        }[case]
+        eigs = bm.eigenvalues(problem.operator)
+        z_r = solver.default_z_r(problem, eigs, eps1)
+        want, want_count = _unstopped_default_z_r(problem, eigs, eps1)
+        assert z_r == want
+        assert [ev.evaluations for ev in z_r_evaluators] == [count]
+        assert want_count == unstopped_count
+        if case == "diag-pole":
+            assert z_r == 2.0
+
     # Source-free problems, so no pole clamps z_r. cd uses eps1 = 1e-6: at
     # its computed rightmost eigenvalue sigma_min is already 4.5e-8, above
     # the default 1e-9, which would skip the root finder.
