@@ -28,7 +28,8 @@ _LOG_CAP = 700.0  # exp(700) is near the double-precision overflow edge
 # evaluator's absolute allowance (its abs_error) is subtracted as well.
 _CERTIFY_SLACK = 1e-6
 # Lanczos runs stop after this many steps, or at the first step from the
-# third on whose largest Ritz value moved by at most this much relative.
+# third on whose largest Ritz value moved by at most this much relative, or
+# at the second when the 2 x 2 residual bound is this small relative.
 _LANCZOS_STEPS = 40
 _LANCZOS_RTOL = 1e-12
 # Relative allowance for rounding in lower_bound's two triangular solves:
@@ -130,7 +131,10 @@ class SigmaMinEvaluator:
     shift instead of a fresh O(n^3) SVD. A run stops at the first step from
     the third on whose largest Ritz value moved by at most 1e-12 relative,
     as EigTool stops once its Ritz value settles (Wright & Trefethen, 2001),
-    or once its basis spans the whole space.
+    or once its basis spans the whole space. At the second step it stops
+    when the 2 x 2 Ritz pair's residual bound already puts its value within
+    1e-12 relative of an eigenvalue, as at a shift whose sigma_min sits far
+    below the next singular value.
     Every evaluation is one run from the same fixed start vector, so its
     value depends on z alone. The run is accepted when its readout ||Mv||
     agrees with the Ritz value within ``1e-9 * sigma + abs_error``, where
@@ -225,11 +229,14 @@ class SigmaMinEvaluator:
     def _lanczos(self):
         """Largest eigenvalue of (M^H M)^{-1} by Lanczos with full reorthogonalization.
 
-        M is the current shift zI - T and the run starts from Q[0]. Returns
-        ||M v|| for the converged Ritz vector v (an upper bound on sigma_min
-        that is tight at convergence), or None when it and the Ritz value
-        disagree by more than 1e-9 relative plus ``abs_error``, signalling
-        the caller to fall back to a dense SVD.
+        M is the current shift zI - T and the run starts from Q[0]. It
+        stops at the first step k >= 2 whose largest Ritz value theta moved
+        by at most _LANCZOS_RTOL relative, or at k = 1 when the residual
+        bound beta_1 |s_2| of the 2 x 2 Ritz pair is at most _LANCZOS_RTOL
+        theta. Returns ||M v|| for the converged Ritz vector v (an upper
+        bound on sigma_min that is tight at convergence), or None when it
+        and the Ritz value disagree by more than 1e-9 relative plus
+        ``abs_error``, signalling the caller to fall back to a dense SVD.
         """
         M, trtrs = self._M, _TRTRS
         Q, Qc, alphas, betas = self._Q, self._Qc, self._alphas, self._betas
@@ -268,6 +275,14 @@ class SigmaMinEvaluator:
                 beta = _norm(w)
                 if beta == 0.0 or not math.isfinite(beta):
                     break  # exact invariant subspace (or breakdown -> readout check)
+                # The 2 x 2 Ritz vector is proportional to (beta_0, d), so
+                # beta_1 |d| / hypot(beta_0, d) bounds the distance from theta
+                # to an eigenvalue (Parlett, The Symmetric Eigenvalue Problem,
+                # §13). A shift with sigma_min far below sigma_2 stops here.
+                if k == 1:
+                    d = theta - alphas[0]
+                    if beta * abs(d) <= _LANCZOS_RTOL * theta * math.hypot(betas[0], d):
+                        break
                 betas[k] = beta
                 np.divide(w, beta, out=Q[k + 1])
                 np.conjugate(Q[k + 1], out=Qc[k + 1])
@@ -350,9 +365,9 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
     value of at most half a step raises no neighbour and updates nothing.
     From the first row with y >= max(Im t_ii, 0) up, the bound grows up each
     column (``_certify_column``). So once two successive nodes of a column
-    certify only themselves, one binary search finds the lowest row down to
-    there whose bound still certifies, and that one bound certifies every
-    row between it and the node. The node directly above each column's
+    certify only themselves, a walk up from that first row finds the lowest
+    row whose bound certifies, and that one bound certifies every row
+    between it and the node; the scan reuses the bounds the walk rejected. The node directly above each column's
     topmost in-set node is evaluated as well, because level_curve
     interpolates against it. Every other node, the lower rows included, is
     NaN, which level_curve reads as outside; ``PseudoGrid.completed``
@@ -375,6 +390,8 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
     with np.errstate(over="ignore"):
         theta = np.max([eps * np.exp(xs * t) for eps, t in levels], axis=0)
     bound = np.full(nodes.shape, -np.inf)  # certified lower bound on sigma_min
+    # Slackened comparison bounds already computed, so no shift is bounded twice.
+    compared = np.full(nodes.shape, np.nan)
     # Every other node is at least one grid step from z, so an s_low of at
     # most half a step gives none of them a positive bound.
     reach = 0.5 * min(np.diff(xs).min(), np.diff(ys).min())
@@ -390,7 +407,9 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
             z = nodes[r, ix]
             # The comparison-matrix bound is two real triangular solves, a
             # twentieth of an evaluation or less; a node it certifies stays NaN.
-            s_low = _slackened(ev, ev.lower_bound(z))
+            s_low = compared[r, ix]
+            if math.isnan(s_low):
+                s_low = _slackened(ev, ev.lower_bound(z))
             certified = s_low > theta[ix]
             if not certified:
                 s = sigma[rows[r], ix] = ev(z)
@@ -400,7 +419,9 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
                 # certifies alone: one bound may certify its rows below, down to r_up.
                 alone[ix] = alone[ix] + 1 if certified else 0
                 if alone[ix] == 2 and r > r_up:
-                    _certify_column(ev, bound[:, ix], nodes[:, ix], theta[ix], r_up, r)
+                    _certify_column(
+                        ev, bound[:, ix], compared[:, ix], nodes[:, ix], theta[ix], r_up, r
+                    )
                 continue  # no other node gains a positive bound
             alone[ix] = 0
             # Only nodes within s_low of z gain a positive bound; one more
@@ -422,7 +443,7 @@ def _slackened(ev, s: float) -> float:
     return s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
 
 
-def _certify_column(ev, bound, column, theta, r_up, r) -> None:
+def _certify_column(ev, bound, compared, column, theta, r_up, r) -> None:
     """Certify rows [m, r) of one column with the bound of row m, the lowest
     row in [r_up, r) whose comparison-matrix bound exceeds theta.
 
@@ -432,17 +453,16 @@ def _certify_column(ev, bound, column, theta, r_up, r) -> None:
     certifies row m therefore certifies every row above it. The scan calls
     this when row r certified only itself, so the rows below it would each
     have certified only themselves as well: the evaluated nodes stay the same.
+    The search walks up from r_up and keeps each slackened bound in
+    ``compared``: every row it rejects lies below m, where the scan bounds
+    it anyway unless a neighbour's value certifies it first, and no row
+    above m is bounded.
     """
-    lo, hi, b = r_up, r, None
-    while lo < hi:  # rows >= hi certify, rows < lo do not
-        mid = (lo + hi) // 2
-        s_low = _slackened(ev, ev.lower_bound(column[mid]))
+    for m in range(r_up, r):
+        s_low = compared[m] = _slackened(ev, ev.lower_bound(column[m]))
         if s_low > theta:
-            hi, b = mid, s_low
-        else:
-            lo = mid + 1
-    if b is not None:
-        np.maximum(bound[hi:r], b, out=bound[hi:r])
+            np.maximum(bound[m:r], s_low, out=bound[m:r])
+            return
 
 
 def level_curve(grid: PseudoGrid, eps: float, t: float = 0.0) -> LevelCurve:

@@ -38,6 +38,7 @@ from .problems import write_csv
 from .pseudospectra import (
     GridSpec,
     SigmaMinEvaluator,
+    _slackened,
     compute_grid,
     critical_curve,
     level_curve,
@@ -391,18 +392,28 @@ def default_z_r(problem, eigs, eps1: float) -> float:
     the shift alone. The result is clamped to 0.01 right of the rightmost
     source pole, so the bisection stops once the bracket lies left of that
     clamp: its upper end only falls, and the clamp is then the answer.
+
+    Each test sigma_min(x) < eps1 first asks the evaluator's comparison-matrix
+    ``lower_bound``. When that bound, less the evaluator's error allowances,
+    already reaches eps1, the answer is no and no Lanczos runs: the
+    evaluator's value, accurate to 1e-9 sigma + abs_error, lies above the
+    slackened bound, so it would give the same answer.
     """
     sigma = SigmaMinEvaluator(problem.operator)
+
+    def below(x: float) -> bool:
+        return _slackened(sigma, sigma.lower_bound(x)) < eps1 and sigma(x) < eps1
+
     poles = problem.singularities
     floor = max(p.real for p in poles) + 0.01 if poles else -math.inf
     lo = float(np.max(eigs.real))
     z_r = lo + eps1
-    if sigma(lo) < eps1:
+    if below(lo):
         hi = lo + 1.0
         step = 1.0
         # hi is an upper end of the bracket only once this loop exits, so
         # the clamp cannot stop it.
-        while sigma(hi) < eps1:
+        while below(hi):
             if hi >= lo + 1e6:
                 raise GeometryError(
                     f"sigma_min(xI - A) stays below eps1 = {eps1} up to x = {hi}"
@@ -413,7 +424,7 @@ def default_z_r(problem, eigs, eps1: float) -> float:
         # of doubles and the midpoint would stop moving.
         while hi > floor and hi - lo > 1e-12 + 4.0 * np.finfo(float).eps * abs(hi):
             mid = 0.5 * (lo + hi)
-            if sigma(mid) < eps1:
+            if below(mid):
                 lo = mid
             else:
                 hi = mid

@@ -118,6 +118,30 @@ class TestEvaluationCount:
         assert prep.grid.evaluator.evaluations <= 80
         assert prep.grid.evaluator.bounds <= 500
 
+    def test_bs_window_work(self, bs_problem, monkeypatch):
+        # The column walk's bounds are reused by the scan, so no shift is
+        # bounded twice (33 of 456 grid bounds were repeats when a binary
+        # search probed the column; 281 bounds in all now). Most evaluated
+        # nodes sit at the round-off floor and stop after two Lanczos steps
+        # (151 grid steps; 218 with the difference test alone), and the
+        # bound settles most z_r bracket tests (29 steps; 85 without it).
+        bounded = {}
+        lower_bound = SigmaMinEvaluator.lower_bound
+
+        def recorded(self, z):
+            bounded.setdefault(self, []).append(complex(z))
+            return lower_bound(self, z)
+
+        monkeypatch.setattr(SigmaMinEvaluator, "lower_bound", recorded)
+        prep = bm.prepare_contour(bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
+        grid_ev = prep.grid.evaluator
+        (z_r_ev,) = [ev for ev in bounded if ev is not grid_ev]
+        for shifts in bounded.values():
+            assert len(set(shifts)) == len(shifts)
+        assert len(bounded[grid_ev]) == grid_ev.bounds <= 300
+        assert grid_ev.lanczos_steps <= 160
+        assert z_r_ev.lanczos_steps <= 32
+
 
 def _reference_scan(A, spec, levels):
     """compute_grid's pruned scan, node by node: it visits every upper-half
@@ -368,6 +392,22 @@ class TestSigmaMinEvaluator:
             fallbacks += ev.fallbacks
         assert fallbacks == 0
 
+    def test_two_step_exit_near_isolated_eigenvalue(self):
+        # sigma_min = 1e-9 against sigma_2 ~ 1: the 2 x 2 Ritz pair's
+        # residual already certifies the largest eigenvalue of (M^H M)^-1.
+        rng = np.random.default_rng(4)
+        V, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        A = V @ np.diag(-np.arange(1.0, 31.0)) @ V.T
+        ev = SigmaMinEvaluator(bm.Operator(A))
+        for lam in (-1.0, -5.0, -30.0):
+            z = lam + 1e-9 * (0.6 + 0.8j)
+            before = ev.lanczos_steps
+            value = ev(z)
+            assert ev.lanczos_steps - before == 2
+            ref = np.linalg.svd(z * np.eye(30) - A, compute_uv=False)[-1]
+            assert abs(value - ref) <= _export_bound(ref, A)
+        assert ev.fallbacks == 0
+
     def test_exact_eigenvalue_shift_is_zero(self):
         ev = SigmaMinEvaluator(bm.Operator(np.diag([-1.0, -2.0])))
         assert ev(-1.0) == pytest.approx(0.0, abs=1e-12)
@@ -398,8 +438,9 @@ class TestSigmaMinEvaluator:
 
     def test_window_plan_steps_per_evaluation(self, bs_problem):
         # Each run stops at the first step from the third on whose Ritz
-        # value settled; requiring two settled steps and at least seven
-        # made 7.8 steps per evaluation on the window grid.
+        # value settled, or at the second when the 2 x 2 residual bound
+        # certifies it (2.6 steps per evaluation; 3.4 without that exit);
+        # requiring two settled steps and at least seven made 7.8.
         ev = _window_sweep(bs_problem)
         assert ev.evaluations == 300
         assert ev.lanczos_steps <= 4.5 * ev.evaluations

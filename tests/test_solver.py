@@ -563,13 +563,20 @@ def _unstopped_default_z_r(problem, eigs, eps1: float) -> tuple:
 
 @pytest.fixture()
 def z_r_evaluators(monkeypatch):
-    """List of the SigmaMinEvaluators that solver builds during the test."""
+    """List of the SigmaMinEvaluators that solver builds during the test.
+    Each keeps in ``bounded`` the (shift, lower_bound) pairs it returned."""
     made = []
 
     class Recorded(pseudospectra.SigmaMinEvaluator):
         def __init__(self, A):
             super().__init__(A)
+            self.bounded = []
             made.append(self)
+
+        def lower_bound(self, z):
+            b = super().lower_bound(z)
+            self.bounded.append((z, b))
+            return b
 
     monkeypatch.setattr(solver, "SigmaMinEvaluator", Recorded)
     return made
@@ -582,9 +589,12 @@ class TestDefaultZr:
     # pole at 0.5 and eps1 = 3 the first doubling bracket, [-1, 0], lies
     # left of the clamp, but hi = 0 is not yet an upper end: the crossing
     # is at 2, and stopping the doubling at the clamp would give 0.51.
+    # Each test asks the comparison-matrix bound first; the unstopped loop
+    # evaluates every shift, so where the bound settled a test, the
+    # evaluator's own value must give the same answer.
     @pytest.mark.parametrize(
         "case, eps1, count, unstopped_count",
-        [("bs", 1e-9, 5, 42), ("cd", 1e-6, 7, 42), ("bs-pole-5", 1e-9, 42, 42),
+        [("bs", 1e-9, 3, 42), ("cd", 1e-6, 4, 42), ("bs-pole-5", 1e-9, 40, 42),
          ("diag-pole", 3.0, 45, 45)],
     )
     def test_clamp_stop_matches_unstopped_bisection(
@@ -606,6 +616,11 @@ class TestDefaultZr:
         assert z_r == want
         assert [ev.evaluations for ev in z_r_evaluators] == [count]
         assert want_count == unstopped_count
+        (ev,) = z_r_evaluators
+        settled = [x for x, b in ev.bounded if pseudospectra._slackened(ev, b) >= eps1]
+        assert len(settled) == len(ev.bounded) - count
+        fresh = pseudospectra.SigmaMinEvaluator(problem.operator)
+        assert all(fresh(x) >= eps1 for x in settled)
         if case == "diag-pole":
             assert z_r == 2.0
 
