@@ -20,14 +20,8 @@ from .numerics import resolvent_cond, transformed_solution
 TWO_PI = 2.0 * math.pi
 # Points this far outside an ellipse's boundary still count as enclosed.
 ENCLOSE_SLACK = 1e-12
-# optimize_a searches the strip half-height a in (0, _A_MAX].
+# optimize_a searches the strip half-height a in [1e-8, _A_MAX].
 _A_MAX = 1.0
-# It stops once a is known to within _A_XATOL, or after _A_MAX_EVALS objective evaluations.
-_A_XATOL = 1e-6
-_A_MAX_EVALS = 200
-# Brent's constants, written as SciPy writes them so that every step keeps its bits.
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 # Points along the truncated arc where feasibility_check samples the condition number.
 _FEASIBILITY_SAMPLES = 10
 
@@ -247,95 +241,56 @@ def window_objective(inner: InnerEllipse, a: float, t1: float, tol: float) -> fl
     return (contour_from_a(inner, a).D * t1 - math.log(tol / math.pi)) / (2.0 * a)
 
 
-def _step_sign(v: float) -> float:
-    """Direction of a step of length v; a zero step counts as +1."""
-    return -1.0 if v < 0 else 1.0
+def a_within_reach(inner: InnerEllipse, reach: float):
+    """Largest a > 0 whose arc reaches at most z_l + reach, or None when no a > 0 does.
 
-
-def _bounded_minimum(f, lo: float, hi: float) -> float:
-    """Brent's bounded minimizer of f on [lo, hi]: the point of least f it finds.
-
-    Golden-section search with parabolic interpolation (R. P. Brent,
-    *Algorithms for Minimization without Derivatives*, 1973), step for step
-    SciPy 1.17.1's ``minimize_scalar(method="bounded")`` with xatol
-    ``_A_XATOL`` and maxiter ``_A_MAX_EVALS``, so it evaluates f at the same
-    points and returns the same bits. The names follow SciPy's: (xf, fx) is
-    the best point so far, (nfc, fnfc) the next best and (fulc, ffulc) the
-    one before it; [a, b] brackets the minimum.
+    The arc's right vertex is z_l + A1 with A1(a) = a1 + a2 =
+    ((W - B) e^{-a} + (W + B) e^a) / 2, which rises from W at a = 0. So
+    A1(a) <= reach holds up to the larger root x = e^a of the quadratic
+    (W + B) x^2 - 2 reach x + (W - B), and that root exceeds 1 when reach > W.
     """
-    a, b = lo, hi
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + _A_XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # Parabola through (xf, fx), (nfc, fnfc), (fulc, ffulc).
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * _step_sign(xm - xf)
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = _GOLDEN * e
-        x = xf + _step_sign(rat) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + _A_XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _A_MAX_EVALS:
-            break
-    return xf
+    W, B = inner.semi_major, inner.semi_minor
+    if not reach > W:
+        return None
+    return math.log((reach + math.sqrt(reach * reach - (W * W - B * B))) / (W + B))
 
 
 def optimize_a(inner: InnerEllipse, t: float, tol: float) -> float:
-    """Minimize the node-count proxy ``window_objective`` over a at time t.
+    """Minimize the node-count proxy ``window_objective`` over a in [1e-8, _A_MAX].
 
-    Brent's bounded minimization (golden section with parabolic refinement)
-    on [1e-8, _A_MAX], absolute tolerance _A_XATOL on a.
+    f(a) = (t D(a) - log(tol/pi)) / (2a) has f'(a) = g(a) / (2a^2) with
+    g(a) = t a D'(a) - (t D(a) - log(tol/pi)), and g' = t a D'' > 0, so the
+    root of g is the only minimum. D = a1 e^{-a} + a2 e^{a} + z_l gives
+    D' = 2 (a2 e^a - a1 e^{-a}) and D'' = 4 (a2 e^a + a1 e^{-a}). When g
+    keeps one sign on the bracket, its end is returned; otherwise Newton runs
+    from 0.5, falling back to bisection when a step leaves the bracket, until
+    a step is at most 1e-12 a.
     """
+    log_tol = math.log(tol / math.pi)
 
-    def f(a):
-        return window_objective(inner, a, t, tol)
+    def g(a):
+        p = contour_from_a(inner, a)
+        up, down = p.a2 * math.exp(a), p.a1 * math.exp(-a)
+        return t * a * 2.0 * (up - down) - (t * p.D - log_tol), t * a * 4.0 * (up + down)
 
-    f(_A_MAX)  # propagate degenerate geometry before the optimizer hides it
-    return _bounded_minimum(f, 1e-8, _A_MAX)
+    lo, hi = 1e-8, _A_MAX
+    if g(lo)[0] >= 0.0:
+        return lo
+    if g(hi)[0] <= 0.0:
+        return hi
+    a = 0.5
+    while True:
+        value, slope = g(a)
+        if value < 0.0:
+            lo = a
+        else:
+            hi = a
+        nxt = a - value / slope
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - a) <= 1e-12 * a:
+            return nxt
+        a = nxt
 
 
 def predicted_nodes(a: float, c: float, D: float, t: float, tol: float) -> int:

@@ -22,6 +22,7 @@ from .contour import (
     InnerEllipse,
     TruncationResult,
     _c_from_k,
+    a_within_reach,
     build_inner_ellipse,
     conformal_map,
     contour_from_a,
@@ -53,6 +54,9 @@ NODE_SINGULARITY_GAP = 1e-8
 # (sample_line_maxima, rigorous_error_bound).
 _EDGE_SAMPLES = 32
 _LINE_SAMPLES = 64
+# plan_window lowers a until this multiple of the round-off forecast over
+# the whole arc at t1 meets tol.
+ROUNDOFF_SAFETY = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +456,8 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
     The weighted level curve uses t_weight while the strip parameter is
     optimized against t_opt (they coincide for a single-time solve).
     t_weight, t_opt, tol, opts.eps1 and opts.eps2 must be finite and
-    positive; they are checked before any stage runs.
+    positive, opts.z_l and opts.z_r finite when given, and opts.grid_pts an
+    int of at least 8; they are checked before any stage runs.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"need tol > 0, got {tol}")
@@ -461,6 +466,11 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
     for name, value in checked.items():
         if not 0 < value < math.inf:
             raise ValueError(f"need finite {name} > 0, got {value}")
+    for name, value in (("z_l", opts.z_l), ("z_r", opts.z_r)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"need finite {name}, got {value}")
+    if not (isinstance(opts.grid_pts, int) and opts.grid_pts >= 8):
+        raise ValueError(f"need an int grid_pts >= 8, got {opts.grid_pts!r}")
     eigs = _stage("eigenvalues", eigenvalues, problem.operator)
     z_l = opts.z_l if opts.z_l is not None else default_z_l(t_weight)
     z_r = (
@@ -538,6 +548,11 @@ class TimeWindowPlan:
 def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = None) -> TimeWindowPlan:
     """Build one contour for [t0, t1]: ellipse at t0, strip parameter sized for t1.
 
+    The strip parameter is optimize_a's, lowered when needed so that
+    ROUNDOFF_SAFETY times the round-off forecast over the whole arc at t1
+    meets tol ('t Hout & Weideman, SIAM J. Sci. Comput. 33, 2011). It is
+    kept when no a > 0 meets that, when the condition number is infinite,
+    or when the lower a would need more than opts.n_max nodes at t1.
     t0, t1 and opts.prec must be finite and positive with t0 <= t1, and
     opts.n_max at least 2; these and prepare_contour's checks run before any
     stage. The plan keeps opts for every later evaluation.
@@ -551,6 +566,16 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
         raise ValueError(f"need n_max >= 2, got {opts.n_max}")
     prep = prepare_contour(problem, t0, t1, tol, opts)
     inner, params = prep.inner, prep.contour
+    # Round-off margin. The forecast over the whole arc (c = 1/2) is
+    # a2 e^{(A1 + z_l) t1} eps/2 max_cond; with a2 and max_cond frozen at
+    # optimize_a's a only the exponent moves, so ROUNDOFF_SAFETY x forecast
+    # <= tol bounds A1 and a_within_reach gives the a that meets it.
+    sizing = _stage("feasibility", feasibility_check, problem, params, 0.5, t1, tol)
+    excess = ROUNDOFF_SAFETY * sizing.achievable / tol
+    if excess > 1.0 and math.isfinite(sizing.max_cond):
+        a = a_within_reach(inner, params.A1 - math.log(excess) / t1)
+        if a is not None and window_objective(inner, a, t1, tol) <= opts.n_max:
+            params = _stage("contour", contour_from_a, inner, min(a, params.a))
     trunc0 = _stage("truncation", truncation_fixed_point, problem, params, t0, tol, opts.prec)
     if t1 == t0:
         trunc1 = trunc0

@@ -112,6 +112,21 @@ class TestSolveCommand:
         assert "stage" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_box_rejected_before_any_stage(self, tmp_path, capsys, monkeypatch):
+        stages = []
+        for stage in ("eigenvalues", "compute_grid"):
+            monkeypatch.setattr(solver, stage, lambda *args, _s=stage: stages.append(_s))
+        code = run(
+            "solve", "--problem", "bs", "--t", "1", "--tol", "5e-6", "--zr", "inf",
+            "--out", str(tmp_path / "o"),
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "need finite z_r, got inf" in err
+        assert "stage" not in err
+        assert stages == []
+        assert not (tmp_path / "o").exists()
+
     def test_deterministic_outputs(self, diag_files, tmp_path):
         mpath, upath = diag_files
         outs = []
@@ -234,12 +249,13 @@ class TestWindowCommand:
             assert int(row[5]) == n_used - 1  # full reuse at every later time
 
     @pytest.mark.parametrize("argv, fails", [
-        (("--problem", "bs", "--t0", "1", "--t1", "10", "--tol", "5e-8", "--grid", "50"), True),
+        (("--problem", "bs", "--t0", "1", "--t1", "10", "--tol", "1e-12", "--grid", "50"), True),
         (("--problem", "cd:d=40,n=12", "--t0", "1", "--t1", "2", "--tol", "1e-6",
           "--zl", "-20", "--zr", "0.05", "--grid", "24"), False),
     ])
     def test_failed_feasibility_is_reported(self, argv, fails, tmp_path, capsys):
-        # The bs plan's round-off forecast at (c_grid, t1) exceeds tol.
+        # The bs plan's round-off forecast at (c_grid, t1) exceeds tol, and
+        # no a > 0 gives the round-off margin at tol 1e-12.
         run("window", *argv, "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err
         assert ("feasibility check failed: fail:" in err) == fails

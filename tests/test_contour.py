@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bromell as bm
-from bromell.contour import _bounded_minimum, _c_from_k, window_objective
+from bromell.contour import _A_MAX, _c_from_k, window_objective
 from bromell.errors import ArccosDomainError, ConvergenceError, GeometryError
 
 
@@ -47,30 +47,50 @@ def _linear_scan_ellipse(phi, z_l, z_r, m_ell=1000):
 
 
 def _scipy_bounded(f, lo, hi):
-    """Reference: SciPy's bounded Brent with optimize_a's settings; the point and the points it evaluated."""
+    """Reference: SciPy's bounded Brent on [lo, hi], absolute tolerance 1e-6."""
     from scipy.optimize import minimize_scalar
 
-    calls = []
-
-    def recording(x):
-        calls.append(float(x))
-        return f(x)
-
-    res = minimize_scalar(
-        recording, bounds=(lo, hi), method="bounded", options={"xatol": 1e-6, "maxiter": 200}
-    )
-    return float(res.x), calls
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-6, "maxiter": 200})
+    return float(res.x)
 
 
-def _bounded(f, lo, hi):
-    """_bounded_minimum's point and the points it evaluated."""
-    calls = []
+def _g(inner, a, t, tol):
+    """t a D'(a) - (t D(a) - log(tol/pi)): the sign of window_objective's slope at a."""
+    h = 1e-6 * a
+    d_prime = (bm.contour_from_a(inner, a + h).D - bm.contour_from_a(inner, a - h).D) / (2 * h)
+    return t * a * d_prime - (t * bm.contour_from_a(inner, a).D - math.log(tol / math.pi))
 
-    def recording(x):
-        calls.append(x)
-        return f(x)
 
-    return _bounded_minimum(recording, lo, hi), calls
+def _random_ellipses(seed, count):
+    """(inner, t, tol) triples with real foci, as the pipeline builds them."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        z_l = -rng.uniform(0.5, 60.0)
+        z_r = rng.uniform(-0.4, 1.0) * (-z_l)
+        d = rng.uniform(z_l, z_r)
+        r = rng.uniform(1e-3, 1.0) * (z_r - z_l)
+        inner = bm.InnerEllipse(z_l, z_r, d, r)
+        if inner.semi_minor >= inner.semi_major:
+            continue
+        cases.append((inner, rng.uniform(0.05, 20.0), 10.0 ** rng.uniform(-13, -2)))
+    return cases
+
+
+def _no_worse_than_scipy(inner, t, tol):
+    """optimize_a's point against SciPy's bounded Brent on [1e-8, _A_MAX].
+
+    Its objective is at most Brent's, to 1e-12 relative. Where Brent's point
+    is interior (more than its 1e-6 tolerance from either end), the two
+    points agree to that tolerance.
+    """
+    def f(a):
+        return window_objective(inner, a, t, tol)
+
+    got, want = bm.optimize_a(inner, t, tol), _scipy_bounded(f, 1e-8, _A_MAX)
+    assert f(got) <= f(want) + 1e-12 * abs(f(want))
+    if 1e-8 + 1e-6 < want < _A_MAX - 1e-6:
+        assert abs(got - want) <= 1e-6 * max(want, 1.0)
 
 
 @pytest.fixture()
@@ -314,80 +334,34 @@ class TestOptimizeA:
         ]
         for problem, t_weight, t_opt, tol, opts in cases:
             inner = bm.build_inner_ellipse(*captured_phi(problem, t_weight, t_opt, tol, opts))
-            want, _ = _scipy_bounded(lambda a: window_objective(inner, a, t_opt, tol), 1e-8, 1.0)
-            assert bm.optimize_a(inner, t_opt, tol) == want
+            _no_worse_than_scipy(inner, t_opt, tol)
 
     def test_matches_scipy_on_random_ellipses(self):
-        rng = np.random.default_rng(41)
-        checked = 0
-        while checked < 200:
-            z_l = -rng.uniform(0.5, 60.0)
-            z_r = rng.uniform(-0.4, 1.0) * (-z_l)
-            d = rng.uniform(z_l, z_r)
-            r = rng.uniform(1e-3, 1.0) * (z_r - z_l)
-            inner = bm.InnerEllipse(z_l, z_r, d, r)
-            if inner.semi_minor >= inner.semi_major:
-                continue
-            t, tol = rng.uniform(0.05, 20.0), 10.0 ** rng.uniform(-13, -2)
-            want, _ = _scipy_bounded(lambda a: window_objective(inner, a, t, tol), 1e-8, 1.0)
-            assert bm.optimize_a(inner, t, tol) == want
-            checked += 1
+        for inner, t, tol in _random_ellipses(41, 200):
+            _no_worse_than_scipy(inner, t, tol)
 
+    def test_slope_changes_sign_across_the_result(self):
+        interior = 0
+        for inner, t, tol in _random_ellipses(41, 200):
+            a = bm.optimize_a(inner, t, tol)
+            if 1e-8 < a < _A_MAX:
+                interior += 1
+                assert _g(inner, a * (1 - 1e-6), t, tol) < 0 < _g(inner, a * (1 + 1e-6), t, tol)
+        assert interior > 100
 
-class TestBoundedMinimum:
-    """_bounded_minimum against SciPy's bounded Brent: the same evaluation points and result.
+    def test_degenerate_brackets_return_their_ends(self):
+        inner = bm.InnerEllipse(z_l=-1.0, z_r=1.0, d=0.0, r=0.5)
+        # t z_r < log(tol/pi): f < 0 and rising from a = 0, so the left end wins.
+        assert bm.optimize_a(inner, 1e-3, 10.0) == 1e-8
+        assert _g(inner, 1e-8, 1e-3, 10.0) > 0
+        # A very small tol puts the root of g beyond the bracket.
+        assert bm.optimize_a(inner, 1e-3, 1e-300) == _A_MAX
+        assert _g(inner, _A_MAX, 1e-3, 1e-300) < 0
 
-    Between them the objectives take parabolic steps, golden steps after a
-    rejected parabola, tol1 steps away from a bound, zero-length parabolic
-    steps (the sign rule), ties fu == fx, golden steps from the exact
-    midpoint, and the 200-evaluation cap.
-    """
-
-    @pytest.mark.parametrize(
-        "f, lo, hi",
-        [
-            pytest.param(lambda x: (x - 0.3) ** 2, 0.0, 1.0, id="parabolic-tol1"),
-            pytest.param(lambda x: math.cos(20.0 * x), 0.0, 1.0, id="golden-after-parabola"),
-            pytest.param(lambda x: abs(x - 0.3), 0.0, 1.0, id="kink"),
-            pytest.param(lambda x: -x, 0.0, 1.0, id="golden-to-bound"),
-            pytest.param(
-                lambda x: (x - 0.3) ** 2 + 1e-3 * math.sin(1e5 * x), 0.0, 1.0, id="noisy"
-            ),
-            pytest.param(
-                lambda x: (x - 0.7215400323407826) ** 2 * 2.0**-1030, 0.0, 1.0, id="zero-step-tiny"
-            ),
-            pytest.param(
-                lambda x: round((x - 0.921603508826728) ** 2 * 2.0**66) / 2.0**66, 0.0, 100.0,
-                id="zero-step-quantized",
-            ),
-            pytest.param(
-                lambda x: 0.0 if abs(x - 0.21119906027865376) < 2.0**-5 else 1.0, -2.0, 2.0,
-                id="ties",
-            ),
-            pytest.param(
-                lambda x: math.floor(3.0 * abs(x + 0.7280622795986622)), -2.0, 2.0, id="midpoint"
-            ),
-        ],
-    )
-    def test_steps_match_scipy(self, f, lo, hi):
-        assert _bounded(f, lo, hi) == _scipy_bounded(f, lo, hi)
-
-    def test_random_objectives_match_scipy(self):
-        rng = np.random.default_rng(43)
-        for _ in range(200):
-            c, w = rng.uniform(-1.0, 2.0), rng.uniform(0.1, 5.0)
-            lo, hi = sorted(rng.uniform(-2.0, 2.0, 2))
-
-            def f(x):
-                return abs(x - c) ** w + 0.1 * math.cos(7.0 * w * x)
-
-            assert _bounded(f, lo, hi) == _scipy_bounded(f, lo, hi)
-
-    def test_stops_at_the_evaluation_cap(self):
-        # On a huge bracket the relative part of tol1 keeps the search alive.
-        got = _bounded(abs, -1e100, 3e100)
-        assert len(got[1]) == 200
-        assert got == _scipy_bounded(abs, -1e100, 3e100)
+    def test_degenerate_geometry_raises(self):
+        inner = bm.InnerEllipse(z_l=-1.0, z_r=1.0, d=-1.0, r=2.5)
+        with pytest.raises(GeometryError, match="foci would leave the real axis"):
+            bm.optimize_a(inner, 1.0, 1e-8)
 
 
 class TestPredictedNodes:

@@ -10,6 +10,7 @@ import bromell as bm
 from bromell import numerics, pseudospectra, solver
 from bromell.errors import SingularSystemError, StageError
 from bromell.solver import (
+    ROUNDOFF_SAFETY,
     NodeCache,
     delta_offset,
     estimate_delta,
@@ -369,9 +370,10 @@ class TestSolvePipeline:
         assert schur_calls == [(problem.operator.dim,) * 2]
 
     def test_cold_ladder_makes_no_lu(self, schur_calls, monkeypatch):
-        # Every shifted matrix is the Schur factor's zI - T: the plan's
-        # feasibility check makes one trcon estimate per sample, and node
-        # solves make none.
+        # Every shifted matrix is the Schur factor's zI - T: the plan's two
+        # feasibility checks (the margin's sizing check over the whole arc,
+        # then the plan's own) make one trcon estimate per sample each, and
+        # node solves make none.
         trcon_calls = []
         trcon = numerics._TRCON
 
@@ -382,7 +384,7 @@ class TestSolvePipeline:
         monkeypatch.setattr(numerics, "_TRCON", counted)
         problem = bm.black_scholes_problem()
         plan = bm.plan_window(problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
-        assert len(trcon_calls) == 10
+        assert len(trcon_calls) == 20
         trcon_calls.clear()
         cold = dataclasses.replace(plan, cache=NodeCache(problem, plan.contour, plan.c_grid))
         for t in np.linspace(1.0, 10.0, 10):
@@ -438,6 +440,17 @@ class TestEntryValidation:
             ("prepare_contour", (1.0, math.inf, 1e-6), "need finite t_opt > 0, got inf"),
             ("prepare_contour", (1.0, 1.0, -1.0), "need tol > 0, got -1.0"),
             ("prepare_contour", (1.0, 1.0, math.nan), "need tol > 0, got nan"),
+            ("solve", (1.0, 1e-6, bm.SolveOptions(z_r=math.inf)), "need finite z_r, got inf"),
+            ("solve", (1.0, 1e-6, bm.SolveOptions(z_l=-math.inf)), "need finite z_l, got -inf"),
+            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(z_r=math.nan)),
+             "need finite z_r, got nan"),
+            ("prepare_contour", (1.0, 1.0, 1e-6, bm.SolveOptions(z_l=math.nan)),
+             "need finite z_l, got nan"),
+            ("solve", (1.0, 1e-6, bm.SolveOptions(grid_pts=4)), "need an int grid_pts >= 8, got 4"),
+            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(grid_pts=7)),
+             "need an int grid_pts >= 8, got 7"),
+            ("prepare_contour", (1.0, 1.0, 1e-6, bm.SolveOptions(grid_pts=50.0)),
+             "need an int grid_pts >= 8, got 50.0"),
         ],
     )
     def test_rejected_before_any_stage(self, monkeypatch, bs_problem, entry, args, message):
@@ -739,29 +752,42 @@ class TestTimeWindow:
         with pytest.raises(ValueError):
             bm.solve_at(diag_plan, diag_problem, diag_plan.t1 + 1.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="window-end false claim: without validation the model signal "
-        "(1.6e-17 at N=175) passes tol while the reference error is 5.2-5.4e-8 "
-        "against tol 5e-8; round-off at t=10 is not in the stopping signal",
-    )
     def test_unvalidated_window_end_claim_holds(self, bs_problem, bs_window):
         rep = bm.solve_at(bs_window, bs_problem, 10.0)
         error = np.linalg.norm(rep.solution - bm.reference_solution(bs_problem, 10.0))
         assert not rep.reached_tol or error <= rep.tol
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="wide-window false claim: on [0.5, 10] the unvalidated evaluation at "
-        "t=10 stops at N=237 with reached_tol=True while the reference error is "
-        "3.83 tol (one BLAS thread; 3.79 with two) against tol 5e-8; the plan's "
-        "feasibility check already fails",
-    )
     def test_unvalidated_wide_window_end_claim_holds(self, bs_problem):
         plan = bm.plan_window(bs_problem, 0.5, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
         rep = bm.solve_at(plan, bs_problem, 10.0)
         error = np.linalg.norm(rep.solution - bm.reference_solution(bs_problem, 10.0))
         assert not rep.reached_tol or error <= rep.tol
+
+
+class TestRoundoffMargin:
+    def test_reference_recipe_keeps_the_optimal_a(self, cd_report):
+        assert cd_report.contour.a == bm.optimize_a(cd_report.inner, 1.0, 5e-8)
+
+    def test_window_lowers_a_to_the_margin(self, bs_problem, bs_window):
+        plan = bs_window
+        root = bm.contour_from_a(plan.inner, bm.optimize_a(plan.inner, plan.t1, plan.tol))
+        assert plan.contour.a < root.a
+        sizing = bm.feasibility_check(bs_problem, root, 0.5, plan.t1, plan.tol)
+        assert ROUNDOFF_SAFETY * sizing.achievable > plan.tol
+        # With a2 and max_cond frozen at the optimal a, the margin is met exactly.
+        drop = (root.A1 - plan.contour.A1) * plan.t1
+        assert ROUNDOFF_SAFETY * sizing.achievable * math.exp(-drop) == pytest.approx(plan.tol)
+        assert plan.feasibility.passed
+
+    def test_margin_kept_within_the_node_budget(self, bs_problem, bs_window):
+        plan = bm.plan_window(bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50, n_max=176))
+        assert plan.contour.a == bm.optimize_a(plan.inner, 10.0, 5e-8)
+        assert plan.n_nodes <= 176 < bs_window.n_nodes
+
+    def test_no_margin_when_no_a_meets_it(self, bs_problem):
+        plan = bm.plan_window(bs_problem, 1.0, 10.0, 1e-12, bm.SolveOptions(grid_pts=50))
+        assert plan.contour.a == bm.optimize_a(plan.inner, 10.0, 1e-12)
+        assert not plan.feasibility.passed
 
 
 class TestSamplingEstimates:

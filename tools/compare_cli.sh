@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-compare twelve bromell CLI runs between a git revision and the working tree.
+# Byte-compare thirteen bromell CLI runs between a git revision and the working tree.
 #
 #   tools/compare_cli.sh <rev>
 #
@@ -51,7 +51,9 @@ WIN="--problem bs --t0 1 --t1 10 --tol 5e-8"
 # The tenth run's tolerance is below the round-off forecast: solve stops at
 # the feasibility check and the CLI exits 2 with a report and no quadrature.
 # The eleventh run parses non-default problem parameters. The twelfth leaves
-# out --times, so window samples its five default times (numpy floats).
+# out --times, so window samples its five default times (numpy floats). The
+# thirteenth is perfbench's window plan (grid 50), whose t=10 end the
+# plan's round-off margin moves.
 RUNS=(
     "cd-solve|solve $CD --zr 0.09 --grid 40 --validate"
     "cd-convergence|convergence $CD --zr 0.09 --grid 30 --validate"
@@ -65,6 +67,7 @@ RUNS=(
     "cd-solve-infeasible|solve --problem cd:d=400,n=64 --t 1 --tol 1e-13 --zl -40 --zr 0.09 --grid 30"
     "bs-solve-params|solve --problem bs:n=120,sigma=0.1,K=90 --t 1 --tol 5e-6 --zl -40 --grid 30 --validate"
     "bs-window-default-times|window $WIN"
+    "bs-window-grid50|window $WIN --grid 50 --times 1,10 --validate"
 )
 
 run_side() {  # run_side <src dir> <output root>
