@@ -22,6 +22,13 @@ TWO_PI = 2.0 * math.pi
 ENCLOSE_SLACK = 1e-12
 # optimize_a searches the strip half-height a in [1e-8, _A_MAX].
 _A_MAX = 1.0
+# build_inner_ellipse tries right foci at the inner points of this many
+# equally spaced points of [z_l, z_r].
+_M_ELL = 1000
+# truncation_fixed_point starts from K = _K_INIT and gives up after
+# _TRUNCATION_MAX_ITER updates of K.
+_K_INIT = 100.0
+_TRUNCATION_MAX_ITER = 50
 # Points along the truncated arc where feasibility_check samples the condition number.
 _FEASIBILITY_SAMPLES = 10
 
@@ -93,15 +100,16 @@ def _first_violation(points, z_l, A, B):
     return None
 
 
-def build_inner_ellipse(phi, z_l: float, z_r: float, m_ell: int = 1000) -> InnerEllipse:
+def build_inner_ellipse(phi, z_l: float, z_r: float) -> InnerEllipse:
     """Shrink a circle around the singularity set into the tightest ellipse.
 
     Starting from the circle of radius z_r - z_l centered at z_l, candidate
-    ellipses through z_r with right focus at successive partition points of
-    [z_l, z_r] are considered; the last candidate that still encloses every
-    point of phi is kept. The candidates share their center and horizontal
-    semi-axis while the vertical one shrinks as the focus moves right, so
-    they are nested and the first violating candidate is found by bisection.
+    ellipses through z_r with right focus at successive points of the
+    ``_M_ELL``-point partition of [z_l, z_r] are considered; the last
+    candidate that still encloses every point of phi is kept. The candidates
+    share their center and horizontal semi-axis while the vertical one
+    shrinks as the focus moves right, so they are nested and the first
+    violating candidate is found by bisection.
     The returned passing point d + i r reports where the accepted ellipse
     clears the rightmost point that the next candidate leaves out.
     """
@@ -110,8 +118,6 @@ def build_inner_ellipse(phi, z_l: float, z_r: float, m_ell: int = 1000) -> Inner
         raise GeometryError("singularity set is empty")
     if not z_l < z_r:
         raise GeometryError("need z_l < z_r")
-    if m_ell < 2:
-        raise GeometryError("need at least 2 partition points")
     A = z_r - z_l
     ordered = sorted(points, key=lambda q: -q.real)
 
@@ -140,7 +146,7 @@ def build_inner_ellipse(phi, z_l: float, z_r: float, m_ell: int = 1000) -> Inner
             eps *= 2.0
         raise GeometryError("could not enclose the singularity set; increase z_r")
 
-    foci = np.linspace(z_l, z_r, m_ell)[1:-1]
+    foci = np.linspace(z_l, z_r, _M_ELL)[1:-1]
 
     def semi_minor(j):
         """Vertical semi-axis of candidate j; the circle's for j = -1."""
@@ -332,27 +338,26 @@ def truncation_fixed_point(
     t: float,
     tol: float,
     prec: float,
-    K_init: float = 100.0,
-    max_iter: int = 50,
 ) -> TruncationResult:
     """Alternate c = c(K) and K = ||u^(z(c pi)) z'(c pi)|| / (2 pi) to a fixed point.
 
     Each K update costs one shifted solve. Stops when successive K values
-    differ by less than prec. The arccos argument is clamped into [-1, 1] on
-    the first two iterations only (a large K_init can overshoot transiently);
-    afterwards leaving the domain is a hard error.
+    differ by less than prec, starting from K = _K_INIT. The arccos argument
+    is clamped into [-1, 1] on the first two iterations only (a large
+    starting K can overshoot transiently); afterwards leaving the domain is
+    a hard error.
     """
-    if prec <= 0 or K_init <= 0:
-        raise ValueError("need prec > 0 and K_init > 0")
+    if prec <= 0:
+        raise ValueError("need prec > 0")
 
     def k_update(c):
         z, dz = conformal_map(params, c * math.pi)
         uhat = transformed_solution(problem, z)
         return float(np.linalg.norm(uhat) * abs(dz) / TWO_PI)
 
-    K_prev = float(K_init)
+    K_prev = _K_INIT
     iterations = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _TRUNCATION_MAX_ITER + 1):
         c = _c_from_k(params, t, tol, K_prev, allow_clamp=(it <= 2))
         K_next = k_update(c)
         iterations = it
@@ -362,7 +367,7 @@ def truncation_fixed_point(
         K_prev = K_next
     else:
         raise ConvergenceError(
-            f"truncation iteration did not settle within {max_iter} steps"
+            f"truncation iteration did not settle within {_TRUNCATION_MAX_ITER} steps"
         )
     c_final = _c_from_k(params, t, tol, K_prev, allow_clamp=False)
     return TruncationResult(c_final, K_prev, iterations)

@@ -351,27 +351,29 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
 
     ``levels`` lists the (eps, t) pairs that ``level_curve`` will extract.
     Given levels, only the nodes those curves read are evaluated: nodes with
-    y >= 0, scanned row by row from the top of the box down, minus every node
-    certified outside all level sets. sigma_min(zI - A) is 1-Lipschitz in z
-    (Weyl's inequality), so node z' is certified once
-    max over evaluated z of s(z)(1 - slack) - abs_error - |z - z'| exceeds
-    max over levels of eps e^{Re(z') t}, where slack and the evaluator's
-    abs_error bound the error of each value s. Before it evaluates a node,
-    the scan tries ``SigmaMinEvaluator.lower_bound`` there, a rigorous lower
-    bound b on sigma_min from two real triangular solves: when b(1 - slack)
-    - abs_error already exceeds the node's level, the node is certified
-    without an evaluation, and that value raises its neighbours' bounds as
-    an evaluated s would. Another node is at least one grid step away, so a
-    value of at most half a step raises no neighbour and updates nothing.
-    From the first row with y >= max(Im t_ii, 0) up, the bound grows up each
-    column (``_certify_column``). So once two successive nodes of a column
-    certify only themselves, a walk up from that first row finds the lowest
-    row whose bound certifies, and that one bound certifies every row
-    between it and the node; the scan reuses the bounds the walk rejected. The node directly above each column's
+    y >= 0, walked column by column from the left and up each column from
+    its lowest row, minus every node certified outside all level sets.
+    sigma_min(zI - A) is 1-Lipschitz in z (Weyl's inequality), so node z' is
+    certified once max over evaluated z of s(z)(1 - slack) - abs_error -
+    |z - z'| exceeds max over levels of eps e^{Re(z') t}, where slack and
+    the evaluator's abs_error bound the error of each value s. Before it
+    evaluates a node, the walk tries ``SigmaMinEvaluator.lower_bound``
+    there, a rigorous lower bound b on sigma_min from two real triangular
+    solves: when b(1 - slack) - abs_error already exceeds the node's level,
+    the node is certified without an evaluation, and that value raises its
+    neighbours' bounds as an evaluated s would. Another node is at least one
+    grid step away, so a value of at most half a step raises no neighbour
+    and updates nothing. From the first row with y >= max(Im t_ii, 0) up,
+    moving up a column moves away from every eigenvalue, so the diagonal of
+    the comparison matrix C grows; C is a triangular M-matrix, so C^-1
+    shrinks entrywise and the bound grows. The first bound that certifies a
+    node from that row on therefore certifies every row above it, and the
+    walk leaves the column there. The node directly above each column's
     topmost in-set node is evaluated as well, because level_curve
     interpolates against it. Every other node, the lower rows included, is
     NaN, which level_curve reads as outside; ``PseudoGrid.completed``
-    evaluates them. Without levels every node is evaluated.
+    evaluates them. No rigorous bound certifies an in-set node, so the order
+    of the walk moves no curve. Without levels every node is evaluated.
     """
     ev = SigmaMinEvaluator(as_operator(A))
     sigma = np.full((spec.n_pts, spec.n_pts), np.nan)
@@ -390,46 +392,32 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
     with np.errstate(over="ignore"):
         theta = np.max([eps * np.exp(xs * t) for eps, t in levels], axis=0)
     bound = np.full(nodes.shape, -np.inf)  # certified lower bound on sigma_min
-    # Slackened comparison bounds already computed, so no shift is bounded twice.
-    compared = np.full(nodes.shape, np.nan)
     # Every other node is at least one grid step from z, so an s_low of at
     # most half a step gives none of them a positive bound.
     reach = 0.5 * min(np.diff(xs).min(), np.diff(ys).min())
     # From row r_up on, y >= Im t_ii for every i: lower_bound grows up each column.
     r_up = int(np.searchsorted(yr, max(float(ev.schur_diagonal.imag.max()), 0.0)))
-    alone = np.zeros(xs.size, dtype=int)  # per column: run of nodes certified alone
-    for r in range(rows.size - 1, -1, -1):  # top row first
-        # Candidates as the row starts; the re-check skips those that an
-        # evaluation earlier in this row has certified since.
-        for ix in np.flatnonzero(~(bound[r] > theta)):
+    for ix in range(xs.size):
+        for r in range(rows.size):  # bottom row first
             if bound[r, ix] > theta[ix]:
                 continue
             z = nodes[r, ix]
             # The comparison-matrix bound is two real triangular solves, a
             # twentieth of an evaluation or less; a node it certifies stays NaN.
-            s_low = compared[r, ix]
-            if math.isnan(s_low):
-                s_low = _slackened(ev, ev.lower_bound(z))
+            s_low = _slackened(ev, ev.lower_bound(z))
             certified = s_low > theta[ix]
             if not certified:
                 s = sigma[rows[r], ix] = ev(z)
                 s_low = _slackened(ev, s)
-            if s_low <= reach:
-                # The column's second node in succession that its own bound
-                # certifies alone: one bound may certify its rows below, down to r_up.
-                alone[ix] = alone[ix] + 1 if certified else 0
-                if alone[ix] == 2 and r > r_up:
-                    _certify_column(
-                        ev, bound[:, ix], compared[:, ix], nodes[:, ix], theta[ix], r_up, r
-                    )
-                continue  # no other node gains a positive bound
-            alone[ix] = 0
-            # Only nodes within s_low of z gain a positive bound; one more
-            # node on each side keeps rounding in the search from dropping one.
-            r0, r1 = np.searchsorted(yr, (z.imag - s_low, z.imag + s_low))
-            c0, c1 = np.searchsorted(xs, (z.real - s_low, z.real + s_low))
-            near = np.s_[max(r0 - 1, 0) : r1 + 1, max(c0 - 1, 0) : c1 + 1]
-            np.maximum(bound[near], s_low - np.abs(nodes[near] - z), out=bound[near])
+            if s_low > reach:
+                # Only nodes within s_low of z gain a positive bound; one more
+                # node on each side keeps rounding in the search from dropping one.
+                r0, r1 = np.searchsorted(yr, (z.imag - s_low, z.imag + s_low))
+                c0, c1 = np.searchsorted(xs, (z.real - s_low, z.real + s_low))
+                near = np.s_[max(r0 - 1, 0) : r1 + 1, max(c0 - 1, 0) : c1 + 1]
+                np.maximum(bound[near], s_low - np.abs(nodes[near] - z), out=bound[near])
+            if certified and r >= r_up:
+                break  # this bound certifies every row above it too
     for eps, t in levels:
         inside = _level_values(sigma[rows], xs, t) >= -np.log(eps)
         for ix in np.flatnonzero(inside.any(axis=0)):
@@ -441,28 +429,6 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
 def _slackened(ev, s: float) -> float:
     """A lower bound on sigma_min from a value or bound s of ev: s less its error allowances."""
     return s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
-
-
-def _certify_column(ev, bound, compared, column, theta, r_up, r) -> None:
-    """Certify rows [m, r) of one column with the bound of row m, the lowest
-    row in [r_up, r) whose comparison-matrix bound exceeds theta.
-
-    From row r_up on, moving up a column moves away from every eigenvalue,
-    so the diagonal of the comparison matrix C grows; C is a triangular
-    M-matrix, so C^-1 shrinks entrywise and lower_bound grows. A bound that
-    certifies row m therefore certifies every row above it. The scan calls
-    this when row r certified only itself, so the rows below it would each
-    have certified only themselves as well: the evaluated nodes stay the same.
-    The search walks up from r_up and keeps each slackened bound in
-    ``compared``: every row it rejects lies below m, where the scan bounds
-    it anyway unless a neighbour's value certifies it first, and no row
-    above m is bounded.
-    """
-    for m in range(r_up, r):
-        s_low = compared[m] = _slackened(ev, ev.lower_bound(column[m]))
-        if s_low > theta:
-            np.maximum(bound[m:r], s_low, out=bound[m:r])
-            return
 
 
 def level_curve(grid: PseudoGrid, eps: float, t: float = 0.0) -> LevelCurve:

@@ -98,8 +98,8 @@ def test_criterion_02_call_operator_both_times(bs_problem, bs_report_t1, bs_repo
 def test_criterion_03_truncation_iteration_budget(
     cd_problem, bs_problem, diag_problem, cd_report, bs_report_t1, bs_report_t10, diag_report
 ):
-    # prec = 0.1 and K_init = 100 settle in <= 5 iterations on every built-in
-    # problem, and the integrand level at the truncation point lands within
+    # With prec = 0.1 from K = 100 the iteration settles in <= 5 steps on every
+    # built-in problem, and the integrand level at the truncation point lands within
     # a factor 2 of the target accuracy.
     runs = [
         (cd_problem, cd_report.contour, 1.0, 5e-8),
@@ -110,7 +110,7 @@ def test_criterion_03_truncation_iteration_budget(
     ok = True
     details = []
     for problem, params, t, tol in runs:
-        res = bm.truncation_fixed_point(problem, params, t, tol, prec=0.1, K_init=100.0)
+        res = bm.truncation_fixed_point(problem, params, t, tol, prec=0.1)
         g = bm.integrand(problem, params, res.c * math.pi, t)
         level = np.linalg.norm(g) / (2 * math.pi)
         ok_run = res.iterations <= 5 and tol / 2 <= level <= 2 * tol

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bromell as bm
+from bromell import contour
 from bromell.contour import _A_MAX, _c_from_k, window_objective
 from bromell.errors import ArccosDomainError, ConvergenceError, GeometryError
 
@@ -115,16 +116,18 @@ def captured_phi(monkeypatch):
 
 
 class TestBuildInnerEllipse:
-    def test_real_segment_gives_most_eccentric(self):
+    def test_real_segment_gives_most_eccentric(self, monkeypatch):
         # Everything on the real axis inside the strip: the sweep runs to its
         # end and reports the passing point above the center.
+        monkeypatch.setattr(contour, "_M_ELL", 200)
         phi = [complex(x, 0.0) for x in np.linspace(-3.0, 0.4, 20)]
-        inner = bm.build_inner_ellipse(phi, -4.0, 0.5, m_ell=200)
+        inner = bm.build_inner_ellipse(phi, -4.0, 0.5)
         assert inner.d == -4.0
         assert inner.r == pytest.approx(inner.semi_minor)
         assert all(inner.encloses(p) for p in phi)
 
-    def test_enclosure_of_random_clouds(self):
+    def test_enclosure_of_random_clouds(self, monkeypatch):
+        monkeypatch.setattr(contour, "_M_ELL", 500)
         rng = np.random.default_rng(23)
         for _ in range(10):
             z_l, z_r = -5.0, 0.3
@@ -132,17 +135,17 @@ class TestBuildInnerEllipse:
                 complex(rng.uniform(z_l, z_r), abs(rng.normal(0, 0.8)))
                 for _ in range(40)
             ]
-            inner = bm.build_inner_ellipse(pts, z_l, z_r, m_ell=500)
+            inner = bm.build_inner_ellipse(pts, z_l, z_r)
             assert all(inner.encloses(p, slack=1e-9) for p in pts)
 
     def test_circle_fallback_when_second_candidate_fails(self):
         # A point squeezed between the circle and the very first candidate
         # ellipse survives only the circle; the passing point is reported on
         # the circle above the offender.
-        z_l, z_r, m_ell = -1.0, 0.0, 1000
-        h_p = (z_r - z_l) / (m_ell - 1)
+        z_l, z_r = -1.0, 0.0
+        h_p = (z_r - z_l) / (contour._M_ELL - 1)
         tall = complex(-1.0, math.sqrt(1.0 - 0.5 * h_p**2))
-        inner = bm.build_inner_ellipse([tall], z_l, z_r, m_ell=m_ell)
+        inner = bm.build_inner_ellipse([tall], z_l, z_r)
         assert inner.encloses(tall)
         assert inner.d == tall.real
         assert inner.r == pytest.approx(1.0, abs=1e-12)  # on the unit circle
@@ -170,7 +173,7 @@ class TestBuildInnerEllipse:
             assert len(phi) > 100
             assert bm.build_inner_ellipse(phi, z_l, z_r) == _linear_scan_ellipse(phi, z_l, z_r)
 
-    def test_random_sets_match_linear_scan(self):
+    def test_random_sets_match_linear_scan(self, monkeypatch):
         rng = np.random.default_rng(31)
         z_l, z_r = -5.0, 0.3
         A = z_r - z_l
@@ -182,22 +185,24 @@ class TestBuildInnerEllipse:
                 for _ in range(int(rng.integers(1, 60)))
             ]
             pts = [p for p in pts if abs(p - z_l) < A] or [complex(z_l, 0.0)]
-            got = bm.build_inner_ellipse(pts, z_l, z_r, m_ell=m_ell)
+            monkeypatch.setattr(contour, "_M_ELL", m_ell)
+            got = bm.build_inner_ellipse(pts, z_l, z_r)
             assert got == _linear_scan_ellipse(pts, z_l, z_r, m_ell), trial
 
     def test_first_candidate_violates_matches_linear_scan(self):
-        z_l, z_r, m_ell = -1.0, 0.0, 1000
-        h_p = (z_r - z_l) / (m_ell - 1)
+        z_l, z_r = -1.0, 0.0
+        h_p = (z_r - z_l) / (contour._M_ELL - 1)
         tall = complex(-1.0, math.sqrt(1.0 - 0.5 * h_p**2))
-        want = _linear_scan_ellipse([tall], z_l, z_r, m_ell)
+        want = _linear_scan_ellipse([tall], z_l, z_r, contour._M_ELL)
         assert want.r == pytest.approx(1.0, abs=1e-12)  # the circle was kept
-        assert bm.build_inner_ellipse([tall], z_l, z_r, m_ell=m_ell) == want
+        assert bm.build_inner_ellipse([tall], z_l, z_r) == want
 
-    def test_most_eccentric_encloses_all_matches_linear_scan(self):
+    def test_most_eccentric_encloses_all_matches_linear_scan(self, monkeypatch):
+        monkeypatch.setattr(contour, "_M_ELL", 200)
         phi = [complex(x, 0.0) for x in np.linspace(-3.0, 0.4, 20)]
         want = _linear_scan_ellipse(phi, -4.0, 0.5, 200)
         assert want.d == -4.0  # no candidate violated
-        assert bm.build_inner_ellipse(phi, -4.0, 0.5, m_ell=200) == want
+        assert bm.build_inner_ellipse(phi, -4.0, 0.5) == want
 
     def test_reference_recipe_passing_point(self, cd_report):
         # Known placement for the d=400 / 64-point / t=1 configuration
@@ -422,7 +427,7 @@ class _ConstantNormProblem:
 class TestTruncationFixedPoint:
     def test_constant_norm_converges_in_two_iterations(self, sample_params):
         prob = _ConstantNormProblem(sample_params, K_true=0.25)
-        res = bm.truncation_fixed_point(prob, sample_params, 1.0, 5e-8, prec=0.1, K_init=100.0)
+        res = bm.truncation_fixed_point(prob, sample_params, 1.0, 5e-8, prec=0.1)
         assert res.iterations == 2
         assert res.K == pytest.approx(0.25, abs=1e-12)
 
@@ -441,11 +446,10 @@ class TestTruncationFixedPoint:
         clamped = _c_from_k(p, 1.0, tol, bad_K, allow_clamp=True)
         assert 0.0 < clamped <= 0.5
 
-    def test_iteration_budget_error(self, sample_params, cd_problem):
+    def test_iteration_budget_error(self, sample_params, cd_problem, monkeypatch):
+        monkeypatch.setattr(contour, "_TRUNCATION_MAX_ITER", 2)
         with pytest.raises(ConvergenceError):
-            bm.truncation_fixed_point(
-                cd_problem, sample_params, 1.0, 5e-8, prec=1e-12, K_init=100.0, max_iter=2
-            )
+            bm.truncation_fixed_point(cd_problem, sample_params, 1.0, 5e-8, prec=1e-12)
 
     def test_postcondition_on_reference_run(self, cd_report, cd_problem):
         # (1/2 pi) ||uhat z'|| e^{Re z(c pi) t} must land within a factor 2

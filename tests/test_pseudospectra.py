@@ -108,20 +108,20 @@ class TestEvaluationCount:
         opts = bm.SolveOptions(z_l=-40.0, z_r=0.09)
         prep = bm.prepare_contour(cd_problem, 1.0, 1.0, 5e-8, opts)
         assert prep.grid.spec.n_pts == 100
-        assert 0 < prep.grid.evaluator.bounds <= 133
+        assert 0 < prep.grid.evaluator.bounds <= 80
         assert eval_count() == 0
 
     def test_pruned_bs_window(self, bs_problem):
-        # One bound certifies most of each column above the real axis; one
-        # bound per visited node made 1,168.
+        # One bound certifies the rest of each column above the real axis
+        # (119 bounds); one bound per visited node made 1,168.
         prep = bm.prepare_contour(bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
         assert prep.grid.evaluator.evaluations <= 80
-        assert prep.grid.evaluator.bounds <= 500
+        assert prep.grid.evaluator.bounds <= 130
 
     def test_bs_window_work(self, bs_problem, monkeypatch):
-        # The column walk's bounds are reused by the scan, so no shift is
-        # bounded twice (33 of 456 grid bounds were repeats when a binary
-        # search probed the column; 281 bounds in all now). Most evaluated
+        # The walk visits each node at most once, so no shift is bounded
+        # twice, and it leaves each column at its first certifying bound
+        # (119 grid bounds; 281 when a row scan certified columns). Most evaluated
         # nodes sit at the round-off floor and stop after two Lanczos steps
         # (151 grid steps; 218 with the difference test alone), and the
         # bound settles most z_r bracket tests (29 steps; 85 without it).
@@ -138,16 +138,18 @@ class TestEvaluationCount:
         (z_r_ev,) = [ev for ev in bounded if ev is not grid_ev]
         for shifts in bounded.values():
             assert len(set(shifts)) == len(shifts)
-        assert len(bounded[grid_ev]) == grid_ev.bounds <= 300
+        assert len(bounded[grid_ev]) == grid_ev.bounds <= 130
         assert grid_ev.lanczos_steps <= 160
         assert z_r_ev.lanczos_steps <= 32
 
 
 def _reference_scan(A, spec, levels):
-    """compute_grid's pruned scan, node by node: it visits every upper-half
-    node, tries the comparison-matrix bound before it evaluates, and lets
-    each value raise the bound of every node in the grid.
-    Returns the grid values (NaN where skipped) and the evaluation count."""
+    """compute_grid's pruned walk, node by node: it visits the upper-half
+    columns left to right and each column from the bottom up, tries the
+    comparison-matrix bound before it evaluates, lets each value raise the
+    bound of every node in the grid, and leaves a column at its first
+    certifying bound from the first row above every Im t_ii.
+    Returns the grid values (NaN where skipped) and the evaluator."""
     ev = SigmaMinEvaluator(A)
     xs, ys = spec.xs, spec.ys
     sigma = np.full((spec.n_pts, spec.n_pts), np.nan)
@@ -156,37 +158,60 @@ def _reference_scan(A, spec, levels):
     with np.errstate(over="ignore"):
         theta = np.max([eps * np.exp(xs * t) for eps, t in levels], axis=0)
     bound = np.full(nodes.shape, -np.inf)
-    for r in range(rows.size - 1, -1, -1):
-        for ix in range(xs.size):
+    r_up = np.searchsorted(ys[rows], max(ev.schur_diagonal.imag.max(), 0.0))
+    for ix in range(xs.size):
+        for r in range(rows.size):
             if bound[r, ix] > theta[ix]:
                 continue
             s_low = ev.lower_bound(nodes[r, ix]) * (1.0 - _CERTIFY_SLACK) - ev.abs_error
-            if s_low <= theta[ix]:
+            certified = s_low > theta[ix]
+            if not certified:
                 s = sigma[rows[r], ix] = ev(nodes[r, ix])
                 s_low = s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
             np.maximum(bound, s_low - np.abs(nodes - nodes[r, ix]), out=bound)
+            if certified and r >= r_up:
+                break
     for eps, t in levels:
         inside = _level_values(sigma[rows], xs, t) >= -np.log(eps)
         for ix in np.flatnonzero(inside.any(axis=0)):
             above = np.flatnonzero(inside[:, ix])[-1] + 1
             if above < rows.size and np.isnan(sigma[rows[above], ix]):
                 sigma[rows[above], ix] = ev(nodes[above, ix])
-    return sigma, ev.evaluations
+    return sigma, ev
+
+
+def _block_operator():
+    """16 x 16, real and non-normal: eigenvalues -1 - k/2 +- (1 + 0.4 k) i for
+    k = 0, 2, ..., 14 in 2 x 2 blocks, and 30 on the second superdiagonal."""
+    A = 30.0 * np.eye(16, k=2)
+    for k in range(0, 16, 2):
+        re, im = -1.0 - k / 2, 1.0 + 0.4 * k
+        A[k : k + 2, k : k + 2] = [[re, im], [-im, re]]
+    return bm.Operator(A)
 
 
 class TestPrunedScan:
-    """The scan visits only uncertified nodes and updates bounds near each
-    value; it must evaluate exactly the nodes the node-by-node scan does."""
+    """The walk visits only uncertified nodes and updates bounds near each
+    value; it must evaluate and bound exactly the nodes the node-by-node
+    walk does, and give the full grid's level curves."""
 
     @staticmethod
     def check(A, spec, levels):
-        want, count = _reference_scan(A, spec, levels)
+        want, ref = _reference_scan(A, spec, levels)
         grid = bm.compute_grid(A, spec, levels)
         np.testing.assert_array_equal(np.isnan(grid.sigma_min), np.isnan(want))
-        assert grid.evaluator.evaluations == count
+        assert grid.evaluator.evaluations == ref.evaluations
+        assert grid.evaluator.bounds == ref.bounds
         # Same nodes, so the same values: each one depends on z alone.
         np.testing.assert_array_equal(grid.sigma_min, want)
-        return count
+        # The curves read only in-set nodes, which no bound certifies, and
+        # the node above each column's topmost one: the walk's order and
+        # its skipped nodes cannot move them.
+        full = bm.compute_grid(A, spec)
+        for eps, t in levels:
+            np.testing.assert_array_equal(bm.level_curve(grid, eps, t).ys,
+                                          bm.level_curve(full, eps, t).ys)
+        return ref.evaluations
 
     @pytest.mark.parametrize("case, count", [("cd", 0), ("bs", 69), ("bs-pseudo", 71)])
     def test_solver_grids(self, case, count, cd_problem, bs_problem):
@@ -217,6 +242,16 @@ class TestPrunedScan:
             count = self.check(A, spec, levels)
             pruned += count < np.count_nonzero(spec.ys >= 0.0) * spec.n_pts
         assert pruned >= 5
+
+    def test_rows_below_an_eigenvalue(self):
+        # The eigenvalues reach Im 6.6, so 12 of the 20 upper rows of this
+        # box (bromell pseudo's at --zr 0.5, grid 40) lie below r_up, where
+        # a certifying bound does not end a column.
+        A = _block_operator()
+        spec = bm.GridSpec(-41.0, 0.5, -10.375, 10.375, 40)
+        r_up = np.searchsorted(spec.ys[spec.ys >= 0.0], np.diag(A.schur_factor).imag.max())
+        assert r_up == 12
+        assert self.check(A, spec, ((1e-6, 1.0), (1e-9, 0.0))) == 12
 
 
 @pytest.fixture()
@@ -336,8 +371,8 @@ class TestSigmaMinEvaluator:
     def test_lower_bound_grows_up_a_column(self, n, seed, x, above, rise):
         # Above every Im t_ii, raising y moves z away from every eigenvalue,
         # so the comparison matrix's diagonal grows and its inverse shrinks
-        # entrywise: the bound can only grow. The grid scan certifies whole
-        # column stretches on this.
+        # entrywise: the bound can only grow. The grid walk leaves a column
+        # at its first certifying bound on this.
         rng = np.random.default_rng(seed)
         T = 10.0 * np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1)
         T += np.diag(3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))

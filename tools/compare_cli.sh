@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-compare thirteen bromell CLI runs between a git revision and the working tree.
+# Byte-compare fourteen bromell CLI runs between a git revision and the working tree.
 #
 #   tools/compare_cli.sh <rev>
 #
@@ -45,6 +45,22 @@ grid=30
 validate=true
 CONF
 
+# The fourteenth run reads this operator: 16 x 16, real and non-normal, with
+# 2 x 2 blocks [[re, im], [-im, re]] (re = -1 - k/2, im = 1 + 0.4 k for
+# k = 0, 2, ..., 14) and 30 on the second superdiagonal. Its eigenvalues reach
+# Im 6.6, so the grid's lowest twelve upper rows lie below one of them.
+awk 'BEGIN {
+    print "%%MatrixMarket matrix coordinate real general"
+    print "16 16 46"
+    for (k = 0; k < 16; k += 2) {
+        re = -1 - k / 2; im = 1 + 0.4 * k; i = k + 1  # rows count from 1
+        printf "%d %d %.17g\n%d %d %.17g\n", i, i, re, i, i + 1, im
+        printf "%d %d %.17g\n%d %d %.17g\n", i + 1, i, -im, i + 1, i + 1, re
+    }
+    for (i = 1; i <= 14; i++) print i, i + 2, 30
+}' >"$work/block.mtx"
+printf '1\n%.0s' $(seq 16) >"$work/block_u0.txt"
+
 CD="--problem cd:d=400,n=64 --t 1 --tol 5e-8 --zl -40"
 BS="--problem bs --t 1 --tol 5e-6 --zl -40"
 WIN="--problem bs --t0 1 --t1 10 --tol 5e-8"
@@ -53,7 +69,8 @@ WIN="--problem bs --t0 1 --t1 10 --tol 5e-8"
 # The eleventh run parses non-default problem parameters. The twelfth leaves
 # out --times, so window samples its five default times (numpy floats). The
 # thirteenth is perfbench's window plan (grid 50), whose t=10 end the
-# plan's round-off margin moves.
+# plan's round-off margin moves. The fourteenth's grid has rows below an
+# eigenvalue, which the grid walks up without leaving a column early.
 RUNS=(
     "cd-solve|solve $CD --zr 0.09 --grid 40 --validate"
     "cd-convergence|convergence $CD --zr 0.09 --grid 30 --validate"
@@ -68,6 +85,7 @@ RUNS=(
     "bs-solve-params|solve --problem bs:n=120,sigma=0.1,K=90 --t 1 --tol 5e-6 --zl -40 --grid 30 --validate"
     "bs-window-default-times|window $WIN"
     "bs-window-grid50|window $WIN --grid 50 --times 1,10 --validate"
+    "block-pseudo|pseudo --problem file --matrix $work/block.mtx --u0 $work/block_u0.txt --t 1 --tol 1e-8 --zr 0.5 --eps1 1e-6 --eps2 1e-9 --grid 40"
 )
 
 run_side() {  # run_side <src dir> <output root>
