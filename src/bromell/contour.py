@@ -33,8 +33,8 @@ _TRUNCATION_MAX_ITER = 50
 _FEASIBILITY_SAMPLES = 10
 
 
-def _ellipse_form(p: complex, z_l: float, A: float, B: float) -> float:
-    """(Re p - z_l)^2 / A^2 + (Im p)^2 / B^2; at most 1 inside the (A, B) ellipse at z_l."""
+def _ellipse_form(p, z_l: float, A: float, B: float):
+    """(Re p - z_l)^2 / A^2 + (Im p)^2 / B^2 per point of p; <= 1 inside the (A, B) ellipse."""
     return (p.real - z_l) ** 2 / A**2 + p.imag**2 / B**2
 
 
@@ -88,20 +88,8 @@ class InnerEllipse:
         return self.z_l + self.semi_major * np.cos(theta) + 1j * self.semi_minor * np.sin(theta)
 
 
-def _first_violation(points, z_l, A, B):
-    """First of ``points`` outside the (A, B) ellipse, or None.
-
-    Callers pass the points sorted by decreasing real part, so this is the
-    rightmost offender.
-    """
-    for p in points:
-        if _ellipse_form(p, z_l, A, B) > 1.0 + ENCLOSE_SLACK:
-            return p
-    return None
-
-
 def build_inner_ellipse(phi, z_l: float, z_r: float) -> InnerEllipse:
-    """Shrink a circle around the singularity set into the tightest ellipse.
+    """Shrink the circle around the singularity set phi into the tightest ellipse.
 
     Starting from the circle of radius z_r - z_l centered at z_l, candidate
     ellipses through z_r with right focus at successive points of the
@@ -109,43 +97,33 @@ def build_inner_ellipse(phi, z_l: float, z_r: float) -> InnerEllipse:
     candidate that still encloses every point of phi is kept. The candidates
     share their center and horizontal semi-axis while the vertical one
     shrinks as the focus moves right, so they are nested and the first
-    violating candidate is found by bisection.
-    The returned passing point d + i r reports where the accepted ellipse
-    clears the rightmost point that the next candidate leaves out.
+    violating candidate is found by bisection, each test one
+    ``_ellipse_form`` over the array phi. The returned passing point d + i r
+    reports where the accepted ellipse clears the rightmost point that the
+    next candidate leaves out (of equal real parts, the first in phi). A
+    point outside the circle raises: every wider ellipse of the family is
+    taller than wide, which contour_from_a rejects.
     """
-    points = [complex(p) for p in phi]
-    if not points:
+    phi = np.asarray(phi, dtype=complex).ravel()
+    if not phi.size:
         raise GeometryError("singularity set is empty")
     if not z_l < z_r:
         raise GeometryError("need z_l < z_r")
     A = z_r - z_l
-    ordered = sorted(points, key=lambda q: -q.real)
 
-    circle_violation = _first_violation(ordered, z_l, A, A)
-    if circle_violation is not None:
-        # Even the circle fails: pass just above the worst offender and widen
-        # until everything fits.
-        worst = max(points, key=lambda q: abs(q.imag))
-        if abs(worst.imag) == 0.0:
-            raise GeometryError(
-                f"point {worst} lies outside the strip circle on the real axis; "
-                "increase z_r"
-            )
-        d = worst.real
-        if abs(d - z_l) >= A:
-            raise GeometryError(
-                f"offending point {worst} is horizontally outside the reachable "
-                "ellipse family; increase z_r"
-            )
-        eps = 0.05 * abs(worst.imag)
-        for _ in range(80):
-            r = abs(worst.imag) + eps
-            B = r / math.sqrt(1.0 - ((d - z_l) / A) ** 2)
-            if _first_violation(ordered, z_l, A, B) is None:
-                return InnerEllipse(z_l, z_r, d, r)
-            eps *= 2.0
-        raise GeometryError("could not enclose the singularity set; increase z_r")
+    def outside(B):
+        return _ellipse_form(phi, z_l, A, B) > 1.0 + ENCLOSE_SLACK
 
+    def rightmost(mask):
+        """The rightmost point of phi where mask holds; of equal real parts, the first."""
+        return complex(phi[np.argmax(np.where(mask, phi.real, -np.inf))])
+
+    circle = outside(A)
+    if circle.any():
+        raise GeometryError(
+            f"point {rightmost(circle)} lies outside the circle of radius "
+            f"z_r - z_l = {A} about z_l = {z_l}; increase z_r"
+        )
     foci = np.linspace(z_l, z_r, _M_ELL)[1:-1]
 
     def semi_minor(j):
@@ -159,15 +137,15 @@ def build_inner_ellipse(phi, z_l: float, z_r: float) -> InnerEllipse:
     lo, hi = 0, foci.size
     while lo < hi:
         mid = (lo + hi) // 2
-        if _first_violation(ordered, z_l, A, semi_minor(mid)) is None:
-            lo = mid + 1
-        else:
+        if outside(semi_minor(mid)).any():
             hi = mid
+        else:
+            lo = mid + 1
     prev_B = semi_minor(lo - 1)
     if lo == foci.size:
         # Even the most eccentric candidate encloses everything.
         return InnerEllipse(z_l, z_r, z_l, prev_B)
-    d = _first_violation(ordered, z_l, A, semi_minor(lo)).real
+    d = rightmost(outside(semi_minor(lo))).real
     r = prev_B * math.sqrt(max(0.0, 1.0 - ((d - z_l) / A) ** 2))
     return InnerEllipse(z_l, z_r, d, r)
 

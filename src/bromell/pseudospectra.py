@@ -369,11 +369,12 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
     shrinks entrywise and the bound grows. The first bound that certifies a
     node from that row on therefore certifies every row above it, and the
     walk leaves the column there. The node directly above each column's
-    topmost in-set node is evaluated as well, because level_curve
-    interpolates against it. Every other node, the lower rows included, is
-    NaN, which level_curve reads as outside; ``PseudoGrid.completed``
-    evaluates them. No rigorous bound certifies an in-set node, so the order
-    of the walk moves no curve. Without levels every node is evaluated.
+    topmost in-set node (``_topmost_inside``, which level_curve reads too)
+    is evaluated as well, because level_curve interpolates against it.
+    Every other node, the lower rows included, is NaN, which level_curve
+    reads as outside; ``PseudoGrid.completed`` evaluates them. No rigorous
+    bound certifies an in-set node, so the order of the walk moves no
+    curve. Without levels every node is evaluated.
     """
     ev = SigmaMinEvaluator(as_operator(A))
     sigma = np.full((spec.n_pts, spec.n_pts), np.nan)
@@ -419,11 +420,11 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
             if certified and r >= r_up:
                 break  # this bound certifies every row above it too
     for eps, t in levels:
-        inside = _level_values(sigma[rows], xs, t) >= -np.log(eps)
-        for ix in np.flatnonzero(inside.any(axis=0)):
-            above = np.flatnonzero(inside[:, ix])[-1] + 1
-            if above < rows.size and np.isnan(sigma[rows[above], ix]):
-                sigma[rows[above], ix] = ev(nodes[above, ix])
+        above = _topmost_inside(_level_values(sigma[rows], xs, t), -np.log(eps)) + 1
+        for ix in np.flatnonzero((above > 0) & (above < rows.size)):
+            r = above[ix]
+            if np.isnan(sigma[rows[r], ix]):
+                sigma[rows[r], ix] = ev(nodes[r, ix])
 
 
 def _slackened(ev, s: float) -> float:
@@ -431,12 +432,21 @@ def _slackened(ev, s: float) -> float:
     return s * (1.0 - _CERTIFY_SLACK) - ev.abs_error
 
 
+def _topmost_inside(values: np.ndarray, level_log: float) -> np.ndarray:
+    """Row of each column's topmost value >= level_log, or -1 where none is (NaN is outside)."""
+    rows = np.arange(values.shape[0])[:, None]
+    return np.where(values >= level_log, rows, -1).max(axis=0)
+
+
 def level_curve(grid: PseudoGrid, eps: float, t: float = 0.0) -> LevelCurve:
     """Topmost height per column where e^{x t} / sigma_min crosses 1/eps.
 
-    Columns are scanned downward from the top of the (upper-half) box; the
-    crossing is located by linear interpolation between the bracketing nodes.
-    t = 0 gives the plain resolvent-norm level curve.
+    Each column's topmost node at or above the level in the upper half of
+    the box is found by ``_topmost_inside``; the crossing is located by
+    linear interpolation between that node and the one above it, all
+    columns at once. A column whose topmost such node is the box's top row
+    gets the top's height, and one with none gets 0. t = 0 gives the plain
+    resolvent-norm level curve.
     """
     if eps <= 0:
         raise ValueError("need eps > 0")
@@ -447,25 +457,17 @@ def level_curve(grid: PseudoGrid, eps: float, t: float = 0.0) -> LevelCurve:
         raise GeometryError("grid box does not reach the upper half plane")
     yu = ys[upper]  # ascending: GridSpec.ys is a linspace from y_min < y_max
     level_log = -np.log(eps)
-    heights = np.zeros(xs.shape[0])
     values = _level_values(grid.sigma_min[upper, :], xs, t)
-    for ix in range(xs.size):
-        logv = values[:, ix]
-        above = logv >= level_log
-        if not above.any():
-            continue  # stays at 0: level never attained in this column
-        k = np.max(np.where(above)[0])  # topmost node at/above the level
-        if k == yu.size - 1:
-            heights[ix] = yu[-1]  # attained at the box edge already
-            continue
-        v_lo = np.exp(logv[k])
-        v_hi = np.exp(logv[k + 1])
-        L = np.exp(min(level_log, _LOG_CAP))
-        if v_lo == v_hi:
-            heights[ix] = yu[k]
-        else:
-            frac = (v_lo - L) / (v_lo - v_hi)
-            heights[ix] = yu[k] + frac * (yu[k + 1] - yu[k])
+    top = _topmost_inside(values, level_log)
+    heights = np.where(top == yu.size - 1, yu[-1], 0.0)  # attained at the box edge
+    cols = np.flatnonzero((top >= 0) & (top < yu.size - 1))
+    k = top[cols]
+    v_lo = np.exp(values[k, cols])
+    v_hi = np.exp(values[k + 1, cols])
+    L = np.exp(min(level_log, _LOG_CAP))
+    with np.errstate(divide="ignore", invalid="ignore"):  # v_lo == v_hi keeps y_k
+        frac = (v_lo - L) / (v_lo - v_hi)
+    heights[cols] = np.where(v_lo == v_hi, yu[k], yu[k] + frac * (yu[k + 1] - yu[k]))
     return LevelCurve(xs, heights, float(eps), float(t))
 
 

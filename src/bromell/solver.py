@@ -480,6 +480,10 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
     )
     if not z_l < z_r:
         raise StageError("box", GeometryError(f"z_l = {z_l} must be < z_r = {z_r}"))
+    poles = problem.singularities
+    for pole in poles:
+        if pole.real >= z_r:
+            raise StageError("box", GeometryError(f"source pole {pole} is not left of z_r = {z_r}"))
     strip_eigs = [complex(v) for v in eigs if z_l <= v.real <= z_r]
     eig_reach = max((abs(v.imag) for v in strip_eigs), default=0.0)
     ymax = max(1.0, 0.25 * (z_r - z_l), 1.2 * eig_reach)
@@ -489,17 +493,12 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
     c1 = _stage("curves", level_curve, grid, *levels[0])
     c2 = _stage("curves", level_curve, grid, *levels[1])
     crit = _stage("curves", critical_curve, c1, c2)
-    for pole in problem.singularities:
-        if pole.real >= z_r:
-            raise StageError(
-                "box",
-                GeometryError(f"source pole {pole} is not left of z_r = {z_r}"),
-            )
     # Upper-half-plane representatives of everything the ellipse must
-    # enclose: curve points, then eigenvalues, then source poles.
-    # build_inner_ellipse's stable sort and max tie-break read this order.
-    curve = [complex(x, y) for x, y in zip(crit.xs, crit.ys)]
-    phi = [complex(p.real, abs(p.imag)) for p in (*curve, *strip_eigs, *problem.singularities)]
+    # enclose: curve points, then eigenvalues, then source poles. Only
+    # build_inner_ellipse's tie rule (of equal real parts, the first) reads
+    # this order.
+    phi = np.concatenate((crit.xs.astype(complex), strip_eigs, poles))
+    phi.imag = np.abs(np.concatenate((crit.ys, np.imag(strip_eigs), np.imag(poles))))
     inner = _stage("inner-ellipse", build_inner_ellipse, phi, z_l, z_r)
     a = _stage("optimize-a", optimize_a, inner, t_opt, tol)
     params = _stage("contour", contour_from_a, inner, a)
@@ -553,9 +552,10 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
     meets tol ('t Hout & Weideman, SIAM J. Sci. Comput. 33, 2011). It is
     kept when no a > 0 meets that, when the condition number is infinite,
     or when the lower a would need more than opts.n_max nodes at t1.
-    t0, t1 and opts.prec must be finite and positive with t0 <= t1, and
-    opts.n_max at least 2; these and prepare_contour's checks run before any
-    stage. The plan keeps opts for every later evaluation.
+    t0, t1 and opts.prec must be finite and positive with t0 <= t1,
+    opts.n_max at least 2, and u0 or a source vector nonzero (else u(t) = 0);
+    these and prepare_contour's checks run before any stage. The plan keeps
+    opts for every later evaluation.
     """
     if not 0 < t0 <= t1 < math.inf:
         raise ValueError("need 0 < t0 <= t1 < inf")
@@ -564,6 +564,8 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
         raise ValueError(f"need finite prec > 0, got {opts.prec}")
     if not opts.n_max >= 2:
         raise ValueError(f"need n_max >= 2, got {opts.n_max}")
+    if not (problem.u0.any() or any(term.vector.any() for term in problem.source_terms)):
+        raise ValueError("u0 and every source vector are zero, so u(t) = 0: nothing to invert")
     prep = prepare_contour(problem, t0, t1, tol, opts)
     inner, params = prep.inner, prep.contour
     # Round-off margin. The forecast over the whole arc (c = 1/2) is

@@ -30,6 +30,16 @@ def run(*argv):
     return main(list(argv))
 
 
+@pytest.fixture()
+def rotation_files(tmp_path):
+    """The operator [[-1, 2], [-2, -1]] (eigenvalues -1 +- 2i) and u0 = (1, 0.5)."""
+    mpath = tmp_path / "rotation.mtx"
+    upath = tmp_path / "rotation_u0.txt"
+    bm.save_operator(mpath, np.array([[-1.0, 2.0], [-2.0, -1.0]]))
+    bm.save_vector(upath, [1.0, 0.5])
+    return str(mpath), str(upath)
+
+
 class TestHelp:
     def test_stated_defaults_match_solve_options(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # one line per option
@@ -126,6 +136,31 @@ class TestSolveCommand:
         assert "stage" not in err
         assert stages == []
         assert not (tmp_path / "o").exists()
+
+    def test_eigenvalue_outside_the_circle_names_the_fix(self, rotation_files, tmp_path, capsys):
+        # The default z_r sits just right of Re(-1 +- 2i), so the circle of
+        # radius z_r - z_l about z_l = -41 passes below the eigenvalue.
+        mpath, upath = rotation_files
+        argv = ["solve", "--problem", "file", "--matrix", mpath, "--u0", upath,
+                "--t", "1", "--tol", "1e-8"]
+        code = run(*argv, "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "stage 'inner-ellipse'" in err
+        assert "increase z_r" in err
+        out = tmp_path / "wide"
+        assert run(*argv, "--zr", "0.5", "--out", str(out)) == 0
+        assert "N_final=36" in (out / "report.txt").read_text().splitlines()
+
+    def test_zero_data_rejected_before_any_stage(self, rotation_files, tmp_path, capsys):
+        mpath, _ = rotation_files
+        argv = ["--problem", "file", "--matrix", mpath, "--t", "1", "--tol", "1e-8", "--zr", "0.5"]
+        code = run("solve", *argv, "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "u(t) = 0" in err
+        assert "stage" not in err
+        assert run("pseudo", *argv, "--out", str(tmp_path / "p")) == 0
 
     def test_deterministic_outputs(self, diag_files, tmp_path):
         mpath, upath = diag_files

@@ -127,16 +127,26 @@ class TestBuildInnerEllipse:
         assert all(inner.encloses(p) for p in phi)
 
     def test_enclosure_of_random_clouds(self, monkeypatch):
+        # A cloud inside the circle of radius z_r - z_l is enclosed; one with
+        # a point outside it raises, since no ellipse of the family reaches it.
         monkeypatch.setattr(contour, "_M_ELL", 500)
         rng = np.random.default_rng(23)
+        z_l, z_r = -5.0, 0.3
+        outcomes = set()
         for _ in range(10):
-            z_l, z_r = -5.0, 0.3
             pts = [
                 complex(rng.uniform(z_l, z_r), abs(rng.normal(0, 0.8)))
                 for _ in range(40)
             ]
-            inner = bm.build_inner_ellipse(pts, z_l, z_r)
-            assert all(inner.encloses(p, slack=1e-9) for p in pts)
+            in_circle = all(abs(p - z_l) <= z_r - z_l for p in pts)
+            outcomes.add(in_circle)
+            if in_circle:
+                inner = bm.build_inner_ellipse(pts, z_l, z_r)
+                assert all(inner.encloses(p, slack=1e-9) for p in pts)
+            else:
+                with pytest.raises(GeometryError, match="outside the circle.*increase z_r"):
+                    bm.build_inner_ellipse(pts, z_l, z_r)
+        assert outcomes == {True, False}
 
     def test_circle_fallback_when_second_candidate_fails(self):
         # A point squeezed between the circle and the very first candidate
@@ -151,13 +161,18 @@ class TestBuildInnerEllipse:
         assert inner.r == pytest.approx(1.0, abs=1e-12)  # on the unit circle
 
     def test_escape_point_above_circle(self):
-        # A singularity outside the circle triggers the pass-just-above rule.
+        # Every wider ellipse of the family is taller than wide, which
+        # contour_from_a rejects, so a point above the circle ends the stage.
         z_l, z_r = -2.0, 0.5
-        outlier = complex(-1.0, 3.0)
-        inner = bm.build_inner_ellipse([outlier, -1.0 + 0.1j], z_l, z_r)
-        assert inner.d == -1.0
-        assert inner.r >= 3.0
-        assert inner.encloses(outlier)
+        with pytest.raises(GeometryError, match=r"point \(-1\+3j\) lies outside .* increase z_r"):
+            bm.build_inner_ellipse([-1.0 + 0.1j, complex(-1.0, 3.0)], z_l, z_r)
+        # The default z_r of this operator sits just right of Re(-1 +- 2i),
+        # so the circle about z_l = -41 passes below the eigenvalue.
+        A = bm.Operator(np.array([[-1.0, 2.0], [-2.0, -1.0]]))
+        problem = bm.LaplaceProblem(A, np.array([1.0, 0.5]))
+        with pytest.raises(bm.StageError, match=r"\(-1\+2j\) .* increase z_r") as info:
+            bm.prepare_contour(problem, 1.0, 1.0, 1e-8)
+        assert info.value.stage == "inner-ellipse"
 
     def test_real_axis_outlier_is_an_error(self):
         with pytest.raises(GeometryError, match="increase z_r"):
@@ -185,6 +200,30 @@ class TestBuildInnerEllipse:
                 for _ in range(int(rng.integers(1, 60)))
             ]
             pts = [p for p in pts if abs(p - z_l) < A] or [complex(z_l, 0.0)]
+            monkeypatch.setattr(contour, "_M_ELL", m_ell)
+            got = bm.build_inner_ellipse(pts, z_l, z_r)
+            assert got == _linear_scan_ellipse(pts, z_l, z_r, m_ell), trial
+
+    def test_shared_real_parts_match_linear_scan(self, monkeypatch):
+        # Points with equal real parts: the stable sort keeps phi's order, so
+        # the passing point's d is the first listed offender, signed zero too.
+        z_l, z_r = -1.0, 0.5
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            pts = [complex(first, 1.0), complex(second, 1.0), complex(-0.5, 0.2)]
+            got, want = bm.build_inner_ellipse(pts, z_l, z_r), _linear_scan_ellipse(pts, z_l, z_r)
+            assert got == want
+            assert math.copysign(1.0, got.d) == math.copysign(1.0, want.d)
+            assert math.copysign(1.0, got.d) == math.copysign(1.0, first)
+        rng = np.random.default_rng(37)
+        z_l, z_r = -5.0, 0.3
+        for trial in range(20):
+            m_ell = int(rng.choice([3, 17, 200, 1000]))
+            columns = rng.uniform(z_l, z_r, int(rng.integers(1, 6)))
+            pts = [
+                complex(rng.choice(columns), rng.uniform(0.0, 2.0))
+                for _ in range(int(rng.integers(2, 40)))
+            ]
+            pts = [p for p in pts if abs(p - z_l) < z_r - z_l] or [complex(z_l, 0.0)]
             monkeypatch.setattr(contour, "_M_ELL", m_ell)
             got = bm.build_inner_ellipse(pts, z_l, z_r)
             assert got == _linear_scan_ellipse(pts, z_l, z_r, m_ell), trial

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import bromell as bm
 from bromell.errors import GeometryError
-from bromell.pseudospectra import _CERTIFY_SLACK, SigmaMinEvaluator, _level_values
+from bromell.pseudospectra import _CERTIFY_SLACK, _LOG_CAP, SigmaMinEvaluator, _level_values
 
 
 def make_grid(entries, box, n=24):
@@ -563,7 +563,85 @@ class TestSigmaMinEvaluator:
             assert abs(up - down) <= _export_bound(max(up, down), A)
 
 
+def _reference_level_curve(grid, eps, t):
+    """Heights of level_curve(grid, eps, t) found column by column, one scalar at a time."""
+    yu = grid.ys[grid.ys >= 0.0]
+    level_log = -np.log(eps)
+    heights = np.zeros(grid.xs.size)
+    values = _level_values(grid.sigma_min[grid.ys >= 0.0, :], grid.xs, t)
+    for ix in range(grid.xs.size):
+        logv = values[:, ix]
+        above = logv >= level_log
+        if not above.any():
+            continue
+        k = np.max(np.where(above)[0])
+        if k == yu.size - 1:
+            heights[ix] = yu[-1]
+            continue
+        v_lo = np.exp(logv[k])
+        v_hi = np.exp(logv[k + 1])
+        L = np.exp(min(level_log, _LOG_CAP))
+        if v_lo == v_hi:
+            heights[ix] = yu[k]
+        else:
+            heights[ix] = yu[k] + (v_lo - L) / (v_lo - v_hi) * (yu[k + 1] - yu[k])
+    return heights
+
+
+def _random_level_grid(rng, n):
+    """A PseudoGrid of random sigma on an n-point box reaching y = 1, and its level eps.
+
+    Some columns are all NaN, some cross the level at the top row, and some
+    straddle it with adjacent doubles whose e^{-log sigma} round to one value.
+    """
+    spec = bm.GridSpec(-2.0, 0.5, -float(rng.choice([0.0, 0.5, 1.0])), 1.0, n)
+    eps = 0.99853  # e^{-log} of it and of the next double up are equal
+    sigma = eps * np.exp(rng.normal(0.0, 0.5, (n, n)))
+    sigma[rng.random((n, n)) < 0.1] = np.nan
+    cols = rng.permutation(n)
+    sigma[:, cols[:2]] = np.nan
+    sigma[-1, cols[2:4]] = 0.5 * eps
+    for ix in cols[4:8]:
+        k = int(rng.integers(n - 1))
+        sigma[: k + 1, ix] = eps
+        sigma[k + 1 :, ix] = np.nextafter(eps, 2.0)
+    return bm.PseudoGrid(spec, sigma), eps
+
+
 class TestLevelCurve:
+    def test_matches_reference_on_pipeline_grids(self, cd_problem, bs_problem):
+        cases = [
+            (cd_problem, 1.0, 1.0, 5e-8, bm.SolveOptions(z_l=-40.0, z_r=0.09)),
+            (bs_problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50)),
+            (bs_problem, 1.0, 1.0, 5e-6, bm.SolveOptions(z_l=-40.0, z_r=0.05, grid_pts=50)),
+        ]
+        crossed = []  # the cd recipe's curves are 0: its grid evaluates no node
+        for problem, t_weight, t_opt, tol, opts in cases:
+            grid = bm.prepare_contour(problem, t_weight, t_opt, tol, opts).grid
+            for eps, t in ((opts.eps1, t_weight), (opts.eps2, 0.0)):
+                want = _reference_level_curve(grid, eps, t)
+                crossed.append(np.count_nonzero(want))
+                np.testing.assert_array_equal(bm.level_curve(grid, eps, t).ys, want)
+        assert all(crossed[2:])
+        full = grid.completed()  # the bs-pseudo box, every node evaluated
+        for eps, t in ((opts.eps1, t_weight), (opts.eps2, 0.0)):
+            np.testing.assert_array_equal(bm.level_curve(full, eps, t).ys,
+                                          _reference_level_curve(full, eps, t))
+
+    def test_matches_reference_on_random_grids(self):
+        rng = np.random.default_rng(41)
+        flat = top = 0
+        for trial in range(40):
+            grid, eps = _random_level_grid(rng, int(rng.integers(8, 30)))
+            for t in (0.0, 0.0, float(rng.uniform(-1.0, 1.0))):
+                want = _reference_level_curve(grid, eps, t)
+                got = bm.level_curve(grid, eps, t).ys
+                np.testing.assert_array_equal(got, want, err_msg=str(trial))
+                at_node = np.isin(want, grid.ys)
+                flat += np.count_nonzero((want > 0.0) & at_node & (want < grid.ys[-1]))
+                top += np.count_nonzero(want == grid.ys[-1])
+        assert flat > 0 and top > 0  # heights at interior nodes (equal values) and at the top
+
     def test_normal_matrix_circle(self):
         # For A = -1 the plain level set |z + 1| = 1/2 is a circle; column
         # heights must follow sqrt(1/4 - (x+1)^2).

@@ -333,6 +333,32 @@ class TestSolvePipeline:
         with pytest.raises(StageError, match="box"):
             bm.solve(scalar_problem, 1.0, 1e-6, bm.SolveOptions(z_l=1.0, z_r=0.5, grid_pts=16))
 
+    def test_pole_right_of_z_r_fails_before_the_grid(self, monkeypatch, bs_problem):
+        def grid_ran(*_args):
+            raise AssertionError("the grid stage ran")
+
+        monkeypatch.setattr(solver, "compute_grid", grid_ran)
+        opts = bm.SolveOptions(z_l=-40.0, z_r=-0.01)
+        with pytest.raises(StageError, match="source pole .* is not left of z_r = -0.01") as info:
+            bm.prepare_contour(bs_problem, 1.0, 1.0, 5e-6, opts)
+        assert info.value.stage == "box"
+
+    @pytest.mark.parametrize("terms", [(), (bm.SourceTerm(np.zeros(2), 0.5),)])
+    def test_zero_data_rejected_before_any_stage(self, monkeypatch, terms):
+        # u0 = 0 and no nonzero source: u(t) = 0, and the truncation stage
+        # would take log(tol / 0).
+        def stage_ran(*_args):
+            raise AssertionError("a pipeline stage ran")
+
+        A = bm.Operator(np.array([[-1.0, 2.0], [-2.0, -1.0]]))
+        problem = bm.LaplaceProblem(A, np.zeros(2), terms)
+        monkeypatch.setattr(solver, "eigenvalues", stage_ran)
+        opts = bm.SolveOptions(z_r=0.5)
+        with pytest.raises(ValueError, match=r"u\(t\) = 0"):
+            bm.solve(problem, 1.0, 1e-8, opts)
+        with pytest.raises(ValueError, match=r"u\(t\) = 0"):
+            bm.plan_window(problem, 1.0, 2.0, 1e-8, opts)
+
     def test_diagonal_decay_solution(self, diag_problem):
         report = bm.solve(diag_problem, 2.0, 1e-9, bm.SolveOptions(grid_pts=24, validate=True))
         exact = np.array([math.exp(-2.0), math.exp(-4.0)])

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-compare fourteen bromell CLI runs between a git revision and the working tree.
+# Byte-compare sixteen bromell CLI runs between a git revision and the working tree.
 #
 #   tools/compare_cli.sh <rev>
 #
@@ -61,6 +61,16 @@ awk 'BEGIN {
 }' >"$work/block.mtx"
 printf '1\n%.0s' $(seq 16) >"$work/block_u0.txt"
 
+# The last two runs read the 2 x 2 operator [[-1, 2], [-2, -1]], whose
+# eigenvalues -1 +- 2i lie outside the circle about z_l that the default z_r
+# allows, and u0 = (1, 0.5).
+awk 'BEGIN {
+    print "%%MatrixMarket matrix coordinate real general"
+    print "2 2 4"
+    print "1 1 -1\n1 2 2\n2 1 -2\n2 2 -1"
+}' >"$work/rotation.mtx"
+printf '1\n0.5\n' >"$work/rotation_u0.txt"
+
 CD="--problem cd:d=400,n=64 --t 1 --tol 5e-8 --zl -40"
 BS="--problem bs --t 1 --tol 5e-6 --zl -40"
 WIN="--problem bs --t0 1 --t1 10 --tol 5e-8"
@@ -70,7 +80,9 @@ WIN="--problem bs --t0 1 --t1 10 --tol 5e-8"
 # out --times, so window samples its five default times (numpy floats). The
 # thirteenth is perfbench's window plan (grid 50), whose t=10 end the
 # plan's round-off margin moves. The fourteenth's grid has rows below an
-# eigenvalue, which the grid walks up without leaving a column early.
+# eigenvalue, which the grid walks up without leaving a column early. The
+# fifteenth stops at the inner-ellipse stage, and the sixteenth, without
+# --u0, has zero data and stops before any stage.
 RUNS=(
     "cd-solve|solve $CD --zr 0.09 --grid 40 --validate"
     "cd-convergence|convergence $CD --zr 0.09 --grid 30 --validate"
@@ -86,6 +98,8 @@ RUNS=(
     "bs-window-default-times|window $WIN"
     "bs-window-grid50|window $WIN --grid 50 --times 1,10 --validate"
     "block-pseudo|pseudo --problem file --matrix $work/block.mtx --u0 $work/block_u0.txt --t 1 --tol 1e-8 --zr 0.5 --eps1 1e-6 --eps2 1e-9 --grid 40"
+    "rotation-solve-default-zr|solve --problem file --matrix $work/rotation.mtx --u0 $work/rotation_u0.txt --t 1 --tol 1e-8"
+    "rotation-solve-zero-data|solve --problem file --matrix $work/rotation.mtx --t 1 --tol 1e-8 --zr 0.5"
 )
 
 run_side() {  # run_side <src dir> <output root>
