@@ -20,7 +20,7 @@ print(f"source poles: {problem.singularities}")
 # Stage 1: resolvent-norm landscape and the critical curve.
 opts = bm.SolveOptions(z_l=-40.0, z_r=0.09, prec=1e-2)
 prep = bm.prepare_contour(problem, t, t, tol, opts)
-print(f"\nstrip [{prep.z_l}, {prep.z_r}], grid {prep.grid.spec.n_pts} points per axis")
+print(f"\nstrip [{prep.inner.z_l}, {prep.inner.z_r}], grid {prep.grid.spec.n_pts} points per axis")
 print(f"bounding ellipse: center {prep.inner.z_l}, vertex {prep.inner.z_r}, "
       f"passing point {prep.inner.d:.4f} + {prep.inner.r:.4f}i")
 

@@ -46,7 +46,7 @@ print(f"CSV written to {out}/")
 
 # ASCII sketch: '#' critical curve, 'o' bounding ellipse, '*' integration arc
 cols, rows = 72, 20
-xs = np.linspace(prep.z_l, prep.contour.A1 + prep.contour.A3 + 1.0, cols)
+xs = np.linspace(prep.inner.z_l, prep.contour.A1 + prep.contour.A3 + 1.0, cols)
 ymax = 1.1 * max(prep.critical.ys.max(), prep.inner.semi_minor, prep.contour.A2)
 canvas = [[" "] * cols for _ in range(rows)]
 

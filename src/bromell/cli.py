@@ -120,18 +120,26 @@ def _require(args, *names):
         raise ValueError(f"missing required option(s): {', '.join('--' + n for n in missing)}")
 
 
-def cmd_solve(args) -> int:
+def _solve_and_write(args, *hints):
+    """solve, then report.txt and errors.csv: (report, out dir), or (None, out dir)
+    after printing a failed feasibility check and the hint lines to stderr."""
     _require(args, "t", "tol")
-    problem = build_problem(args)
-    report = solve(problem, args.t, args.tol, build_options(args))
+    report = solve(build_problem(args), args.t, args.tol, build_options(args))
     out = _out_dir(args)
     write_report(report, out / "report.txt")
     if not report.feasibility.passed:
-        print(f"feasibility check failed: {report.feasibility}", file=sys.stderr)
-        print("increase --tol or override the contour placement", file=sys.stderr)
+        for line in (f"feasibility check failed: {report.feasibility}", *hints):
+            print(line, file=sys.stderr)
+        return None, out
+    write_errors_csv(report, out / "errors.csv")
+    return report, out
+
+
+def cmd_solve(args) -> int:
+    report, out = _solve_and_write(args, "increase --tol or override the contour placement")
+    if report is None:
         return EXIT_INFEASIBLE
     problems.save_vector(out / "solution.txt", np.real_if_close(report.solution))
-    write_errors_csv(report, out / "errors.csv")
     print(
         f"N = {report.result.N}, model error = {report.result.est_error:.3e}"
         + (
@@ -161,20 +169,14 @@ def cmd_pseudo(args) -> int:
     for name, points in (("gamma_plus.csv", prep.inner.boundary_points(361)),
                          ("gamma.csv", prep.contour.arc_points(361))):
         problems.write_csv(out / name, ["x", "y"], zip(points.real, points.imag))
-    print(f"wrote grid and curves for box [{prep.z_l}, {prep.z_r}] to {out}")
+    print(f"wrote grid and curves for box [{prep.inner.z_l}, {prep.inner.z_r}] to {out}")
     return EXIT_OK
 
 
 def cmd_convergence(args) -> int:
-    _require(args, "t", "tol")
-    problem = build_problem(args)
-    report = solve(problem, args.t, args.tol, build_options(args))
-    out = _out_dir(args)
-    write_report(report, out / "report.txt")
-    if not report.feasibility.passed:
-        print(f"feasibility check failed: {report.feasibility}", file=sys.stderr)
+    report, _ = _solve_and_write(args)
+    if report is None:
         return EXIT_INFEASIBLE
-    write_errors_csv(report, out / "errors.csv")
     for N, measured, model, b in report.errors_table:
         shown = "-" if measured is None else f"{measured:.3e}"
         print(f"N = {N:5d}  measured = {shown:>10}  model = {model:.3e}  B = {b:.3e}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArccosDomainError, ConvergenceError, GeometryError
-from .numerics import resolvent_cond, transformed_solution
+from .numerics import resolvent_cond, resolvent_norms
 
 TWO_PI = 2.0 * math.pi
 # Points this far outside an ellipse's boundary still count as enclosed.
@@ -330,8 +330,7 @@ def truncation_fixed_point(
 
     def k_update(c):
         z, dz = conformal_map(params, c * math.pi)
-        uhat = transformed_solution(problem, z)
-        return float(np.linalg.norm(uhat) * abs(dz) / TWO_PI)
+        return float(resolvent_norms(problem, z) * abs(dz) / TWO_PI)
 
     K_prev = _K_INIT
     iterations = 0

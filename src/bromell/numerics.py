@@ -3,9 +3,9 @@
 Everything downstream (pseudospectral grids, contour selection, quadrature)
 is built on the operations here: the operator's one complex Schur form
 A = Q T Q*, shifted solves (zI - A)x = b through it (one triangular solve
-per shift), the resolvent apply uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) that
-every quadrature node, truncation step and bound sample evaluates, the
-triangular condition estimate of the feasibility check, dense eigenvalues,
+per shift), the resolvent apply uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) at
+every quadrature node, its norms at every truncation step and bound sample,
+the triangular condition estimate of the feasibility check, dense eigenvalues,
 and a matrix-exponential reference evolution used as validation oracle.
 
 All functions are deterministic and never mutate their inputs; the only
@@ -164,6 +164,14 @@ def transformed_solution(problem, z: complex) -> np.ndarray:
     Raises SingularSystemError when z is (numerically) an eigenvalue of A.
     """
     return ShiftedSystem(problem.operator, z).solve(problem.u0 + problem.bhat(z))
+
+
+def resolvent_norms(problem, z) -> np.ndarray:
+    """||uhat(z_k)|| at each point z_k of z, in z's shape: the one loop that samples
+    sizes of uhat, which every truncation step and sampled bound scales."""
+    z = np.asarray(z, dtype=complex)
+    norms = [np.linalg.norm(transformed_solution(problem, zk)) for zk in z.flat]
+    return np.array(norms).reshape(z.shape)
 
 
 def resolvent_cond(A, z: complex) -> float:

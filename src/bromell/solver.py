@@ -34,7 +34,7 @@ from .contour import (
     window_objective,
 )
 from .errors import GeometryError, SingularSystemError, StageError
-from .numerics import eigenvalues, reference_solution, transformed_solution
+from .numerics import eigenvalues, reference_solution, resolvent_norms, transformed_solution
 from .problems import write_csv
 from .pseudospectra import (
     GridSpec,
@@ -151,6 +151,8 @@ def trapezoid_sum(
         raise ValueError("need c in (0, 1/2]")
     if cache is None:
         cache = NodeCache(problem, params, c)
+    if cache.problem is not problem:
+        raise GeometryError("node cache belongs to a different problem")
     if cache.params != params:
         raise GeometryError("node cache belongs to a different contour")
     if cache.c != c:
@@ -213,31 +215,24 @@ def delta_offset(c: float, N: int) -> float:
     return rem - 2 * k * eta
 
 
-def b_term(params: ContourParams, c: float, t: float, N: int, Delta: float = 1.0) -> float:
-    """End-of-arc leakage term of the quadrature error bound.
-
-    Delta scales the bound by the integrand magnitude near the arc ends;
-    Delta = 1 gives the bare geometric factor
-    (2 c log 2)/(N pi) e^{((a1 e^{-a} + a2 e^{a}) cos(pi/2 - delta) + A3) t}.
+def b_term(params: ContourParams, c: float, t: float, N: int) -> float:
+    """End-of-arc leakage factor of the quadrature error bound per unit integrand
+    size, (2 c log 2)/(N pi) e^{((a1 e^{-a} + a2 e^{a}) cos(pi/2 - delta) + A3) t};
+    rigorous_error_bound scales it by estimate_delta, the sampled size near the arc ends.
     """
     delta = delta_offset(c, N)
     outer = params.a1 * math.exp(-params.a) + params.a2 * math.exp(params.a)
-    return Delta * (2.0 * c * math.log(2.0)) / (N * PI) * math.exp(
+    return (2.0 * c * math.log(2.0)) / (N * PI) * math.exp(
         (outer * math.cos(PI / 2 - delta) + params.A3) * t
     )
 
 
 def estimate_delta(problem, params: ContourParams, c: float, N: int) -> float:
     """Sampled bound (x2 safety) on ||uhat z'|| along the end verticals x = +/-(pi/2 - delta)."""
-    delta = delta_offset(c, N)
+    x0 = PI / 2 - delta_offset(c, N)
     ys = np.linspace(-params.a, params.a, _EDGE_SAMPLES)
-    best = 0.0
-    for x0 in (PI / 2 - delta, -(PI / 2 - delta)):
-        for y in ys:
-            z, dz = conformal_map(params, complex(x0, y))
-            uhat = transformed_solution(problem, z)
-            best = max(best, float(np.linalg.norm(uhat) * abs(dz)))
-    return 2.0 * best
+    z, dz = conformal_map(params, np.add.outer((x0, -x0), 1j * ys))
+    return 2.0 * float(np.max(resolvent_norms(problem, z) * np.abs(dz)))
 
 
 def estimate_k_ell(problem, params: ContourParams, t: float) -> float:
@@ -249,17 +244,16 @@ def estimate_k_ell(problem, params: ContourParams, t: float) -> float:
     """
     span = max(4.0 / max(t, 1e-12), 2.0)
     ss = np.linspace(0.0, span, _EDGE_SAMPLES)
-    dz = complex(-1.0, 1.0)
-    best = 0.0
-    for sign in (1.0, -1.0):
-        start = complex(params.A3, sign * params.A2)
-        for s in ss:
-            z = start - s + 1j * (sign * s)
-            uhat = transformed_solution(problem, z)
-            best = max(best, float(np.linalg.norm(uhat) * abs(dz)))
-        if problem.is_real:
-            break  # mirror line gives the same norms
-    return 2.0 * best
+    # For real data the lower half-line mirrors the upper one's norms.
+    signs = np.array([1.0] if problem.is_real else [1.0, -1.0])[:, None]
+    z = (params.A3 - ss) + 1j * (signs * (params.A2 + ss))
+    return 2.0 * float(np.max(resolvent_norms(problem, z) * abs(complex(-1.0, 1.0))))
+
+
+def _integrand_norms(problem, params: ContourParams, w, t: float) -> np.ndarray:
+    """||G|| / (2 pi) at each strip coordinate of w."""
+    z, dz = conformal_map(params, w)
+    return resolvent_norms(problem, z) * np.abs(np.exp(z * t) * dz) / TWO_PI
 
 
 def sample_line_maxima(problem, params: ContourParams, c: float, t: float, N: int):
@@ -273,20 +267,14 @@ def sample_line_maxima(problem, params: ContourParams, c: float, t: float, N: in
     eta = cpi / N
 
     def max_g(x_values, level):
-        best = 0.0
-        for x in x_values:
-            g = integrand(problem, params, complex(x, level), t)
-            best = max(best, float(np.linalg.norm(g)))
-        return best / TWO_PI
+        return float(np.max(_integrand_norms(problem, params, x_values + 1j * level, t)))
 
     m_plus = max_g(np.linspace(-PI / 2, PI / 2, _LINE_SAMPLES), +a)
     m_minus = max_g(np.linspace(-(cpi + eta), cpi + eta, _LINE_SAMPLES), -a)
-    s_span = max(PI / 2 - cpi - eta, 0.0)
-    if s_span > 0:
+    s_minus = 0.0
+    if PI / 2 - cpi - eta > 0:
         half = np.linspace(cpi + eta, PI / 2, _LINE_SAMPLES // 2)
-        s_minus = max(max_g(half, -a), max_g(-half, -a))
-    else:
-        s_minus = 0.0
+        s_minus = max_g(np.concatenate((half, -half)), -a)
     return m_plus, m_minus, s_minus
 
 
@@ -298,26 +286,26 @@ def rigorous_error_bound(problem, params: ContourParams, c: float, t: float, N: 
     the target-accuracy level; that is spot-checked and warned about, not
     enforced.
     """
-    a, cpi = params.a, c * PI
+    cpi = c * PI
     eta = cpi / N
     m_plus, m_minus, s_minus = sample_line_maxima(problem, params, c, t, N)
     s_span = max(PI / 2 - cpi - eta, 0.0)
 
     if s_span > 0:
-        for x in np.linspace(cpi, PI / 2, 8):
-            g = np.linalg.norm(integrand(problem, params, x, t)) / TWO_PI
-            if g > 2.0 * tol:
-                warnings.warn(
-                    f"integrand tail at x = {x:.4f} is {g:.3e}, above the assumed "
-                    f"truncation size {tol:.3e}",
-                    stacklevel=2,
-                )
-                break
+        xs = np.linspace(cpi, PI / 2, 8)
+        g = _integrand_norms(problem, params, xs, t)
+        over = np.flatnonzero(g > 2.0 * tol)
+        if over.size:
+            warnings.warn(
+                f"integrand tail at x = {xs[over[0]]:.4f} is {g[over[0]]:.3e}, above the "
+                f"assumed truncation size {tol:.3e}",
+                stacklevel=2,
+            )
 
     growth = math.expm1((params.a / c) * N)  # e^{(a/c)N} - 1
     main = (TWO_PI * c * (1 + 1.0 / N) * m_minus + 2.0 * s_span * s_minus + PI * m_plus) / growth
     floor = 4.0 * (PI / 2 - cpi + cpi / (2.0 * N)) * tol
-    leak = b_term(params, c, t, N, Delta=estimate_delta(problem, params, c, N))
+    leak = estimate_delta(problem, params, c, N) * b_term(params, c, t, N)
     return main + floor + leak
 
 
@@ -440,8 +428,6 @@ def default_z_r(problem, eigs, eps1: float) -> float:
 class PipelinePrep:
     """Front half of the pipeline, shared by single-time and window solves."""
 
-    z_l: float
-    z_r: float
     grid: object
     c1: object
     c2: object
@@ -502,7 +488,7 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
     inner = _stage("inner-ellipse", build_inner_ellipse, phi, z_l, z_r)
     a = _stage("optimize-a", optimize_a, inner, t_opt, tol)
     params = _stage("contour", contour_from_a, inner, a)
-    return PipelinePrep(z_l, z_r, grid, c1, c2, crit, inner, params)
+    return PipelinePrep(grid, c1, c2, crit, inner, params)
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +666,10 @@ def solve_at(plan: TimeWindowPlan, problem, t: float) -> SolveReport:
     plan.n_nodes nodes, with the validate and n_max of plan.opts; the
     per-time truncation pair (c_t, K_t) is interpolated and reported, and
     the round-off forecast uses the plan's worst condition number with the
-    stability constant at (c_t, t).
+    stability constant at (c_t, t). problem must be the plan's own object.
     """
+    if problem is not plan.cache.problem:
+        raise ValueError("solve_at needs the problem object the plan was built from")
     if not plan.t0 <= t <= plan.t1:
         raise ValueError(f"t = {t} outside the window [{plan.t0}, {plan.t1}]")
     if not plan.opts.n_max >= 2:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import bromell as bm
-from bromell import numerics, pseudospectra, solver
-from bromell.errors import SingularSystemError, StageError
+from bromell import contour, numerics, pseudospectra, solver
+from bromell.errors import GeometryError, SingularSystemError, StageError
 from bromell.solver import (
     ROUNDOFF_SAFETY,
     NodeCache,
@@ -515,6 +515,29 @@ class TestNodeBudget:
         assert not report.reached_tol
 
 
+class TestPlanProblem:
+    def test_solve_at_rejects_another_problem_before_any_stage(self, monkeypatch, bs_window):
+        def stage_ran(*_args, **_kwargs):
+            raise AssertionError("a pipeline stage ran")
+
+        monkeypatch.setattr(solver, "reference_solution", stage_ran)
+        monkeypatch.setattr(solver, "trapezoid_sum", stage_ran)
+        plan = dataclasses.replace(bs_window, opts=dataclasses.replace(bs_window.opts, validate=True))
+        # An equal but separate problem object is rejected too: the nodes
+        # come from the plan's own problem.
+        for other in (bm.black_scholes_problem(sigma=0.06), bm.black_scholes_problem()):
+            with pytest.raises(ValueError, match="the problem object the plan was built from"):
+                bm.solve_at(plan, other, 1.5)
+
+    def test_trapezoid_sum_rejects_a_cache_of_another_problem(self, bs_window):
+        cache = bs_window.cache
+        solves, reuses = cache.solve_count, cache.reuse_count
+        other = bm.black_scholes_problem(sigma=0.06)
+        with pytest.raises(GeometryError, match="different problem"):
+            bm.trapezoid_sum(other, cache.params, cache.c, 1.5, 8, cache=cache)
+        assert (cache.solve_count, cache.reuse_count) == (solves, reuses)
+
+
 class TestPlanOptions:
     def test_solve_at_reads_the_plan_options(self, diag_problem):
         opts = bm.SolveOptions(grid_pts=24, validate=True)
@@ -816,11 +839,102 @@ class TestRoundoffMargin:
         assert not plan.feasibility.passed
 
 
+def _per_point_norms(problem, points, scales):
+    """||uhat(z)|| |scale| at each point, one transformed_solution at a time."""
+    return np.array([
+        np.linalg.norm(numerics.transformed_solution(problem, complex(z))) * abs(scale)
+        for z, scale in zip(points, scales)
+    ])
+
+
+def _per_point_truncation(problem, params, t, tol, prec):
+    """(c, K, iterations) of the truncation fixed point, K from _per_point_norms."""
+    K = contour._K_INIT
+    for it in range(1, contour._TRUNCATION_MAX_ITER + 1):
+        c = contour._c_from_k(params, t, tol, K, allow_clamp=it <= 2)
+        z, dz = bm.conformal_map(params, c * math.pi)
+        K, K_prev = _per_point_norms(problem, [z], [dz])[0] / (2 * math.pi), K
+        if abs(K - K_prev) < prec:
+            return contour._c_from_k(params, t, tol, K, allow_clamp=False), K, it
+    raise AssertionError("no fixed point")
+
+
+@pytest.fixture(params=["cd", "bs", "complex"])
+def sampled_case(request, scalar_params):
+    """(problem, contour, t, tol, prec, report): the cd recipe, bs at t = 1,
+    and a complex operator whose two outgoing half-lines differ (no report)."""
+    if request.param == "complex":
+        A = bm.Operator(np.array([[-1.0 - 0.3j, 0.5], [0.0, -2.0 + 0.1j]]))
+        problem = bm.LaplaceProblem(A, np.ones(2), label="complex")
+        return problem, scalar_params, 1.0, 1e-8, 1e-2, None
+    problem, report, prec = {
+        "cd": ("cd_problem", "cd_report", 1e-2),
+        "bs": ("bs_problem", "bs_report_t1", 0.1),
+    }[request.param]
+    report = request.getfixturevalue(report)
+    problem = request.getfixturevalue(problem)
+    return problem, report.contour, report.t, report.tol, prec, report
+
+
 class TestSamplingEstimates:
     def test_delta_and_k_ell_positive(self, cd_problem, cd_report):
         params, c = cd_report.contour, cd_report.truncation.c
         assert estimate_delta(cd_problem, params, c, 10) > 0
         assert estimate_k_ell(cd_problem, params, 1.0) > 0
+
+    def test_truncation_and_k_ell_match_the_per_point_loop(self, sampled_case):
+        problem, params, t, tol, prec, report = sampled_case
+        trunc = contour.truncation_fixed_point(problem, params, t, tol, prec)
+        k_ell = estimate_k_ell(problem, params, t)
+
+        span = max(4.0 / t, 2.0)
+        signs = (1.0,) if problem.is_real else (1.0, -1.0)
+        lines = [
+            [complex(params.A3, sign * params.A2) - s + 1j * (sign * s)
+             for s in np.linspace(0.0, span, solver._EDGE_SAMPLES)]
+            for sign in signs
+        ]
+        line_max = [max(_per_point_norms(problem, z, [complex(-1.0, 1.0)] * len(z))) for z in lines]
+        assert k_ell == 2.0 * max(line_max)
+        if not problem.is_real:
+            assert line_max[1] > line_max[0]  # the lower half-line sets K_ell
+        ref = _per_point_truncation(problem, params, t, tol, prec)
+        assert (trunc.c, trunc.K, trunc.iterations) == ref
+        if report is not None:
+            assert report.truncation == trunc
+            assert report.truncation_bound == bm.truncation_bound(
+                params, ref[0], t, 2.0 * max(line_max), tol
+            )
+
+    @pytest.mark.parametrize("N", [10, 23])
+    def test_delta_and_line_maxima_match_the_integrand_loop(self, sampled_case, N):
+        problem, params, t, tol, prec, _ = sampled_case
+        c = contour.truncation_fixed_point(problem, params, t, tol, prec).c
+
+        x0 = math.pi / 2 - delta_offset(c, N)
+        maps = [
+            bm.conformal_map(params, complex(x, y))
+            for x in (x0, -x0)
+            for y in np.linspace(-params.a, params.a, solver._EDGE_SAMPLES)
+        ]
+        delta = 2.0 * max(_per_point_norms(problem, *zip(*maps)))
+        assert estimate_delta(problem, params, c, N) == pytest.approx(delta, rel=1e-13, abs=0)
+
+        def max_g(xs, level):
+            g = [np.linalg.norm(bm.integrand(problem, params, complex(x, level), t)) for x in xs]
+            return max(g) / (2 * math.pi)
+
+        cpi = c * math.pi
+        edge = cpi + cpi / N
+        assert edge < math.pi / 2  # S- is sampled
+        half = np.linspace(edge, math.pi / 2, solver._LINE_SAMPLES // 2)
+        expected = (
+            max_g(np.linspace(-math.pi / 2, math.pi / 2, solver._LINE_SAMPLES), params.a),
+            max_g(np.linspace(-edge, edge, solver._LINE_SAMPLES), -params.a),
+            max(max_g(half, -params.a), max_g(-half, -params.a)),
+        )
+        got = sample_line_maxima(problem, params, c, t, N)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_model_tracks_measured_at_convergence(self, cd_report):
         # The closed-form estimate is an order-of-magnitude tool: at the
