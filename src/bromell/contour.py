@@ -121,8 +121,8 @@ def build_inner_ellipse(phi, z_l: float, z_r: float) -> InnerEllipse:
     circle = outside(A)
     if circle.any():
         raise GeometryError(
-            f"point {rightmost(circle)} lies outside the circle of radius "
-            f"z_r - z_l = {A} about z_l = {z_l}; increase z_r"
+            f"point ({rightmost(circle):.12g}) lies outside the circle of radius "
+            f"z_r - z_l = {A:.12g} about z_l = {z_l}; increase z_r"
         )
     foci = np.linspace(z_l, z_r, _M_ELL)[1:-1]
 

@@ -1,6 +1,11 @@
 """Linear-algebra kernels against closed-form and brute-force oracles."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,3 +316,91 @@ class TestOperator:
         A = bm.Operator(np.eye(2))
         with pytest.raises(ValueError):
             A.entries[0, 0] = 5.0
+
+
+def _block_operator() -> np.ndarray:
+    """16 x 16, real and non-normal: 2 x 2 blocks [[re, im], [-im, re]] with
+    re = -1 - k/2, im = 1 + 0.4 k (k = 0, 2, ..., 14) and 30 on the second
+    superdiagonal, the operator tools/compare_cli.sh builds."""
+    M = 30.0 * np.eye(16, k=2)
+    for k in range(0, 16, 2):
+        re, im = -1.0 - k / 2, 1.0 + 0.4 * k
+        M[k:k + 2, k:k + 2] = [[re, im], [-im, re]]
+    return M
+
+
+class TestSchurFactor:
+    """The operator's one Schur factor: a real operator takes the real Schur
+    form plus rsf2csf, a complex one zgees, and both give a complex upper
+    triangular T and a unitary Q."""
+
+    @staticmethod
+    def cases(cd_problem, bs_problem):
+        rng = np.random.default_rng(5)
+        return {
+            "bs": bs_problem.operator.entries,
+            "cd": cd_problem.operator.entries,
+            "block": _block_operator(),
+            "complex": rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)),
+        }
+
+    @pytest.mark.parametrize("case", ["bs", "cd", "block", "complex"])
+    def test_contract(self, case, cd_problem, bs_problem, schur_calls):
+        M = self.cases(cd_problem, bs_problem)[case]
+        op = bm.Operator(M)  # a new operator: the fixtures' factors are cached
+        T, Q = op.schur_factor, op.schur_vectors
+        bm.eigenvalues(op)
+        assert schur_calls == [M.shape]
+        n = M.shape[0]
+        assert T.dtype == Q.dtype == np.complex128
+        assert not T.flags.writeable and not Q.flags.writeable
+        assert not np.tril(T, -1).any()
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(n), 2) <= 1e-13
+        assert np.linalg.norm(Q @ T @ Q.conj().T - M, 2) <= 1e-13 * np.linalg.norm(M, 2)
+
+    @pytest.mark.parametrize("case, output", [("bs", "real"), ("block", "real"), ("complex", "complex")])
+    def test_path(self, case, output, cd_problem, bs_problem, monkeypatch):
+        M = self.cases(cd_problem, bs_problem)[case]
+        schur, rsf2csf = sla.schur, sla.rsf2csf
+        calls = []
+
+        def schur_spy(a, *args, **kwargs):
+            calls.append(("schur", a.dtype, kwargs.get("output")))
+            return schur(a, *args, **kwargs)
+
+        def rsf2csf_spy(*args, **kwargs):
+            calls.append(("rsf2csf",))
+            return rsf2csf(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "schur", schur_spy)
+        monkeypatch.setattr(sla, "rsf2csf", rsf2csf_spy)
+        op = bm.Operator(M)
+        T, Q = op.schur_factor, op.schur_vectors
+        if output == "real":
+            assert calls == [("schur", np.float64, "real"), ("rsf2csf",)]
+        else:
+            assert calls == [("schur", np.complex128, "complex")]
+            # zgees on the operator's own entries: the factor it always gave.
+            T_ref, Q_ref = schur(M, output="complex")
+            np.testing.assert_array_equal(T, T_ref)
+            np.testing.assert_array_equal(Q, Q_ref)
+
+    def test_window_plan_is_blas_thread_independent(self):
+        # Fresh interpreters, because the BLAS thread count is read at load.
+        src = str(Path(bm.__file__).resolve().parent.parent)
+        code = (
+            f"import hashlib, json, sys; sys.path.insert(0, {src!r}); import bromell as bm; "
+            "p = bm.black_scholes_problem(); "
+            "plan = bm.plan_window(p, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50)); "
+            "op = p.operator; "
+            "h = hashlib.sha1(op.schur_factor.tobytes() + op.schur_vectors.tobytes()).hexdigest(); "
+            "print(json.dumps([h, repr(plan.contour.a), repr(plan.c_grid), plan.n_nodes, "
+            "repr(plan.feasibility.max_cond)]))"
+        )
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, check=True, env=env)
+            runs.append(json.loads(proc.stdout))
+        assert runs[0] == runs[1]

@@ -213,7 +213,7 @@ class TestPrunedScan:
                                           bm.level_curve(full, eps, t).ys)
         return ref.evaluations
 
-    @pytest.mark.parametrize("case, count", [("cd", 0), ("bs", 69), ("bs-pseudo", 71)])
+    @pytest.mark.parametrize("case, count", [("cd", 0), ("bs", 68), ("bs-pseudo", 72)])
     def test_solver_grids(self, case, count, cd_problem, bs_problem):
         problem, t1, tol, opts = {
             "cd": (cd_problem, 1.0, 5e-8, bm.SolveOptions(z_l=-40.0, z_r=0.09)),
