@@ -4,14 +4,17 @@ Everything downstream (pseudospectral grids, contour selection, quadrature)
 is built on the operations here: the operator's one complex Schur form
 A = Q T Q* (for a real operator the real Schur form converted by rsf2csf,
 for a complex one zgees), shifted solves (zI - A)x = b through it (one
-triangular solve per shift), the resolvent apply
-uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) at every quadrature node, its norms
-at every truncation step and bound sample, the triangular condition estimate
-of the feasibility check, dense eigenvalues, and a matrix-exponential
-reference evolution used as validation oracle.
+triangular solve per shift), the resolvent apply in Schur coordinates
+yhat(z) = (zI - T)^{-1} (Q* u0 + sum_k Q* v_k / (z + r_k)) at every
+quadrature node (one triangular solve, no product with Q), its x-space form
+uhat(z) = Q yhat(z) and the norms of uhat at every truncation step and bound
+sample, the triangular condition estimate of the feasibility check, dense
+eigenvalues, and a matrix-exponential reference evolution used as
+validation oracle.
 
 All functions are deterministic and never mutate their inputs; the only
-state is the operator's cached Schur form and its one shift buffer.
+state is the operator's cached Schur form, its diagonal and its one shift
+buffer, and the problem's cached Schur-coordinate data.
 """
 
 from __future__ import annotations
@@ -92,6 +95,13 @@ class Operator:
         return self._schur[1]
 
     @cached_property
+    def schur_diagonal(self) -> np.ndarray:
+        """Read-only diagonal of T: the eigenvalues t_ii, in Schur order."""
+        d = np.diag(self.schur_factor).copy()
+        d.setflags(write=False)
+        return d
+
+    @cached_property
     def _shift_buffer(self) -> np.ndarray:
         """The operator's one shifted matrix: Fortran-order zI - T, -T off the
         diagonal, the diagonal rewritten for each shift (16 n^2 bytes).
@@ -118,10 +128,12 @@ class ShiftedSystem:
 
     zI - A = Q (zI - T) Q*, so each solve is x = Q (zI - T)^{-1} Q* b: two
     matrix-vector products and one O(n^2) triangular solve (LAPACK
-    ``trtrs``) instead of an O(n^3) LU per shift. T and Q are computed once
-    per Operator (``Operator.schur_factor``; a plain array is wrapped in a
-    new Operator, so pass an Operator to share them), and zI - T is written
-    into the operator's one shift buffer, whose diagonal each ``solve`` and
+    ``trtrs``) instead of an O(n^3) LU per shift; ``solve_schur`` is the
+    triangular solve alone, for a right-hand side already in Schur
+    coordinates (Q* b). T and Q are computed once per Operator
+    (``Operator.schur_factor``; a plain array is wrapped in a new Operator,
+    so pass an Operator to share them), and zI - T is written into the
+    operator's one shift buffer, whose diagonal each triangular solve and
     ``cond`` rewrites, as pseudospectra.SigmaMinEvaluator does; work on one
     operator therefore runs one shift at a time. Node reuse across
     quadrature refinements and time windows keeps solutions in
@@ -134,7 +146,7 @@ class ShiftedSystem:
             raise ValueError("array must not contain infs or NaNs")
         self._op = op = as_operator(A)
         self.dim = op.dim
-        self._diag = self.z - np.diag(op.schur_factor)
+        self._diag = self.z - op.schur_diagonal
         if not self._diag.all():  # zero pivot of zI - T: z is an eigenvalue
             raise SingularSystemError(
                 f"(zI - A) is numerically singular at z = {self.z}"
@@ -152,13 +164,18 @@ class ShiftedSystem:
             raise ValueError("array must not contain infs or NaNs")
         Q = self._op.schur_vectors
         # Q* rhs without a conjugate-transposed copy of Q.
-        y = _TRTRS(self._shifted(), np.conj(Q.T @ np.conj(rhs)), overwrite_b=1)[0]
-        x = Q @ y
-        if not np.all(np.isfinite(x)):
+        return Q @ self.solve_schur(np.conj(Q.T @ np.conj(rhs)))
+
+    def solve_schur(self, rhs: np.ndarray) -> np.ndarray:
+        """y = (zI - T)^{-1} rhs: the solve in Schur coordinates, where
+        rhs = Q* b and x = Q y. One triangular solve; a non-finite y (an
+        overflow, or a non-finite rhs) raises SingularSystemError."""
+        y = _TRTRS(self._shifted(), rhs)[0]
+        if not np.all(np.isfinite(y)):
             raise SingularSystemError(
                 f"solve with (zI - A) overflowed at z = {self.z}"
             )
-        return x
+        return y
 
     def cond(self) -> float:
         """1-norm condition estimate of the triangular zI - T that solve runs
@@ -167,12 +184,24 @@ class ShiftedSystem:
         return 1.0 / rcond if rcond > 0.0 else np.inf
 
 
+def schur_solution(problem, z: complex) -> np.ndarray:
+    """The Laplace-transformed state in Schur coordinates,
+    yhat(z) = Q* uhat(z) = (zI - T)^{-1} (Q* u0 + sum_k Q* v_k / (z + r_k)).
+
+    The right-hand side is ``problem.schur_rhs(z)``, built from Q* u0 and
+    each Q* v_k computed once per problem, so each shift costs one
+    ShiftedSystem and one triangular solve. Raises SingularSystemError when
+    z is (numerically) an eigenvalue of A or the solve overflows.
+    """
+    return ShiftedSystem(problem.operator, z).solve_schur(problem.schur_rhs(z))
+
+
 def transformed_solution(problem, z: complex) -> np.ndarray:
-    """Laplace-transformed state uhat(z) = (zI - A)^{-1} (u0 + bhat(z)).
+    """Laplace-transformed state uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) = Q yhat(z).
 
     Raises SingularSystemError when z is (numerically) an eigenvalue of A.
     """
-    return ShiftedSystem(problem.operator, z).solve(problem.u0 + problem.bhat(z))
+    return problem.operator.schur_vectors @ schur_solution(problem, z)
 
 
 def resolvent_norms(problem, z) -> np.ndarray:
@@ -199,7 +228,7 @@ def resolvent_cond(A, z: complex) -> float:
 
 def eigenvalues(A) -> np.ndarray:
     """All eigenvalues of A (unordered, complex): the diagonal of its Schur factor."""
-    return np.diag(as_operator(A).schur_factor).copy()
+    return as_operator(A).schur_diagonal.copy()
 
 
 def reference_solution(problem, t: float) -> np.ndarray:

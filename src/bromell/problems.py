@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,6 +104,23 @@ class LaplaceProblem:
         out = np.zeros(self.dim, dtype=complex)
         for term in self.source_terms:
             out += term.vector / (z + term.rate)
+        return out
+
+    @cached_property
+    def _schur_data(self) -> tuple[np.ndarray, tuple]:
+        """Q* u0 and each source term's (Q* v_k, r_k), computed once from the
+        operator's Schur vectors Q."""
+        Qh = self.operator.schur_vectors.conj().T
+        return Qh @ self.u0, tuple((Qh @ term.vector, term.rate) for term in self.source_terms)
+
+    def schur_rhs(self, z: complex) -> np.ndarray:
+        """Q* (u0 + bhat(z)) = Q* u0 + sum_k Q* v_k / (z + r_k): the right-hand
+        side of the shifted solve at z in Schur coordinates (A = Q T Q*),
+        with no product with Q."""
+        qu0, terms = self._schur_data
+        out = qu0.copy()
+        for w, rate in terms:
+            out += w / (z + rate)
         return out
 
 

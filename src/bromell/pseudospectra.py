@@ -158,7 +158,7 @@ class SigmaMinEvaluator:
         self.is_real = op.is_real
         T = op.schur_factor
         self.abs_error = 10.0 * np.finfo(float).eps * _frobenius(T)
-        self.schur_diagonal = np.diag(T)
+        self.schur_diagonal = op.schur_diagonal
         self._M = op._shift_buffer
         self._M_diag = self._M.reshape(-1, order="F")[:: self.dim + 1]
         self._ones = np.ones(self.dim)

@@ -2,10 +2,13 @@
 
 The evolution value u(t) is recovered as a trapezoidal sum of
 G(x) = e^{z(x) t} (z(x) I - A)^{-1} (u0 + bhat(z(x))) z'(x) over the
-truncated arc x in [-c pi, c pi]. Node data that does not depend on t
-(the shifted solves) is cached by exact node position, so doubling the
-node count reuses every previous evaluation and a whole time window can
-share one contour's node solves.
+truncated arc x in [-c pi, c pi]. With A = Q T Q*, G(x) = Q e^{z t} yhat(z) z'
+where yhat(z) = (zI - T)^{-1} Q* (u0 + bhat(z)) is the node's solve in Schur
+coordinates (numerics.schur_solution), so every node costs one triangular
+solve and each sum applies Q once, to its sum of rows. Node data that does
+not depend on t (the shifted solves) is cached by exact node position, so
+doubling the node count reuses every previous evaluation and a whole time
+window can share one contour's node solves.
 """
 
 from __future__ import annotations
@@ -34,7 +37,13 @@ from .contour import (
     window_objective,
 )
 from .errors import GeometryError, SingularSystemError, StageError
-from .numerics import eigenvalues, reference_solution, resolvent_norms, transformed_solution
+from .numerics import (
+    eigenvalues,
+    reference_solution,
+    resolvent_norms,
+    schur_solution,
+    transformed_solution,
+)
 from .problems import write_csv
 from .pseudospectra import (
     GridSpec,
@@ -68,8 +77,10 @@ class NodeCache:
 
     Node j of an N-point rule sits at x = -c pi + (j/N) 2 c pi; the key is
     the reduced fraction j/N, so nested refinements (N -> 2N -> ...) and
-    repeated solves at other times hit the same (z, dz, uhat) entries
-    bit-exactly.
+    repeated solves at other times hit the same (z, dz, yhat) entries
+    bit-exactly. yhat = Q* uhat is the solve in Schur coordinates
+    (numerics.schur_solution): each fresh node is one ShiftedSystem and one
+    triangular solve, and the sums apply Q.
     """
 
     def __init__(self, problem, params: ContourParams, c: float):
@@ -84,6 +95,7 @@ class NodeCache:
         return -self.c * PI + (2.0 * self.c * PI) * (p / q)
 
     def node(self, j: int, N: int) -> tuple[complex, complex, np.ndarray]:
+        """(z, dz, yhat) at node j of the N-point rule, solved on first use."""
         g = math.gcd(j, N)
         key = (j // g, N // g)
         hit = self.entries.get(key)
@@ -98,21 +110,26 @@ class NodeCache:
                     f"quadrature node z = {z} sits on source pole {pole}; "
                     "the contour is misplaced"
                 )
-        uhat = transformed_solution(self.problem, z)
+        yhat = schur_solution(self.problem, z)
         self.solve_count += 1
-        data = (complex(z), complex(dz), uhat)
+        data = (complex(z), complex(dz), yhat)
         self.entries[key] = data
         return data
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureResult:
-    """One N-point trapezoidal evaluation plus its model diagnostics."""
+    """One N-point trapezoidal evaluation plus its model diagnostics.
+
+    node_values is read-only, (N-1, dim), in Schur coordinates: row j-1 is
+    e^{zt} yhat(z) dz at node j, and G at node j is Q times it (Q the
+    operator's Schur vectors, ``cache.problem.operator.schur_vectors``).
+    """
 
     N: int
     approx: np.ndarray
     nodes: np.ndarray
-    node_values: np.ndarray  # read-only, (N-1, dim): row j-1 is G at node j
+    node_values: np.ndarray
     c: float
     est_error: float
     B_term: float
@@ -131,8 +148,8 @@ def _row_sum(rows: np.ndarray) -> np.ndarray:
     return 0.0 + np.add.accumulate(rows, axis=0)[-1]
 
 
-def _unfolded_sum(values: np.ndarray, c: float, N: int) -> np.ndarray:
-    return (c / (1j * N)) * _row_sum(values)
+def _unfolded_sum(values: np.ndarray, Q: np.ndarray, c: float, N: int) -> np.ndarray:
+    return (c / (1j * N)) * (Q @ _row_sum(values))
 
 
 def trapezoid_sum(
@@ -140,10 +157,12 @@ def trapezoid_sum(
 ) -> QuadratureResult:
     """N-point trapezoidal rule on the arc x in [-c pi, c pi].
 
-    All interior nodes j = 1..N-1 are evaluated (and cached). For real data
-    the sum is folded onto the upper-half nodes through the imaginary part,
-    which returns an exactly real vector; the node at x = 0 (present for
-    even N) carries half weight so the folded sum equals the full one.
+    All interior nodes j = 1..N-1 are evaluated (and cached). The rows
+    e^{zt} yhat dz are summed in Schur coordinates and Q is applied once, to
+    the row sum. For real data the sum is folded onto the upper-half nodes
+    through the imaginary part, (2c/N) Im(Q s_upper), which returns an
+    exactly real vector; the node at x = 0 (present for even N) carries half
+    weight so the folded sum equals the full one.
     """
     if N < 2:
         raise ValueError("need N >= 2")
@@ -160,18 +179,19 @@ def trapezoid_sum(
 
     xs = cache.node_x(np.arange(1, N), N)
     z, dz, values = map(np.array, zip(*(cache.node(j, N) for j in range(1, N))))
-    # G = e^{zt} uhat dz, formed in place on the fresh stack; the operand
+    # Rows e^{zt} yhat dz, formed in place on the fresh stack; the operand
     # order is that of the per-node product, so every bit is kept.
     np.multiply(np.exp(z * t)[:, None], values, out=values)
     values *= dz[:, None]
     values.flags.writeable = False
 
+    Q = problem.operator.schur_vectors
     if problem.is_real:
         half = math.ceil(N / 2) - 1
         weights = np.where(xs[half:] == 0.0, 0.5, 1.0)
-        approx = (2.0 * c / N) * np.imag(_row_sum(weights[:, None] * values[half:]))
+        approx = (2.0 * c / N) * np.imag(Q @ _row_sum(weights[:, None] * values[half:]))
     else:
-        approx = _unfolded_sum(values, c, N)
+        approx = _unfolded_sum(values, Q, c, N)
 
     est = error_model(params, c, t, N)
     B = b_term(params, c, t, N)
@@ -184,12 +204,14 @@ def refine_doubling(prev: QuadratureResult, problem, params: ContourParams, t: f
 
 
 def full_sum(result: QuadratureResult) -> np.ndarray:
-    """Unfolded sum over all interior nodes with the 1/(2 pi i) constant.
+    """Unfolded sum over all interior nodes with the 1/(2 pi i) constant:
+    Q applied to the sum of the Schur-coordinate rows.
 
     For real data this agrees with the folded imaginary-part formula; it is
     exposed so the agreement can be checked rather than assumed.
     """
-    return _unfolded_sum(result.node_values, result.c, result.N)
+    Q = result.cache.problem.operator.schur_vectors
+    return _unfolded_sum(result.node_values, Q, result.c, result.N)
 
 
 # ---------------------------------------------------------------------------

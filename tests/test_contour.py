@@ -462,6 +462,10 @@ class _ConstantNormProblem:
         # uhat = bhat / z, so ||uhat|| |z'| = 2 pi K everywhere
         return np.array([z * 2 * math.pi * self._K / abs(dz)])
 
+    def schur_rhs(self, z):
+        """Q* (u0 + bhat(z)): the right-hand side every solve reads, in Schur coordinates."""
+        return self.operator.schur_vectors.conj().T @ (self.u0 + self.bhat(z))
+
 
 class TestTruncationFixedPoint:
     def test_constant_norm_converges_in_two_iterations(self, sample_params):

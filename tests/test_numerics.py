@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import bromell as bm
 from bromell.contour import conformal_map
 from bromell.errors import DimensionLimitError, SingularSystemError
+from bromell.numerics import transformed_solution
 from bromell.pseudospectra import SigmaMinEvaluator
 
 
@@ -70,10 +71,14 @@ class TestResolventSolve:
         seed=st.integers(0, 2**32 - 1),
         complex_entries=st.booleans(),
         shift=st.complex_numbers(max_magnitude=20.0, allow_nan=False, allow_infinity=False),
+        rates=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=2),
     )
-    def test_backward_stable_on_non_normal_operators(self, n, seed, complex_entries, shift):
+    def test_backward_stable_on_non_normal_operators(self, n, seed, complex_entries, shift,
+                                                     rates):
         # A random non-normal operator: a diagonal plus a strong strictly
         # upper-triangular part, turned by a random orthogonal similarity.
+        # Checked twice: a plain solve, and the resolvent apply Q yhat of a
+        # problem with one or two sources v_k exp(-r_k t), r_k >= 0.
         rng = np.random.default_rng(seed)
         shape = (n, n)
         N = np.triu(rng.standard_normal(shape), 1) * 10.0
@@ -87,11 +92,20 @@ class TestResolventSolve:
         z = complex(shift)
         # off the spectrum: away from every eigenvalue by more than round-off
         assume(np.min(np.abs(z - np.linalg.eigvals(M))) > 1e-6 * (1.0 + np.linalg.norm(M)))
-        x = bm.ShiftedSystem(bm.Operator(M), z).solve(b)
+        assume(all(abs(z + r) > 1e-6 for r in rates))
+        op = bm.Operator(M)
+        x = bm.ShiftedSystem(op, z).solve(b)
         S = z * np.eye(n) - M
         eps = np.finfo(float).eps
         bound = 100 * n * eps * (np.linalg.norm(S) * np.linalg.norm(x) + np.linalg.norm(b))
         assert np.linalg.norm(S @ x - b) <= bound
+        terms = tuple(bm.SourceTerm(rng.standard_normal(n), r) for r in rates)
+        problem = bm.LaplaceProblem(op, b, terms)
+        u = transformed_solution(problem, z)
+        rhs_size = np.linalg.norm(b) + sum(np.linalg.norm(v.vector) / abs(z + v.rate)
+                                           for v in terms)
+        bound = 100 * n * eps * (np.linalg.norm(S) * np.linalg.norm(u) + rhs_size)
+        assert np.linalg.norm(S @ u - (b + problem.bhat(z))) <= bound
 
 
 def _bs_window_cases(bs_problem, bs_window):
@@ -386,7 +400,8 @@ class TestSchurFactor:
             np.testing.assert_array_equal(Q, Q_ref)
 
     def test_window_plan_is_blas_thread_independent(self):
-        # Fresh interpreters, because the BLAS thread count is read at load.
+        # The plan and its t = 1, 4 and 10 solutions. Fresh interpreters,
+        # because the BLAS thread count is read at load.
         src = str(Path(bm.__file__).resolve().parent.parent)
         code = (
             f"import hashlib, json, sys; sys.path.insert(0, {src!r}); import bromell as bm; "
@@ -394,8 +409,10 @@ class TestSchurFactor:
             "plan = bm.plan_window(p, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50)); "
             "op = p.operator; "
             "h = hashlib.sha1(op.schur_factor.tobytes() + op.schur_vectors.tobytes()).hexdigest(); "
+            "u = [hashlib.sha1(bm.solve_at(plan, p, t).solution.tobytes()).hexdigest() "
+            "for t in (1.0, 4.0, 10.0)]; "
             "print(json.dumps([h, repr(plan.contour.a), repr(plan.c_grid), plan.n_nodes, "
-            "repr(plan.feasibility.max_cond)]))"
+            "repr(plan.feasibility.max_cond), u]))"
         )
         runs = []
         for threads in ("1", "2"):

@@ -11,8 +11,10 @@
 # replaced by OUT, the only difference allowed), its stderr and its exit
 # code. The two sides are then compared byte by byte. Each differing file
 # is summarised by number: a CSV file (and a report's [errors] table) by the
-# largest absolute and relative change per column, a report.txt by the keys
-# whose values changed, and any other file by a short unified diff. When
+# largest absolute and relative change per column, a one-value-per-line
+# vector (solution.txt) the same way as one column and by its largest change
+# relative to its largest entry, a report.txt by the keys whose values
+# changed, and any other file by a short unified diff. When
 # bs-pseudo's grid.csv differs, each side's worst node against a dense SVD
 # of zI - A is printed as a fraction of the export bound
 # 1e-9 sigma + 10 eps ||A||_2 (the working tree's bromell builds A).
@@ -164,6 +166,20 @@ def table_changes(old, new):
     return out
 
 
+def vector_changes(old, new):
+    """A one-value-per-line vector as a one-column table, plus its largest
+    change over its largest entry: entries near 0 make the per-entry
+    relative change large when the vector moved at round-off."""
+    out = table_changes(["value"] + old, ["value"] + new)
+    if len(old) == len(new):
+        x, y = [float(v) for v in old], [float(v) for v in new]
+        scale = max(map(abs, x + y))
+        worst = max(abs(b - a) for a, b in zip(x, y))
+        if scale:  # not only signed zeros
+            out.append(f"    value: max abs over largest |value| {worst / scale:.3g}")
+    return out
+
+
 def export_bound_use(sides):
     """Each side's worst node of a Black-Scholes grid.csv against a dense SVD,
     as a fraction of the export bound 1e-9 sigma + 10 eps ||A||_2."""
@@ -227,6 +243,8 @@ for name in sorted(names_base | names_work):
                 lines += export_bound_use([("revision", old), ("working tree", new)])
         elif name.endswith("report.txt"):
             lines = report_changes(old, new)
+        elif name.endswith("solution.txt"):
+            lines = vector_changes(old, new)
         else:
             raise ValueError
     except ValueError:  # not numeric where expected, or not a table at all
