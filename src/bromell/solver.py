@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +81,9 @@ class NodeCache:
     repeated solves at other times hit the same (z, dz, yhat) entries
     bit-exactly. yhat = Q* uhat is the solve in Schur coordinates
     (numerics.schur_solution): each fresh node is one ShiftedSystem and one
-    triangular solve, and the sums apply Q.
+    triangular solve, and the sums apply Q. The stacked nodes of the rule
+    summed last are kept (``rule``): a time ladder sums one rule many times,
+    a doubling solve each rule once.
     """
 
     def __init__(self, problem, params: ContourParams, c: float):
@@ -90,6 +93,8 @@ class NodeCache:
         self.entries: dict[tuple[int, int], tuple[complex, complex, np.ndarray]] = {}
         self.solve_count = 0
         self.reuse_count = 0
+        self._poles = problem.singularities
+        self._last: tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def node_x(self, p, q: int):
         return -self.c * PI + (2.0 * self.c * PI) * (p / q)
@@ -104,7 +109,7 @@ class NodeCache:
             return hit
         x = self.node_x(*key)
         z, dz = conformal_map(self.params, x)
-        for pole in self.problem.singularities:
+        for pole in self._poles:
             if abs(z - pole) < NODE_SINGULARITY_GAP:
                 raise SingularSystemError(
                     f"quadrature node z = {z} sits on source pole {pole}; "
@@ -116,6 +121,31 @@ class NodeCache:
         self.entries[key] = data
         return data
 
+    def rule(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (z, dz, Y) of the N-point rule's interior nodes, Y (N-1, dim).
+
+        Every node goes through ``node`` on each call, so the solve and reuse
+        counts are those of a per-node loop; the stack is formed only when N
+        differs from the rule asked for last.
+        """
+        nodes = [self.node(j, N) for j in range(1, N)]
+        if self._last is None or self._last[0] != N:
+            stack = tuple(map(np.array, zip(*nodes)))
+            for part in stack:
+                part.flags.writeable = False
+            self._last = (N, stack)
+        return self._last[1]
+
+
+def _rows(stack, t: float, start: int = 0) -> np.ndarray:
+    """Fresh rows e^{zt} yhat dz of the stacked nodes from index start on, in
+    the operand order of the per-node product exp(z t) * yhat * dz (the other
+    order changes last bits)."""
+    z, dz, Y = (part[start:] for part in stack)
+    rows = np.multiply(np.exp(z * t)[:, None], Y)
+    rows *= dz[:, None]
+    return rows
+
 
 @dataclass(frozen=True, eq=False)
 class QuadratureResult:
@@ -123,17 +153,26 @@ class QuadratureResult:
 
     node_values is read-only, (N-1, dim), in Schur coordinates: row j-1 is
     e^{zt} yhat(z) dz at node j, and G at node j is Q times it (Q the
-    operator's Schur vectors, ``cache.problem.operator.schur_vectors``).
+    operator's Schur vectors, ``cache.problem.operator.schur_vectors``). It
+    is formed on first access from the rule's stacked nodes (``stack``, the
+    cache's read-only (z, dz, Y)) and t.
     """
 
     N: int
     approx: np.ndarray
     nodes: np.ndarray
-    node_values: np.ndarray
     c: float
+    t: float
     est_error: float
     B_term: float
     cache: NodeCache = field(repr=False)
+    stack: tuple = field(repr=False)
+
+    @cached_property
+    def node_values(self) -> np.ndarray:
+        rows = _rows(self.stack, self.t)
+        rows.flags.writeable = False
+        return rows
 
 
 def integrand(problem, params: ContourParams, x, t: float) -> np.ndarray:
@@ -143,9 +182,11 @@ def integrand(problem, params: ContourParams, x, t: float) -> np.ndarray:
 
 
 def _row_sum(rows: np.ndarray) -> np.ndarray:
-    """Rows added in order, as a loop from np.zeros would: sum(axis=0) goes
-    pairwise on one column, and 0.0 + turns a sum of -0 into +0."""
-    return 0.0 + np.add.accumulate(rows, axis=0)[-1]
+    """Rows added in order, as a loop from np.zeros would. On the float view
+    (at least two columns) np.add.reduce adds whole rows one after another;
+    sum(axis=0) of a one-column array would go pairwise. 0.0 + turns a sum of
+    -0 into +0 where the reduction starts from the first row instead of +0."""
+    return 0.0 + np.add.reduce(rows.view(float), axis=0).view(complex)
 
 
 def _unfolded_sum(values: np.ndarray, Q: np.ndarray, c: float, N: int) -> np.ndarray:
@@ -161,8 +202,10 @@ def trapezoid_sum(
     e^{zt} yhat dz are summed in Schur coordinates and Q is applied once, to
     the row sum. For real data the sum is folded onto the upper-half nodes
     through the imaginary part, (2c/N) Im(Q s_upper), which returns an
-    exactly real vector; the node at x = 0 (present for even N) carries half
-    weight so the folded sum equals the full one.
+    exactly real vector; only those rows are formed, and the node at x = 0
+    (present for even N) carries half weight so the folded sum equals the
+    full one. The other rows carry no weight: a multiply by 1+0j would only
+    change zero signs, which a sum started from +0 drops, for finite rows.
     """
     if N < 2:
         raise ValueError("need N >= 2")
@@ -177,25 +220,20 @@ def trapezoid_sum(
     if cache.c != c:
         raise GeometryError("node cache belongs to a different truncation width")
 
-    xs = cache.node_x(np.arange(1, N), N)
-    z, dz, values = map(np.array, zip(*(cache.node(j, N) for j in range(1, N))))
-    # Rows e^{zt} yhat dz, formed in place on the fresh stack; the operand
-    # order is that of the per-node product, so every bit is kept.
-    np.multiply(np.exp(z * t)[:, None], values, out=values)
-    values *= dz[:, None]
-    values.flags.writeable = False
-
+    stack = cache.rule(N)
     Q = problem.operator.schur_vectors
     if problem.is_real:
-        half = math.ceil(N / 2) - 1
-        weights = np.where(xs[half:] == 0.0, 0.5, 1.0)
-        approx = (2.0 * c / N) * np.imag(Q @ _row_sum(weights[:, None] * values[half:]))
+        rows = _rows(stack, t, math.ceil(N / 2) - 1)
+        if N % 2 == 0:
+            rows[0] *= 0.5  # node j = N/2, at x = 0
+        approx = (2.0 * c / N) * np.imag(Q @ _row_sum(rows))
     else:
-        approx = _unfolded_sum(values, Q, c, N)
+        approx = _unfolded_sum(_rows(stack, t), Q, c, N)
 
+    xs = cache.node_x(np.arange(1, N), N)
     est = error_model(params, c, t, N)
     B = b_term(params, c, t, N)
-    return QuadratureResult(N, approx, xs, values, float(c), est, B, cache)
+    return QuadratureResult(N, approx, xs, float(c), float(t), est, B, cache, stack)
 
 
 def refine_doubling(prev: QuadratureResult, problem, params: ContourParams, t: float) -> QuadratureResult:

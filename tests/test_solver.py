@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import bromell as bm
 from bromell import contour, numerics, pseudospectra, solver
@@ -236,21 +238,95 @@ class TestArrayQuadrature:
         self._assert_bit_identical(prob, scalar_params, 0.35, 1.0, 40)
 
     def test_sum_of_negative_zeros(self, scalar_problem, scalar_params):
-        # A loop started from np.zeros turns -0 into +0; so must the array form.
+        # A loop started from np.zeros turns -0 into +0; so must the array
+        # form. No complex product is -0-0j, but with z = 0 and yhat = 0 the
+        # rows e^{zt} yhat dz are -0+0j for dz = -1+0j and 0-0j for -1-0j.
         q = bm.trapezoid_sum(scalar_problem, scalar_params, 0.3, 1.0, 8)
-        zeros = np.full((7, 1), complex(-0.0, -0.0))
-        total = np.zeros(1, dtype=complex)
-        for value in zeros:
-            total += value
-        expected = (q.c / (1j * q.N)) * (scalar_problem.operator.schur_vectors @ total)
-        got = full_sum(dataclasses.replace(q, node_values=zeros))
-        assert got.tobytes() == expected.tobytes()
+        for part, dz in (("real", complex(-1.0, 0.0)), ("imag", complex(-1.0, -0.0))):
+            stack = (np.zeros(7, dtype=complex), np.full(7, dz), np.zeros((7, 1), dtype=complex))
+            zeros = dataclasses.replace(q, stack=stack)
+            assert np.all(zeros.node_values == 0.0)
+            assert np.all(np.signbit(getattr(zeros.node_values, part)))
+            total = np.zeros(1, dtype=complex)
+            for value in zeros.node_values:
+                total += value
+            expected = (q.c / (1j * q.N)) * (scalar_problem.operator.schur_vectors @ total)
+            got = full_sum(zeros)
+            assert got.tobytes() == expected.tobytes()
 
     def test_node_values_read_only(self, scalar_problem, scalar_params):
         q = bm.trapezoid_sum(scalar_problem, scalar_params, 0.3, 1.0, 8)
         assert not q.node_values.flags.writeable
         with pytest.raises(ValueError):
             q.node_values[0, 0] = 0.0
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    m=st.integers(1, 4000),
+    dim=st.sampled_from([1, 2, 3, 200]),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    negative_share=st.sampled_from([0.0, 0.5, 1.0]),
+)
+@example(m=4000, dim=200, seed=0, zero_share=0.3, negative_share=0.5)
+@example(m=4000, dim=1, seed=1, zero_share=1.0, negative_share=1.0)
+@example(m=1, dim=1, seed=2, zero_share=1.0, negative_share=1.0)
+def test_row_sum_adds_rows_in_order(m, dim, seed, zero_share, negative_share):
+    # _row_sum reduces the float view, which NumPy adds row after row; it
+    # must keep the bytes of a loop started from np.zeros, signed zeros
+    # included, for any stack height and width.
+    rng = np.random.default_rng(seed)
+    parts = 10.0 ** rng.uniform(-30.0, 30.0, (m, 2 * dim))
+    parts[rng.random((m, 2 * dim)) < zero_share] = 0.0
+    parts[rng.random((m, 2 * dim)) < negative_share] *= -1.0
+    rows = parts.view(complex)
+    total = np.zeros(dim, dtype=complex)
+    for row in rows:
+        total += row
+    assert solver._row_sum(rows).tobytes() == total.tobytes()
+
+
+class TestRuleMemo:
+    """The cache stacks each rule once; a result forms node_values from its own stack."""
+
+    def test_rules_n_2n_n_match_fresh_caches(self, cd_problem, cd_report):
+        params, c = cd_report.contour, cd_report.truncation.c
+        N = 7
+        cache = NodeCache(cd_problem, params, c)
+        first = bm.trapezoid_sum(cd_problem, params, c, 1.0, N, cache)
+        assert (cache.solve_count, cache.reuse_count) == (N - 1, 0)
+        doubled = bm.trapezoid_sum(cd_problem, params, c, 1.0, 2 * N, cache)
+        assert (cache.solve_count, cache.reuse_count) == (2 * N - 1, N - 1)
+        again = bm.trapezoid_sum(cd_problem, params, c, 1.0, N, cache)
+        assert (cache.solve_count, cache.reuse_count) == (2 * N - 1, 2 * N - 2)
+        # first's rows are formed only now, after the cache summed 2N and N.
+        for q in (first, doubled, again):
+            fresh = bm.trapezoid_sum(cd_problem, params, c, 1.0, q.N)
+            assert q.approx.tobytes() == fresh.approx.tobytes()
+            assert q.node_values.tobytes() == fresh.node_values.tobytes()
+        assert bm.trapezoid_sum(cd_problem, params, c, 2.0, N, cache).stack is again.stack
+        assert not any(part.flags.writeable for part in again.stack)
+
+    def test_ladder_reports_share_one_stack(self, bs_problem, bs_window):
+        # Ten kept reports of the N-point rule hold one (N-1, dim) stack,
+        # not one node-value array each.
+        import gc
+        import tracemalloc
+
+        ladder = [float(t) for t in np.linspace(1.0, 10.0, 10)]
+        warm = [bm.solve_at(bs_window, bs_problem, t) for t in ladder]
+        N = max(report.result.N for report in warm)
+        del warm
+        gc.collect()
+        tracemalloc.start()
+        try:
+            reports = [bm.solve_at(bs_window, bs_problem, t) for t in ladder]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 10
+        assert held < 2 * (N - 1) * bs_problem.dim * 16
 
 
 def _x_space_sum(problem, cache, t, N):
