@@ -9,6 +9,7 @@ falls below the target accuracy, and prices the round-off amplification.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -197,9 +198,12 @@ def conformal_map(params: ContourParams, w):
     is the integration arc, and Im(w) = y slides across the nested ellipse
     family (y = +a innermost, y = -a outermost).
     """
-    w = np.asarray(w, dtype=complex) if np.ndim(w) else complex(w)
-    em = np.exp(-1j * w)
-    ep = np.exp(1j * w)
+    if isinstance(w, (float, complex)) or not np.ndim(w):
+        w = complex(w)
+        em, ep = cmath.exp(-1j * w), cmath.exp(1j * w)
+    else:
+        w = np.asarray(w, dtype=complex)
+        em, ep = np.exp(-1j * w), np.exp(1j * w)
     z = params.a1 * em + params.a2 * ep + params.A3
     dz = 1j * (params.a2 * ep - params.a1 * em)
     return z, dz
@@ -379,6 +383,13 @@ class FeasibilityReport:
         )
 
 
+def feasibility_shifts(params: ContourParams, c: float) -> list:
+    """The _FEASIBILITY_SAMPLES shifts z(x), x evenly spaced over [-c pi, c pi],
+    where the round-off forecast samples the condition number."""
+    xs = np.linspace(-c * math.pi, c * math.pi, _FEASIBILITY_SAMPLES)
+    return [conformal_map(params, x)[0] for x in xs]
+
+
 def feasibility_check(
     problem, params: ContourParams, c: float, t: float, tol: float
 ) -> FeasibilityReport:
@@ -388,7 +399,6 @@ def feasibility_check(
     multiplies the worst one by the stability constant and the unit roundoff.
     A failure is a verdict, not an exception.
     """
-    xs = np.linspace(-c * math.pi, c * math.pi, _FEASIBILITY_SAMPLES)
-    conds = [resolvent_cond(problem.operator, conformal_map(params, x)[0]) for x in xs]
+    conds = [resolvent_cond(problem.operator, z) for z in feasibility_shifts(params, c)]
     max_cond = float(np.max(conds))
     return FeasibilityReport.forecast(max_cond, stability_constant(params, c, t), tol)

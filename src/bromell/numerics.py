@@ -6,15 +6,16 @@ A = Q T Q* (for a real operator the real Schur form converted by rsf2csf,
 for a complex one zgees), shifted solves (zI - A)x = b through it (one
 triangular solve per shift), the resolvent apply in Schur coordinates
 yhat(z) = (zI - T)^{-1} (Q* u0 + sum_k Q* v_k / (z + r_k)) at every
-quadrature node (one triangular solve, no product with Q), its x-space form
-uhat(z) = Q yhat(z) and the norms of uhat at every truncation step and bound
-sample, the triangular condition estimate of the feasibility check, dense
-eigenvalues, and a matrix-exponential reference evolution used as
-validation oracle.
+quadrature node (one triangular solve, no product with Q), the norms
+||uhat(z)|| = ||yhat(z)|| (Q is unitary) at every truncation step and bound
+sample, taken in Schur coordinates too, the triangular condition estimate
+of the feasibility check, dense eigenvalues, and a matrix-exponential
+reference evolution used as validation oracle.
 
 All functions are deterministic and never mutate their inputs; the only
 state is the operator's cached Schur form, its diagonal and its one shift
-buffer, and the problem's cached Schur-coordinate data.
+buffer (with a view of that buffer's diagonal), and the problem's cached
+Schur-coordinate data.
 """
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ class Operator:
         """
         return np.asfortranarray(-self.schur_factor)
 
+    @cached_property
+    def _shift_diagonal(self) -> np.ndarray:
+        """A view of the shift buffer's diagonal, which each shift rewrites."""
+        return self._shift_buffer.reshape(-1, order="F")[:: self.dim + 1]
+
 
 def as_operator(A) -> Operator:
     """Coerce a matrix-like into an Operator (no copy if already one)."""
@@ -145,7 +151,6 @@ class ShiftedSystem:
         if not cmath.isfinite(self.z):
             raise ValueError("array must not contain infs or NaNs")
         self._op = op = as_operator(A)
-        self.dim = op.dim
         self._diag = self.z - op.schur_diagonal
         if not self._diag.all():  # zero pivot of zI - T: z is an eigenvalue
             raise SingularSystemError(
@@ -154,9 +159,8 @@ class ShiftedSystem:
 
     def _shifted(self) -> np.ndarray:
         """The operator's shift buffer, holding zI - T at this shift."""
-        M = self._op._shift_buffer
-        M.reshape(-1, order="F")[:: self.dim + 1] = self._diag
-        return M
+        self._op._shift_diagonal[...] = self._diag
+        return self._op._shift_buffer
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs)
@@ -171,7 +175,7 @@ class ShiftedSystem:
         rhs = Q* b and x = Q y. One triangular solve; a non-finite y (an
         overflow, or a non-finite rhs) raises SingularSystemError."""
         y = _TRTRS(self._shifted(), rhs)[0]
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise SingularSystemError(
                 f"solve with (zI - A) overflowed at z = {self.z}"
             )
@@ -196,20 +200,21 @@ def schur_solution(problem, z: complex) -> np.ndarray:
     return ShiftedSystem(problem.operator, z).solve_schur(problem.schur_rhs(z))
 
 
-def transformed_solution(problem, z: complex) -> np.ndarray:
-    """Laplace-transformed state uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) = Q yhat(z).
-
-    Raises SingularSystemError when z is (numerically) an eigenvalue of A.
-    """
-    return problem.operator.schur_vectors @ schur_solution(problem, z)
-
-
 def resolvent_norms(problem, z) -> np.ndarray:
     """||uhat(z_k)|| at each point z_k of z, in z's shape: the one loop that samples
-    sizes of uhat, which every truncation step and sampled bound scales."""
+    sizes of uhat, which every truncation step and sampled bound scales.
+
+    uhat = Q yhat with Q unitary, so each norm is taken in Schur coordinates,
+    with no product with Q. ``problem.schur_rhs`` builds every right-hand
+    side as one block, one row per point; each row is then solved in place
+    by its own ShiftedSystem, and the norms are taken along the rows. Raises
+    SingularSystemError as schur_solution does.
+    """
     z = np.asarray(z, dtype=complex)
-    norms = [np.linalg.norm(transformed_solution(problem, zk)) for zk in z.flat]
-    return np.array(norms).reshape(z.shape)
+    Y = problem.schur_rhs(z.ravel())
+    for k, zk in enumerate(z.flat):
+        Y[k] = ShiftedSystem(problem.operator, zk).solve_schur(Y[k])
+    return np.linalg.norm(Y, axis=-1).reshape(z.shape)
 
 
 def resolvent_cond(A, z: complex) -> float:

@@ -113,13 +113,21 @@ class LaplaceProblem:
         Qh = self.operator.schur_vectors.conj().T
         return Qh @ self.u0, tuple((Qh @ term.vector, term.rate) for term in self.source_terms)
 
-    def schur_rhs(self, z: complex) -> np.ndarray:
+    def schur_rhs(self, z) -> np.ndarray:
         """Q* (u0 + bhat(z)) = Q* u0 + sum_k Q* v_k / (z + r_k): the right-hand
         side of the shifted solve at z in Schur coordinates (A = Q T Q*),
-        with no product with Q."""
+        with no product with Q. A 1-D array of m shifts gives a fresh
+        (m, dim) block, one row per shift with a scalar shift's arithmetic."""
         qu0, terms = self._schur_data
-        out = qu0.copy()
-        for w, rate in terms:
+        if isinstance(z, np.ndarray):
+            if not terms:
+                return np.tile(qu0, (z.size, 1))
+            z = z[:, None]
+        elif not terms:
+            return qu0.copy()
+        (w, rate), *rest = terms
+        out = qu0 + w / (z + rate)
+        for w, rate in rest:
             out += w / (z + rate)
         return out
 

@@ -32,8 +32,9 @@ _CERTIFY_SLACK = 1e-6
 # at the second when the 2 x 2 residual bound is this small relative.
 _LANCZOS_STEPS = 40
 _LANCZOS_RTOL = 1e-12
-# Relative allowance for rounding in lower_bound's two triangular solves:
-# every term of their back substitutions is nonnegative, so nothing cancels.
+# Relative allowance for rounding in the triangular solves of lower_bound and
+# cond_bound: every term of their back substitutions is nonnegative, so
+# nothing cancels.
 _BOUND_ROUNDING = 1e-10
 
 
@@ -143,13 +144,15 @@ class SigmaMinEvaluator:
     triangular shift runs only when the run is rejected. ``evaluations``,
     ``lanczos_steps`` and ``fallbacks`` count the work done so far, and
     ``bounds`` the calls to ``lower_bound``, a cheap certificate from below
-    that runs no Lanczos. ``schur_diagonal`` holds the eigenvalues t_ii.
+    that runs no Lanczos. ``cond_bound`` bounds the condition number of
+    zI - T from above in the same way. ``schur_diagonal`` holds the
+    eigenvalues t_ii.
 
     zI - T is the operator's one shift buffer (``Operator._shift_buffer``),
     which ShiftedSystem shares; each evaluation rewrites its diagonal, so the
     evaluator allocates no complex n x n matrix of its own. ``lower_bound``
-    works the same way in a real n x n buffer that the evaluator builds on
-    its first call.
+    and ``cond_bound`` work the same way in a real n x n buffer that the
+    evaluator builds on its first call.
     """
 
     def __init__(self, A):
@@ -160,7 +163,7 @@ class SigmaMinEvaluator:
         self.abs_error = 10.0 * np.finfo(float).eps * _frobenius(T)
         self.schur_diagonal = op.schur_diagonal
         self._M = op._shift_buffer
-        self._M_diag = self._M.reshape(-1, order="F")[:: self.dim + 1]
+        self._M_diag = op._shift_diagonal
         self._ones = np.ones(self.dim)
         self._sterf, self._stevd = sla.get_lapack_funcs(("sterf", "stevd"), dtype=float)
         # Lanczos workspace, shared by every run: the basis vectors as rows,
@@ -221,6 +224,34 @@ class SigmaMinEvaluator:
         if not 0.0 < product < math.inf:  # NaN and overflow fail too
             return 0.0
         return (1.0 - _BOUND_ROUNDING) / math.sqrt(product)
+
+    @cached_property
+    def _column_sums(self) -> np.ndarray:
+        """sum_{i<j} |t_ij| for each column j of T: the off-diagonal part of
+        each column sum of zI - T, the same at every shift. C is -|T| above
+        its diagonal."""
+        return -np.triu(self._comparison[0], 1).sum(axis=0)
+
+    def cond_bound(self, z: complex) -> float:
+        """A rigorous upper bound on the 1-norm condition number of zI - T,
+        from one real triangular solve.
+
+        ||zI - T||_1 is the largest column sum |z - t_jj| + sum_{i<j} |t_ij|,
+        and with the comparison matrix C of lower_bound, |(zI - T)^-1| <= C^-1
+        entrywise, so ||(zI - T)^-1||_1 <= ||C^-1||_1 = ||C^-T e||_inf. Their
+        product, raised by the rounding allowance, bounds the number that
+        numerics.ShiftedSystem.cond estimates from below. Returns inf on a zero
+        pivot or when the product is not finite.
+        """
+        C, C_diag = self._comparison
+        np.abs(complex(z) - self.schur_diagonal, out=C_diag)
+        y, info = _DTRTRS(C, self._ones, trans=1)
+        if info:  # a zero pivot: z is an eigenvalue
+            return math.inf
+        product = float((C_diag + self._column_sums).max()) * float(y.max())
+        if not product < math.inf:  # NaN and overflow fail too
+            return math.inf
+        return (1.0 + _BOUND_ROUNDING) * product
 
     def _dense_sigma_min(self) -> float:
         """sigma_min of the current shift by dense SVD, for a stalled iteration."""
@@ -368,13 +399,17 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
     the comparison matrix C grows; C is a triangular M-matrix, so C^-1
     shrinks entrywise and the bound grows. The first bound that certifies a
     node from that row on therefore certifies every row above it, and the
-    walk leaves the column there. The node directly above each column's
-    topmost in-set node (``_topmost_inside``, which level_curve reads too)
-    is evaluated as well, because level_curve interpolates against it.
-    Every other node, the lower rows included, is NaN, which level_curve
-    reads as outside; ``PseudoGrid.completed`` evaluates them. No rigorous
-    bound certifies an in-set node, so the order of the walk moves no
-    curve. Without levels every node is evaluated.
+    walk leaves the column there. Rows already certified are jumped over
+    with one search for the column's next uncertified row (bounds only
+    grow, so the same nodes are bounded and evaluated), and each value
+    raises bounds only in the columns the walk has not left. The node
+    directly above each column's topmost in-set node (``_topmost_inside``,
+    which level_curve reads too) is evaluated as well, because level_curve
+    interpolates against it. Every other node, the lower rows included, is
+    NaN, which level_curve reads as outside; ``PseudoGrid.completed``
+    evaluates them. No rigorous bound certifies an in-set node, so the
+    order of the walk moves no curve. Without levels every node is
+    evaluated.
     """
     ev = SigmaMinEvaluator(as_operator(A))
     sigma = np.full((spec.n_pts, spec.n_pts), np.nan)
@@ -399,26 +434,33 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
     # From row r_up on, y >= Im t_ii for every i: lower_bound grows up each column.
     r_up = int(np.searchsorted(yr, max(float(ev.schur_diagonal.imag.max()), 0.0)))
     for ix in range(xs.size):
-        for r in range(rows.size):  # bottom row first
-            if bound[r, ix] > theta[ix]:
-                continue
+        level, r = theta[ix], 0  # bottom row first
+        while r < rows.size:
+            if bound[r, ix] > level:
+                # Jump to the column's next uncertified row in one search;
+                # bounds only grow, so a row certified now stays certified.
+                r += int((bound[r:, ix] > level).argmin())
+                if bound[r, ix] > level:
+                    break  # every row left is certified
             z = nodes[r, ix]
             # The comparison-matrix bound is two real triangular solves, a
             # twentieth of an evaluation or less; a node it certifies stays NaN.
             s_low = _slackened(ev, ev.lower_bound(z))
-            certified = s_low > theta[ix]
+            certified = s_low > level
             if not certified:
                 s = sigma[rows[r], ix] = ev(z)
                 s_low = _slackened(ev, s)
             if s_low > reach:
                 # Only nodes within s_low of z gain a positive bound; one more
-                # node on each side keeps rounding in the search from dropping one.
+                # node on each side keeps rounding in the search from dropping
+                # one. The walk has left the columns left of ix for good.
                 r0, r1 = np.searchsorted(yr, (z.imag - s_low, z.imag + s_low))
                 c0, c1 = np.searchsorted(xs, (z.real - s_low, z.real + s_low))
-                near = np.s_[max(r0 - 1, 0) : r1 + 1, max(c0 - 1, 0) : c1 + 1]
+                near = np.s_[max(r0 - 1, 0) : r1 + 1, max(c0 - 1, ix) : c1 + 1]
                 np.maximum(bound[near], s_low - np.abs(nodes[near] - z), out=bound[near])
             if certified and r >= r_up:
                 break  # this bound certifies every row above it too
+            r += 1
     for eps, t in levels:
         above = _topmost_inside(_level_values(sigma[rows], xs, t), -np.log(eps)) + 1
         for ix in np.flatnonzero((above > 0) & (above < rows.size)):

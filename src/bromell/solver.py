@@ -31,6 +31,7 @@ from .contour import (
     conformal_map,
     contour_from_a,
     feasibility_check,
+    feasibility_shifts,
     optimize_a,
     predicted_nodes,
     stability_constant,
@@ -43,7 +44,6 @@ from .numerics import (
     reference_solution,
     resolvent_norms,
     schur_solution,
-    transformed_solution,
 )
 from .problems import write_csv
 from .pseudospectra import (
@@ -67,6 +67,10 @@ _LINE_SAMPLES = 64
 # plan_window lowers a until this multiple of the round-off forecast over
 # the whole arc at t1 meets tol.
 ROUNDOFF_SAFETY = 10.0
+# plan_window skips the margin's condition estimates when ROUNDOFF_SAFETY
+# times the bounded forecast is at most this fraction of tol; the rest
+# absorbs the rounding of the estimates the bound exceeds.
+_SIZING_CERTIFIED = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +182,7 @@ class QuadratureResult:
 def integrand(problem, params: ContourParams, x, t: float) -> np.ndarray:
     """G at one strip coordinate (real on the arc, complex for diagnostics)."""
     z, dz = conformal_map(params, x)
-    return np.exp(z * t) * transformed_solution(problem, z) * dz
+    return np.exp(z * t) * (problem.operator.schur_vectors @ schur_solution(problem, z)) * dz
 
 
 def _row_sum(rows: np.ndarray) -> np.ndarray:
@@ -617,13 +621,20 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
     # Round-off margin. The forecast over the whole arc (c = 1/2) is
     # a2 e^{(A1 + z_l) t1} eps/2 max_cond; with a2 and max_cond frozen at
     # optimize_a's a only the exponent moves, so ROUNDOFF_SAFETY x forecast
-    # <= tol bounds A1 and a_within_reach gives the a that meets it.
-    sizing = _stage("feasibility", feasibility_check, problem, params, 0.5, t1, tol)
-    excess = ROUNDOFF_SAFETY * sizing.achievable / tol
-    if excess > 1.0 and math.isfinite(sizing.max_cond):
-        a = a_within_reach(inner, params.A1 - math.log(excess) / t1)
-        if a is not None and window_objective(inner, a, t1, tol) <= opts.n_max:
-            params = _stage("contour", contour_from_a, inner, min(a, params.a))
+    # <= tol bounds A1 and a_within_reach gives the a that meets it. The
+    # sizing check's condition estimates are bounded from above first, at its
+    # own shifts, by the grid evaluator's comparison matrix (cond_bound); when
+    # ROUNDOFF_SAFETY x that forecast stays within _SIZING_CERTIFIED tol, no
+    # margin can apply and the estimates are skipped.
+    bounds = [prep.grid.evaluator.cond_bound(z) for z in feasibility_shifts(params, 0.5)]
+    bounded = FeasibilityReport.forecast(max(bounds), stability_constant(params, 0.5, t1), tol)
+    if ROUNDOFF_SAFETY * bounded.achievable > _SIZING_CERTIFIED * tol:
+        sizing = _stage("feasibility", feasibility_check, problem, params, 0.5, t1, tol)
+        excess = ROUNDOFF_SAFETY * sizing.achievable / tol
+        if excess > 1.0 and math.isfinite(sizing.max_cond):
+            a = a_within_reach(inner, params.A1 - math.log(excess) / t1)
+            if a is not None and window_objective(inner, a, t1, tol) <= opts.n_max:
+                params = _stage("contour", contour_from_a, inner, min(a, params.a))
     trunc0 = _stage("truncation", truncation_fixed_point, problem, params, t0, tol, opts.prec)
     if t1 == t0:
         trunc1 = trunc0

@@ -16,8 +16,26 @@ from hypothesis import strategies as st
 import bromell as bm
 from bromell.contour import conformal_map
 from bromell.errors import DimensionLimitError, SingularSystemError
-from bromell.numerics import transformed_solution
+from bromell.numerics import schur_solution
 from bromell.pseudospectra import SigmaMinEvaluator
+
+
+def _transformed_solution(problem, z):
+    """The x-space resolvent apply uhat(z) = (zI - A)^{-1} (u0 + bhat(z)) = Q yhat(z)."""
+    return problem.operator.schur_vectors @ schur_solution(problem, z)
+
+
+def _non_normal(rng, n, complex_entries):
+    """A random non-normal operator: a diagonal plus a strong strictly
+    upper-triangular part, turned by a random orthogonal similarity."""
+    shape = (n, n)
+    N = np.triu(rng.standard_normal(shape), 1) * 10.0
+    D = np.diag(rng.standard_normal(n) * 3.0)
+    if complex_entries:
+        N = N + 1j * np.triu(rng.standard_normal(shape), 1) * 10.0
+        D = D + 1j * np.diag(rng.standard_normal(n) * 3.0)
+    V, _ = np.linalg.qr(rng.standard_normal(shape))
+    return V @ (D + N) @ V.T
 
 
 class TestResolventSolve:
@@ -75,19 +93,10 @@ class TestResolventSolve:
     )
     def test_backward_stable_on_non_normal_operators(self, n, seed, complex_entries, shift,
                                                      rates):
-        # A random non-normal operator: a diagonal plus a strong strictly
-        # upper-triangular part, turned by a random orthogonal similarity.
         # Checked twice: a plain solve, and the resolvent apply Q yhat of a
         # problem with one or two sources v_k exp(-r_k t), r_k >= 0.
         rng = np.random.default_rng(seed)
-        shape = (n, n)
-        N = np.triu(rng.standard_normal(shape), 1) * 10.0
-        D = np.diag(rng.standard_normal(n) * 3.0)
-        if complex_entries:
-            N = N + 1j * np.triu(rng.standard_normal(shape), 1) * 10.0
-            D = D + 1j * np.diag(rng.standard_normal(n) * 3.0)
-        V, _ = np.linalg.qr(rng.standard_normal(shape))
-        M = V @ (D + N) @ V.T
+        M = _non_normal(rng, n, complex_entries)
         b = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_entries else 0.0)
         z = complex(shift)
         # off the spectrum: away from every eigenvalue by more than round-off
@@ -101,7 +110,7 @@ class TestResolventSolve:
         assert np.linalg.norm(S @ x - b) <= bound
         terms = tuple(bm.SourceTerm(rng.standard_normal(n), r) for r in rates)
         problem = bm.LaplaceProblem(op, b, terms)
-        u = transformed_solution(problem, z)
+        u = _transformed_solution(problem, z)
         rhs_size = np.linalg.norm(b) + sum(np.linalg.norm(v.vector) / abs(z + v.rate)
                                            for v in terms)
         bound = 100 * n * eps * (np.linalg.norm(S) * np.linalg.norm(u) + rhs_size)
@@ -203,6 +212,7 @@ class TestResolventCond:
             n = T.shape[0]
             got = bm.resolvent_cond(A, z)
             assert got <= np.linalg.cond(complex(z) * np.eye(n) - T, 1) * (1 + 1e-12)
+            assert got <= SigmaMinEvaluator(A).cond_bound(z)
             cond2 = np.linalg.cond(_shifted(A, z), 2)
             assert cond2 / n <= got <= n * cond2
 
@@ -228,6 +238,30 @@ class TestResolventCond:
 
     def test_singular_shift_is_infinite(self):
         assert bm.resolvent_cond(bm.Operator(np.diag([-1.0, -2.0])), -1.0) == np.inf
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        complex_entries=st.booleans(),
+        where=st.sampled_from(["eigenvalue", "near", "far"]),
+        offset=st.complex_numbers(min_magnitude=1e-3, max_magnitude=20.0,
+                                  allow_nan=False, allow_infinity=False),
+    )
+    def test_comparison_bound_is_above_the_estimate(self, n, seed, complex_entries, where,
+                                                    offset):
+        # SigmaMinEvaluator.cond_bound bounds the 1-norm condition number of
+        # zI - T from above, which trcon estimates from below: at an
+        # eigenvalue t_ii, within 1e-6 |offset| of one, and anywhere else.
+        rng = np.random.default_rng(seed)
+        op = bm.Operator(_non_normal(rng, n, complex_entries))
+        t = complex(op.schur_diagonal[rng.integers(n)])
+        z = {"eigenvalue": t, "near": t + 1e-6 * offset, "far": offset}[where]
+        bound = SigmaMinEvaluator(op).cond_bound(z)
+        assert bm.resolvent_cond(op, z) <= bound
+        if where == "eigenvalue":
+            assert bound == np.inf
 
 
 def _sigma_min(M) -> float:

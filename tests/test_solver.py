@@ -537,8 +537,6 @@ class TestSolvePipeline:
         problem = bm.black_scholes_problem()
         plan = bm.plan_window(problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
         monkeypatch.setattr(numerics.ShiftedSystem, "solve", forbidden)
-        monkeypatch.setattr(numerics, "transformed_solution", forbidden)
-        monkeypatch.setattr(solver, "transformed_solution", forbidden)
         monkeypatch.setattr(numerics.ShiftedSystem, "solve_schur", counted)
         cold = dataclasses.replace(plan, cache=NodeCache(problem, plan.contour, plan.c_grid))
         for t in np.linspace(1.0, 10.0, 10):
@@ -944,6 +942,43 @@ class TestRoundoffMargin:
     def test_reference_recipe_keeps_the_optimal_a(self, cd_report):
         assert cd_report.contour.a == bm.optimize_a(cd_report.inner, 1.0, 5e-8)
 
+    @staticmethod
+    def plan_with_trcon_count(problem, t1, tol, opts, monkeypatch):
+        calls = []
+        trcon = numerics._TRCON
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return trcon(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_TRCON", counted)
+        plan = bm.plan_window(problem, 1.0, t1, tol, opts)
+        monkeypatch.setattr(numerics, "_TRCON", trcon)
+        return plan, len(calls)
+
+    @pytest.mark.parametrize("case", ["cd", "bs t=1"])
+    def test_certified_sizing_gives_the_estimated_plan(self, case, cd_problem, bs_problem,
+                                                       monkeypatch):
+        # The grid's comparison-matrix bounds keep ROUNDOFF_SAFETY x the
+        # sizing forecast under tol / 2 here, so the sizing check's ten trcon
+        # estimates are skipped and only the plan's own ten run. With the
+        # certificate forced to fail, all twenty run, and the plan is the same.
+        problem, opts = {
+            "cd": (cd_problem, bm.SolveOptions(z_l=-40.0, z_r=0.09, prec=1e-2)),
+            "bs t=1": (bs_problem, bm.SolveOptions(grid_pts=50)),
+        }[case]
+        plan, calls = self.plan_with_trcon_count(problem, 1.0, 5e-8, opts, monkeypatch)
+        assert calls == 10
+        monkeypatch.setattr(pseudospectra.SigmaMinEvaluator, "cond_bound",
+                            lambda self, z: math.inf)
+        fallback, calls = self.plan_with_trcon_count(problem, 1.0, 5e-8, opts, monkeypatch)
+        assert calls == 20
+
+        def fields(p):
+            return repr((p.contour, p.trunc0, p.trunc1, p.c_grid, p.n_nodes, p.feasibility))
+
+        assert fields(plan) == fields(fallback)
+
     def test_window_lowers_a_to_the_margin(self, bs_problem, bs_window):
         plan = bs_window
         root = bm.contour_from_a(plan.inner, bm.optimize_a(plan.inner, plan.t1, plan.tol))
@@ -967,9 +1002,11 @@ class TestRoundoffMargin:
 
 
 def _per_point_norms(problem, points, scales):
-    """||uhat(z)|| |scale| at each point, one transformed_solution at a time."""
+    """||uhat(z)|| |scale| at each point, one schur_solution at a time: ||uhat|| =
+    ||yhat|| for the unitary Q, read with the sampler's row-norm formula."""
     return np.array([
-        np.linalg.norm(numerics.transformed_solution(problem, complex(z))) * abs(scale)
+        np.linalg.norm(numerics.schur_solution(problem, complex(z))[None, :], axis=-1)[0]
+        * abs(scale)
         for z, scale in zip(points, scales)
     ])
 
