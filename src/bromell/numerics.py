@@ -12,10 +12,11 @@ sample, taken in Schur coordinates too, the triangular condition estimate
 of the feasibility check, dense eigenvalues, and a matrix-exponential
 reference evolution used as validation oracle.
 
-All functions are deterministic and never mutate their inputs; the only
-state is the operator's cached Schur form, its diagonal and its one shift
-buffer (with a view of that buffer's diagonal), and the problem's cached
-Schur-coordinate data.
+All functions are deterministic and never mutate their inputs, except that
+ShiftedSystem.solve_schur solves a contiguous complex right-hand side in
+place; the only state is the operator's cached Schur form, its diagonal and
+its one shift buffer (with a view of that buffer's diagonal), and the
+problem's cached Schur-coordinate data.
 """
 
 from __future__ import annotations
@@ -152,7 +153,9 @@ class ShiftedSystem:
             raise ValueError("array must not contain infs or NaNs")
         self._op = op = as_operator(A)
         self._diag = self.z - op.schur_diagonal
-        if not self._diag.all():  # zero pivot of zI - T: z is an eigenvalue
+        # A zero pivot of zI - T: z is an eigenvalue (count_nonzero is the
+        # cheaper test).
+        if np.count_nonzero(self._diag) < self._diag.size:
             raise SingularSystemError(
                 f"(zI - A) is numerically singular at z = {self.z}"
             )
@@ -173,9 +176,13 @@ class ShiftedSystem:
     def solve_schur(self, rhs: np.ndarray) -> np.ndarray:
         """y = (zI - T)^{-1} rhs: the solve in Schur coordinates, where
         rhs = Q* b and x = Q y. One triangular solve; a non-finite y (an
-        overflow, or a non-finite rhs) raises SingularSystemError."""
-        y = _TRTRS(self._shifted(), rhs)[0]
-        if not np.isfinite(y).all():
+        overflow, or a non-finite rhs) raises SingularSystemError.
+
+        A contiguous complex rhs is overwritten with y and returned (every
+        caller passes a fresh one); any other rhs is solved on a copy and left
+        unchanged. Both give the bits of a solve on a copy."""
+        y = _TRTRS(self._shifted(), rhs, overwrite_b=True)[0]
+        if np.count_nonzero(np.isfinite(y)) < y.size:
             raise SingularSystemError(
                 f"solve with (zI - A) overflowed at z = {self.z}"
             )
@@ -213,7 +220,7 @@ def resolvent_norms(problem, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     Y = problem.schur_rhs(z.ravel())
     for k, zk in enumerate(z.flat):
-        Y[k] = ShiftedSystem(problem.operator, zk).solve_schur(Y[k])
+        ShiftedSystem(problem.operator, zk).solve_schur(Y[k])
     return np.linalg.norm(Y, axis=-1).reshape(z.shape)
 
 

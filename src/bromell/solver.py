@@ -40,6 +40,7 @@ from .contour import (
 )
 from .errors import GeometryError, SingularSystemError, StageError
 from .numerics import (
+    ShiftedSystem,
     eigenvalues,
     reference_solution,
     resolvent_norms,
@@ -84,10 +85,22 @@ class NodeCache:
     the reduced fraction j/N, so nested refinements (N -> 2N -> ...) and
     repeated solves at other times hit the same (z, dz, yhat) entries
     bit-exactly. yhat = Q* uhat is the solve in Schur coordinates
-    (numerics.schur_solution): each fresh node is one ShiftedSystem and one
-    triangular solve, and the sums apply Q. The stacked nodes of the rule
-    summed last are kept (``rule``): a time ladder sums one rule many times,
-    a doubling solve each rule once.
+    (numerics.schur_solution), and the sums apply Q. The stacked nodes of the
+    rule summed last are kept (``rule``): a time ladder sums one rule many
+    times, a doubling solve each rule once.
+
+    ``rule`` prepares a rule's nodes as one block: positions, map,
+    source-pole check and Schur right-hand sides as array expressions, the
+    right-hand sides forming the rows of the rule's new stack. Each fresh
+    node is then one ShiftedSystem and one triangular solve, in place in its
+    row, and its entry keeps that row, so a rule solved cold holds its node
+    data once (a doubling still copies the older rows into its stack).
+
+    Counting contract: every sum makes one ``node(j, N)`` call per node, and
+    each fresh node's ShiftedSystem is made inside that call. So
+    ``solve_count`` and ``reuse_count`` are those of a per-node loop, and a
+    tracer that wraps ``node`` and ``ShiftedSystem`` (perfbench) reads the
+    same counts from its spans as the cache keeps.
     """
 
     def __init__(self, problem, params: ContourParams, c: float):
@@ -97,31 +110,49 @@ class NodeCache:
         self.entries: dict[tuple[int, int], tuple[complex, complex, np.ndarray]] = {}
         self.solve_count = 0
         self.reuse_count = 0
-        self._poles = problem.singularities
+        self._poles = np.array(problem.singularities, dtype=complex)
         self._last: tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # While rule() runs: each fresh key's prepared z, dz and stack row.
+        self._pending: dict[tuple[int, int], list] = {}
 
     def node_x(self, p, q: int):
         return -self.c * PI + (2.0 * self.c * PI) * (p / q)
 
+    def _check_poles(self, z) -> None:
+        """Raise if a node (z scalar or 1-D, in node order) sits on a source pole."""
+        if not self._poles.size:
+            return
+        near = np.abs(np.subtract.outer(z, self._poles)) < NODE_SINGULARITY_GAP
+        if near.any():
+            i, k = divmod(int(near.argmax()), self._poles.size)
+            raise SingularSystemError(
+                f"quadrature node z = {complex(np.atleast_1d(z)[i])} sits on source "
+                f"pole {complex(self._poles[k])}; the contour is misplaced"
+            )
+
     def node(self, j: int, N: int) -> tuple[complex, complex, np.ndarray]:
-        """(z, dz, yhat) at node j of the N-point rule, solved on first use."""
+        """(z, dz, yhat) at node j of the N-point rule, solved on first use.
+
+        A node that ``rule`` prepared is solved in place in its row of the
+        rule's stack; any other fresh node is prepared on its own.
+        """
         g = math.gcd(j, N)
         key = (j // g, N // g)
         hit = self.entries.get(key)
         if hit is not None:
             self.reuse_count += 1
             return hit
-        x = self.node_x(*key)
-        z, dz = conformal_map(self.params, x)
-        for pole in self._poles:
-            if abs(z - pole) < NODE_SINGULARITY_GAP:
-                raise SingularSystemError(
-                    f"quadrature node z = {z} sits on source pole {pole}; "
-                    "the contour is misplaced"
-                )
-        yhat = schur_solution(self.problem, z)
+        prepared = self._pending.pop(key, None)
+        if prepared is None:
+            z, dz = conformal_map(self.params, self.node_x(*key))
+            self._check_poles(z)
+            y = self.problem.schur_rhs(z)
+        else:
+            z, dz, y = prepared
+        y = ShiftedSystem(self.problem.operator, z).solve_schur(y)
+        y.flags.writeable = False
         self.solve_count += 1
-        data = (complex(z), complex(dz), yhat)
+        data = (z, dz, y)
         self.entries[key] = data
         return data
 
@@ -130,15 +161,39 @@ class NodeCache:
 
         Every node goes through ``node`` on each call, so the solve and reuse
         counts are those of a per-node loop; the stack is formed only when N
-        differs from the rule asked for last.
+        differs from the rule asked for last. It starts as the right-hand
+        side block of all N-1 nodes, the fresh rows are solved in place and
+        the reused rows are copied from their entries. j/N and its reduced
+        fraction round to the same x, and the array map gives the scalar
+        map's bits on the arc, so a node has the same bits either way.
         """
-        nodes = [self.node(j, N) for j in range(1, N)]
-        if self._last is None or self._last[0] != N:
-            stack = tuple(map(np.array, zip(*nodes)))
-            for part in stack:
-                part.flags.writeable = False
-            self._last = (N, stack)
-        return self._last[1]
+        if self._last is not None and self._last[0] == N:
+            for j in range(1, N):
+                self.node(j, N)
+            return self._last[1]
+        j = np.arange(1, N)
+        z, dz = conformal_map(self.params, self.node_x(j, N))
+        self._check_poles(z)
+        Y = self.problem.schur_rhs(z)
+        g = np.gcd(j, N)
+        keys = zip((j // g).tolist(), (N // g).tolist())
+        reused = []
+        try:
+            for i, (key, *prepared) in enumerate(zip(keys, z.tolist(), dz.tolist(), Y)):
+                if key in self.entries:
+                    reused.append(i)
+                else:
+                    self._pending[key] = prepared
+            rows = [self.node(k, N)[2] for k in range(1, N)]
+        finally:
+            self._pending.clear()
+        for i in reused:
+            Y[i] = rows[i]
+        stack = (z, dz, Y)
+        for part in stack:
+            part.flags.writeable = False
+        self._last = (N, stack)
+        return stack
 
 
 def _rows(stack, t: float, start: int = 0) -> np.ndarray:

@@ -200,6 +200,47 @@ class TestShiftedSystemOracle:
             assert interleaved[3 * k + 2] == bm.resolvent_cond(bm.Operator(M), 2 * z)
 
 
+class TestSolveSchurInPlace:
+    """solve_schur overwrites a contiguous complex right-hand side and
+    returns it; a real or strided one is solved on a copy and left alone.
+    Either way y has the bits of a solve on a copy."""
+
+    @pytest.fixture()
+    def case(self, bs_problem):
+        z = -3.0 + 2.0j
+        T = bs_problem.operator.schur_factor
+        M = np.array(-T)
+        np.fill_diagonal(M, z - np.diag(T))  # zI - T, entry for entry as solved
+        return bm.ShiftedSystem(bs_problem.operator, z), bs_problem.schur_rhs(z), M
+
+    def test_contiguous_complex_rhs_is_overwritten_and_returned(self, case):
+        system, rhs, M = case
+        expected = sla.solve_triangular(M, rhs)
+        on_copy = system.solve_schur(rhs.copy())
+        y = system.solve_schur(rhs)
+        assert y is rhs
+        assert y.tobytes() == on_copy.tobytes() == expected.tobytes()
+
+    def test_row_of_a_block_is_solved_in_place(self, case):
+        system, rhs, _ = case
+        block = np.stack([rhs, 2.0 * rhs])
+        other = block[0].copy()
+        y = system.solve_schur(block[1])
+        assert np.shares_memory(y, block)
+        assert block[1].tobytes() == system.solve_schur(2.0 * rhs).tobytes()
+        assert block[0].tobytes() == other.tobytes()
+
+    @pytest.mark.parametrize("kind", ["real", "strided"])
+    def test_other_rhs_is_left_unchanged(self, case, kind):
+        system, rhs, _ = case
+        b = rhs.real.copy() if kind == "real" else np.stack([rhs, rhs], axis=1)[:, 0]
+        before = b.copy()
+        y = system.solve_schur(b)
+        assert not np.shares_memory(y, b)
+        assert b.tobytes() == before.tobytes()
+        assert y.tobytes() == system.solve_schur(b.astype(complex)).tobytes()
+
+
 class TestResolventCond:
     """resolvent_cond against dense condition numbers: trcon estimates the
     1-norm condition of zI - T from below, and that lies within a factor n

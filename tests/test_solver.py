@@ -130,6 +130,16 @@ class TestTrapezoidSum:
         )
         with pytest.raises(SingularSystemError, match="misplaced"):
             bm.trapezoid_sum(prob, scalar_params, 0.3, 1.0, 8)
+        # An odd rule has no node at x = 0 and its doubling has one: the
+        # doubled rule's array check raises before any fresh node is solved,
+        # and a lone node there raises too.
+        cache = NodeCache(prob, scalar_params, 0.3)
+        q = bm.trapezoid_sum(prob, scalar_params, 0.3, 1.0, 7, cache)
+        with pytest.raises(SingularSystemError, match="misplaced"):
+            bm.refine_doubling(q, prob, scalar_params, 1.0)
+        assert (cache.solve_count, len(cache.entries)) == (6, 6)
+        with pytest.raises(SingularSystemError, match="misplaced"):
+            cache.node(7, 14)
 
 
 class TestRefineDoubling:
@@ -177,14 +187,23 @@ class TestRefineDoubling:
         assert q.N == 20
 
 
-def _per_node_sum(problem, cache, t, N):
+def _lone_node(cache, j, N):
+    """Node j of the N-point rule computed on its own: the scalar map at
+    node_x(j, N), then one schur_solution. The reference for the cache's
+    array-prepared nodes."""
+    z, dz = bm.conformal_map(cache.params, cache.node_x(j, N))
+    return z, dz, numerics.schur_solution(cache.problem, z)
+
+
+def _per_node_sum(problem, cache, t, N, node=NodeCache.node):
     """The quadrature as a loop over nodes: the reference the array form must match.
 
     Rows e^{zt} yhat dz stay in Schur coordinates and Q maps each loop's sum
-    to x-space once."""
+    to x-space once. Each node is node(cache, j, N): by default the cache's
+    own lookup, which solves a node it has not seen on its own."""
     c = cache.c
     Q = problem.operator.schur_vectors
-    values = [np.exp(z * t) * yhat * dz for z, dz, yhat in (cache.node(j, N) for j in range(1, N))]
+    values = [np.exp(z * t) * yhat * dz for z, dz, yhat in (node(cache, j, N) for j in range(1, N))]
     total = np.zeros(problem.dim, dtype=complex)
     for value in values:
         total += value
@@ -307,6 +326,50 @@ class TestRuleMemo:
             assert q.node_values.tobytes() == fresh.node_values.tobytes()
         assert bm.trapezoid_sum(cd_problem, params, c, 2.0, N, cache).stack is again.stack
         assert not any(part.flags.writeable for part in again.stack)
+
+    def test_rule_sequence_matches_lone_nodes(self, cd_problem, cd_report):
+        # Rules that double, halve, repeat and start a new base on one cache:
+        # every stack, node value and sum has the bytes of nodes computed on
+        # their own, also after the later rules, and the counts are those of
+        # a per-node loop.
+        params, c = cd_report.contour, cd_report.truncation.c
+        cache = NodeCache(cd_problem, params, c)
+        results, counts = [], []
+        for N in (7, 14, 28, 14, 9, 18):
+            results.append(bm.trapezoid_sum(cd_problem, params, c, 1.0, N, cache))
+            counts.append((cache.solve_count, cache.reuse_count))
+        assert counts == [(6, 0), (13, 6), (27, 19), (27, 32), (35, 32), (43, 41)]
+        for q in results:
+            lone = [_lone_node(cache, j, q.N) for j in range(1, q.N)]
+            for part, ref in zip(q.stack, zip(*lone)):
+                assert part.tobytes() == np.array(ref).tobytes()
+            approx, values, unfolded, _ = _per_node_sum(cd_problem, cache, 1.0, q.N, _lone_node)
+            assert q.approx.tobytes() == approx.tobytes()
+            assert q.node_values.tobytes() == np.array(values).tobytes()
+            assert full_sum(q).tobytes() == unfolded.tobytes()
+        assert (cache.solve_count, cache.reuse_count) == counts[-1]
+
+    def test_cold_ladder_holds_node_data_once(self, bs_problem, bs_window):
+        # Cached entries are rows of the stack they were solved in, so a cold
+        # ladder holds one (N-1, dim) array of node data, not a stack plus an
+        # array per node.
+        import gc
+        import tracemalloc
+
+        ladder = [float(t) for t in np.linspace(1.0, 10.0, 10)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cold = dataclasses.replace(
+                bs_window, cache=NodeCache(bs_problem, bs_window.contour, bs_window.c_grid)
+            )
+            reports = [bm.solve_at(cold, bs_problem, t) for t in ladder]
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        N = max(report.result.N for report in reports)
+        assert cold.cache.solve_count == N - 1
+        assert held < 1.5 * (N - 1) * bs_problem.dim * 16
 
     def test_ladder_reports_share_one_stack(self, bs_problem, bs_window):
         # Ten kept reports of the N-point rule hold one (N-1, dim) stack,

@@ -37,6 +37,7 @@ TRACED = (
     "pseudospectra.evals_per_node",
     "solver.node_solves",
     "solver.node_reuses",
+    "solver.quadrature_s",
     "solver.truncation_bound_s",
     "solver.false_claims",
     "contour.feasibility_s",
