@@ -137,12 +137,13 @@ class ShiftedSystem:
     matrix-vector products and one O(n^2) triangular solve (LAPACK
     ``trtrs``) instead of an O(n^3) LU per shift; ``solve_schur`` is the
     triangular solve alone, for a right-hand side already in Schur
-    coordinates (Q* b). T and Q are computed once per Operator
-    (``Operator.schur_factor``; a plain array is wrapped in a new Operator,
-    so pass an Operator to share them), and zI - T is written into the
-    operator's one shift buffer, whose diagonal each triangular solve and
-    ``cond`` rewrites, as pseudospectra.SigmaMinEvaluator does; work on one
-    operator therefore runs one shift at a time. Node reuse across
+    coordinates (Q* b), and it writes y over a contiguous complex
+    right-hand side (pass a copy to keep one). T and Q are computed once
+    per Operator (``Operator.schur_factor``; a plain array is wrapped in a
+    new Operator, so pass an Operator to share them), and zI - T is written
+    into the operator's one shift buffer, whose diagonal each triangular
+    solve and ``cond`` rewrites, as pseudospectra.SigmaMinEvaluator does;
+    work on one operator therefore runs one shift at a time. Node reuse across
     quadrature refinements and time windows keeps solutions in
     ``solver.NodeCache``, not systems.
     """
@@ -178,9 +179,10 @@ class ShiftedSystem:
         rhs = Q* b and x = Q y. One triangular solve; a non-finite y (an
         overflow, or a non-finite rhs) raises SingularSystemError.
 
-        A contiguous complex rhs is overwritten with y and returned (every
-        caller passes a fresh one); any other rhs is solved on a copy and left
-        unchanged. Both give the bits of a solve on a copy."""
+        A contiguous complex rhs is overwritten with y and returned, so a
+        caller that reuses its rhs must pass a copy; any other rhs (real or
+        strided) is solved on a copy and left unchanged. Both give the bits
+        of a solve on a copy."""
         y = _TRTRS(self._shifted(), rhs, overwrite_b=True)[0]
         if np.count_nonzero(np.isfinite(y)) < y.size:
             raise SingularSystemError(
@@ -213,14 +215,15 @@ def resolvent_norms(problem, z) -> np.ndarray:
 
     uhat = Q yhat with Q unitary, so each norm is taken in Schur coordinates,
     with no product with Q. ``problem.schur_rhs`` builds every right-hand
-    side as one block, one row per point; each row is then solved in place
-    by its own ShiftedSystem, and the norms are taken along the rows. Raises
+    side as one block, one row per point; each row is then solved by its own
+    ShiftedSystem and stored back in its row (in place for a complex block),
+    and the norms are taken along the rows. Raises
     SingularSystemError as schur_solution does.
     """
     z = np.asarray(z, dtype=complex)
     Y = problem.schur_rhs(z.ravel())
     for k, zk in enumerate(z.flat):
-        ShiftedSystem(problem.operator, zk).solve_schur(Y[k])
+        Y[k] = ShiftedSystem(problem.operator, zk).solve_schur(Y[k])
     return np.linalg.norm(Y, axis=-1).reshape(z.shape)
 
 

@@ -89,12 +89,14 @@ class NodeCache:
     rule summed last are kept (``rule``): a time ladder sums one rule many
     times, a doubling solve each rule once.
 
-    ``rule`` prepares a rule's nodes as one block: positions, map,
-    source-pole check and Schur right-hand sides as array expressions, the
-    right-hand sides forming the rows of the rule's new stack. Each fresh
-    node is then one ShiftedSystem and one triangular solve, in place in its
-    row, and its entry keeps that row, so a rule solved cold holds its node
-    data once (a doubling still copies the older rows into its stack).
+    Every fresh node is prepared by one path, ``_prepare``: positions, map,
+    source-pole check and Schur right-hand sides as array expressions over a
+    block of nodes. ``rule`` prepares its fresh nodes as one block in the
+    rows of its new stack; a lone ``node`` call prepares a one-row block.
+    Each fresh node is then one ShiftedSystem and one triangular solve, in
+    place in its row, and its entry keeps that row, so a rule solved cold
+    holds its node data once (a doubling still copies the older rows into
+    its stack).
 
     Counting contract: every sum makes one ``node(j, N)`` call per node, and
     each fresh node's ShiftedSystem is made inside that call. So
@@ -113,28 +115,37 @@ class NodeCache:
         self._poles = np.array(problem.singularities, dtype=complex)
         self._last: tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         # While rule() runs: each fresh key's prepared z, dz and stack row.
-        self._pending: dict[tuple[int, int], list] = {}
+        self._pending: dict[tuple[int, int], tuple[complex, complex, np.ndarray]] = {}
 
     def node_x(self, p, q: int):
         return -self.c * PI + (2.0 * self.c * PI) * (p / q)
 
-    def _check_poles(self, z) -> None:
-        """Raise if a node (z scalar or 1-D, in node order) sits on a source pole."""
+    def _check_poles(self, z: np.ndarray) -> None:
+        """Raise if a node of z (1-D, in node order) sits on a source pole."""
         if not self._poles.size:
             return
         near = np.abs(np.subtract.outer(z, self._poles)) < NODE_SINGULARITY_GAP
         if near.any():
             i, k = divmod(int(near.argmax()), self._poles.size)
             raise SingularSystemError(
-                f"quadrature node z = {complex(np.atleast_1d(z)[i])} sits on source "
+                f"quadrature node z = {complex(z[i])} sits on source "
                 f"pole {complex(self._poles[k])}; the contour is misplaced"
             )
+
+    def _prepare(self, j: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """z, dz and Schur right-hand sides Y of nodes j (1-D) of the N-point
+        rule, as one block: the source-pole check runs on all of them before
+        any is solved, and Y is C-contiguous complex, one row per node, so each
+        row can be solved in place."""
+        z, dz = conformal_map(self.params, self.node_x(j, N))
+        self._check_poles(z)
+        return z, dz, np.ascontiguousarray(self.problem.schur_rhs(z), dtype=complex)
 
     def node(self, j: int, N: int) -> tuple[complex, complex, np.ndarray]:
         """(z, dz, yhat) at node j of the N-point rule, solved on first use.
 
-        A node that ``rule`` prepared is solved in place in its row of the
-        rule's stack; any other fresh node is prepared on its own.
+        A fresh node is solved in place in its prepared row: a row of the
+        stack ``rule`` is forming, or else a one-row block of its own.
         """
         g = math.gcd(j, N)
         key = (j // g, N // g)
@@ -144,12 +155,12 @@ class NodeCache:
             return hit
         prepared = self._pending.pop(key, None)
         if prepared is None:
-            z, dz = conformal_map(self.params, self.node_x(*key))
-            self._check_poles(z)
-            y = self.problem.schur_rhs(z)
-        else:
-            z, dz, y = prepared
-        y = ShiftedSystem(self.problem.operator, z).solve_schur(y)
+            z, dz, Y = self._prepare(np.array([key[0]]), key[1])
+            prepared = z.item(), dz.item(), Y[0]
+        z, dz, y = prepared
+        solved = ShiftedSystem(self.problem.operator, z).solve_schur(y)
+        if solved is not y:  # trtrs solved on a copy
+            y[...] = solved
         y.flags.writeable = False
         self.solve_count += 1
         data = (z, dz, y)
@@ -161,35 +172,39 @@ class NodeCache:
 
         Every node goes through ``node`` on each call, so the solve and reuse
         counts are those of a per-node loop; the stack is formed only when N
-        differs from the rule asked for last. It starts as the right-hand
-        side block of all N-1 nodes, the fresh rows are solved in place and
-        the reused rows are copied from their entries. j/N and its reduced
-        fraction round to the same x, and the array map gives the scalar
-        map's bits on the arc, so a node has the same bits either way.
+        differs from the rule asked for last. The rule's fresh nodes are
+        prepared as one block (``_prepare``) whose rows are the stack's rows,
+        so each is solved in place there; reused rows are copied from their
+        entries. j/N rounds to the same x as its reduced fraction, so a node
+        has the same bits whichever rule prepares it.
         """
         if self._last is not None and self._last[0] == N:
             for j in range(1, N):
                 self.node(j, N)
             return self._last[1]
         j = np.arange(1, N)
-        z, dz = conformal_map(self.params, self.node_x(j, N))
-        self._check_poles(z)
-        Y = self.problem.schur_rhs(z)
         g = np.gcd(j, N)
-        keys = zip((j // g).tolist(), (N // g).tolist())
-        reused = []
+        keys = list(zip((j // g).tolist(), (N // g).tolist()))
+        fresh, reused = [], []
+        for i, key in enumerate(keys):
+            (reused if key in self.entries else fresh).append(i)
+        z, dz, block = self._prepare(j[fresh], N)
+        if reused:
+            Y = np.empty((N - 1, block.shape[1]), dtype=complex)
+            Y[fresh] = block
+        else:
+            Y = block
+        self._pending = {
+            keys[i]: (zi, dzi, Y[i]) for i, zi, dzi in zip(fresh, z.tolist(), dz.tolist())
+        }
         try:
-            for i, (key, *prepared) in enumerate(zip(keys, z.tolist(), dz.tolist(), Y)):
-                if key in self.entries:
-                    reused.append(i)
-                else:
-                    self._pending[key] = prepared
-            rows = [self.node(k, N)[2] for k in range(1, N)]
+            nodes = [self.node(k, N) for k in range(1, N)]
         finally:
-            self._pending.clear()
+            self._pending = {}
         for i in reused:
-            Y[i] = rows[i]
-        stack = (z, dz, Y)
+            Y[i] = nodes[i][2]
+        z, dz, _ = zip(*nodes)
+        stack = (np.array(z), np.array(dz), Y)
         for part in stack:
             part.flags.writeable = False
         self._last = (N, stack)

@@ -349,6 +349,29 @@ class TestRuleMemo:
             assert full_sum(q).tobytes() == unfolded.tobytes()
         assert (cache.solve_count, cache.reuse_count) == counts[-1]
 
+    def test_rows_hold_solutions_when_solved_on_a_copy(self, cd_problem, cd_report, monkeypatch):
+        # A solve that leaves its right-hand side alone (trtrs on a copy)
+        # still leaves every stack row and entry holding its solution.
+        params, c = cd_report.contour, cd_report.truncation.c
+        rules = (7, 14, 5)
+        reference = NodeCache(cd_problem, params, c)
+        expected = [reference.rule(N) for N in rules]
+        solve_schur = numerics.ShiftedSystem.solve_schur
+
+        def on_copy(self, rhs):
+            return solve_schur(self, rhs.copy())
+
+        monkeypatch.setattr(numerics.ShiftedSystem, "solve_schur", on_copy)
+        cache = NodeCache(cd_problem, params, c)
+        for N, stack in zip(rules, expected):
+            for part, ref in zip(cache.rule(N), stack):
+                assert part.tobytes() == ref.tobytes()
+        assert cache.entries.keys() == reference.entries.keys()
+        for key, (z, dz, y) in cache.entries.items():
+            assert y.tobytes() == reference.entries[key][2].tobytes()
+        z, dz, y = cache.node(3, 11)  # a lone node
+        assert y.tobytes() == _lone_node(cache, 3, 11)[2].tobytes()
+
     def test_cold_ladder_holds_node_data_once(self, bs_problem, bs_window):
         # Cached entries are rows of the stack they were solved in, so a cold
         # ladder holds one (N-1, dim) array of node data, not a stack plus an
