@@ -9,7 +9,6 @@ falls below the target accuracy, and prices the round-off amplification.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -198,12 +197,8 @@ def conformal_map(params: ContourParams, w):
     is the integration arc, and Im(w) = y slides across the nested ellipse
     family (y = +a innermost, y = -a outermost).
     """
-    if isinstance(w, (float, complex)) or not np.ndim(w):
-        w = complex(w)
-        em, ep = cmath.exp(-1j * w), cmath.exp(1j * w)
-    else:
-        w = np.asarray(w, dtype=complex)
-        em, ep = np.exp(-1j * w), np.exp(1j * w)
+    w = np.asarray(w, dtype=complex)
+    em, ep = np.exp(-1j * w), np.exp(1j * w)
     z = params.a1 * em + params.a2 * ep + params.A3
     dz = 1j * (params.a2 * ep - params.a1 * em)
     return z, dz
@@ -383,11 +378,11 @@ class FeasibilityReport:
         )
 
 
-def feasibility_shifts(params: ContourParams, c: float) -> list:
+def feasibility_shifts(params: ContourParams, c: float) -> np.ndarray:
     """The _FEASIBILITY_SAMPLES shifts z(x), x evenly spaced over [-c pi, c pi],
     where the round-off forecast samples the condition number."""
     xs = np.linspace(-c * math.pi, c * math.pi, _FEASIBILITY_SAMPLES)
-    return [conformal_map(params, x)[0] for x in xs]
+    return conformal_map(params, xs)[0]
 
 
 def feasibility_check(

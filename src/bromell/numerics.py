@@ -144,8 +144,9 @@ class ShiftedSystem:
     into the operator's one shift buffer, whose diagonal each triangular
     solve and ``cond`` rewrites, as pseudospectra.SigmaMinEvaluator does;
     work on one operator therefore runs one shift at a time. Node reuse across
-    quadrature refinements and time windows keeps solutions in
-    ``solver.NodeCache``, not systems.
+    quadrature refinements and time windows keeps solutions, not systems:
+    ``solver.NodeCache`` holds one stack of them, one row per node of the
+    finest rule solved.
     """
 
     def __init__(self, A, z: complex):

@@ -6,7 +6,7 @@ truncated arc x in [-c pi, c pi]. With A = Q T Q*, G(x) = Q e^{z t} yhat(z) z'
 where yhat(z) = (zI - T)^{-1} Q* (u0 + bhat(z)) is the node's solve in Schur
 coordinates (numerics.schur_solution), so every node costs one triangular
 solve and each sum applies Q once, to its sum of rows. Node data that does
-not depend on t (the shifted solves) is cached by exact node position, so
+not depend on t (the shifted solves) is kept for the finest rule solved, so
 doubling the node count reuses every previous evaluation and a whole time
 window can share one contour's node solves.
 """
@@ -79,46 +79,52 @@ _SIZING_CERTIFIED = 0.5
 
 
 class NodeCache:
-    """Shifted solves keyed by exact node position on a fixed truncated arc.
+    """Shifted solves of the nested trapezoidal rules on a fixed truncated arc.
 
-    Node j of an N-point rule sits at x = -c pi + (j/N) 2 c pi; the key is
-    the reduced fraction j/N, so nested refinements (N -> 2N -> ...) and
-    repeated solves at other times hit the same (z, dz, yhat) entries
-    bit-exactly. yhat = Q* uhat is the solve in Schur coordinates
-    (numerics.schur_solution), and the sums apply Q. The stacked nodes of the
-    rule summed last are kept (``rule``): a time ladder sums one rule many
-    times, a doubling solve each rule once.
+    Node j of an N-point rule sits at x = -c pi + (j/N) 2 c pi. Refinement is
+    by doubling, and the 2N-point rule keeps every node of the N-point rule,
+    so the cache holds one stack (z, dz, Y): the interior nodes of the finest
+    rule it has solved, N_f, with row j-1 of Y the solve in Schur coordinates
+    yhat = Q* uhat at node j (numerics.schur_solution); the sums apply Q.
+    ``rule(N)`` reads it three ways:
 
-    Every fresh node is prepared by one path, ``_prepare``: positions, map,
-    source-pole check and Schur right-hand sides as array expressions over a
-    block of nodes. ``rule`` prepares its fresh nodes as one block in the
-    rows of its new stack; a lone ``node`` call prepares a one-row block.
-    Each fresh node is then one ShiftedSystem and one triangular solve, in
-    place in its row, and its entry keeps that row, so a rule solved cold
-    holds its node data once (a doubling still copies the older rows into
-    its stack).
+    - N divides N_f: the rule is a strided view of the stack, rows s-1::s
+      with s = N_f/N, so a time ladder or a coarser rule restacks nothing.
+    - N is a multiple of N_f: a new stack of N-1 rows takes the held rows in
+      every s-th row, s = N/N_f, and only the new nodes are prepared
+      (``_prepare``) and solved, one block in the other rows; the older
+      stack is then dropped.
+    - Otherwise the rule starts a new base: the held stack is dropped and
+      every node of the N-point rule is fresh. Every rule the pipeline sums
+      is N0 2^k for the first rule N0 on its cache, so only direct callers
+      start one.
+
+    j s/(N s) rounds to the same x as j/N, so a node has the same bits
+    whichever rule prepares it. Each fresh node is one ShiftedSystem and one
+    triangular solve, in place in its row.
 
     Counting contract: every sum makes one ``node(j, N)`` call per node, and
     each fresh node's ShiftedSystem is made inside that call. So
-    ``solve_count`` and ``reuse_count`` are those of a per-node loop, and a
-    tracer that wraps ``node`` and ``ShiftedSystem`` (perfbench) reads the
-    same counts from its spans as the cache keeps.
+    ``solve_count`` and ``reuse_count`` are those of a per-node loop over
+    one chain of rules, and a tracer that wraps ``node`` and ShiftedSystem
+    (perfbench) reads the same counts from its spans as the cache keeps.
     """
 
     def __init__(self, problem, params: ContourParams, c: float):
         self.problem = problem
         self.params = params
         self.c = float(c)
-        self.entries: dict[tuple[int, int], tuple[complex, complex, np.ndarray]] = {}
         self.solve_count = 0
         self.reuse_count = 0
         self._poles = np.array(problem.singularities, dtype=complex)
-        self._last: tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        # While rule() runs: each fresh key's prepared z, dz and stack row.
-        self._pending: dict[tuple[int, int], tuple[complex, complex, np.ndarray]] = {}
+        # The finest rule held, N_f (the 1-point rule has no interior node),
+        # its (z, dz, Y), and while rule() runs the rows not yet solved.
+        self._N = 1
+        self._stack: tuple[np.ndarray, np.ndarray, np.ndarray] = None
+        self._unsolved: set[int] = set()
 
-    def node_x(self, p, q: int):
-        return -self.c * PI + (2.0 * self.c * PI) * (p / q)
+    def node_x(self, j, N: int):
+        return -self.c * PI + (2.0 * self.c * PI) * (j / N)
 
     def _check_poles(self, z: np.ndarray) -> None:
         """Raise if a node of z (1-D, in node order) sits on a source pole."""
@@ -141,74 +147,55 @@ class NodeCache:
         self._check_poles(z)
         return z, dz, np.ascontiguousarray(self.problem.schur_rhs(z), dtype=complex)
 
-    def node(self, j: int, N: int) -> tuple[complex, complex, np.ndarray]:
-        """(z, dz, yhat) at node j of the N-point rule, solved on first use.
-
-        A fresh node is solved in place in its prepared row: a row of the
-        stack ``rule`` is forming, or else a one-row block of its own.
-        """
-        g = math.gcd(j, N)
-        key = (j // g, N // g)
-        hit = self.entries.get(key)
-        if hit is not None:
+    def node(self, j: int, N: int) -> None:
+        """Count node j of the N-point rule, a rule of the held stack, as a
+        reuse, or solve it in place in its row if that is not solved yet."""
+        i = j * (self._N // N) - 1
+        if i not in self._unsolved:
             self.reuse_count += 1
-            return hit
-        prepared = self._pending.pop(key, None)
-        if prepared is None:
-            z, dz, Y = self._prepare(np.array([key[0]]), key[1])
-            prepared = z.item(), dz.item(), Y[0]
-        z, dz, y = prepared
-        solved = ShiftedSystem(self.problem.operator, z).solve_schur(y)
+            return
+        z, _, Y = self._stack
+        y = Y[i]
+        solved = ShiftedSystem(self.problem.operator, z[i]).solve_schur(y)
         if solved is not y:  # trtrs solved on a copy
             y[...] = solved
-        y.flags.writeable = False
+        self._unsolved.remove(i)
         self.solve_count += 1
-        data = (z, dz, y)
-        self.entries[key] = data
-        return data
 
     def rule(self, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (z, dz, Y) of the N-point rule's interior nodes, Y (N-1, dim).
 
-        Every node goes through ``node`` on each call, so the solve and reuse
-        counts are those of a per-node loop; the stack is formed only when N
-        differs from the rule asked for last. The rule's fresh nodes are
-        prepared as one block (``_prepare``) whose rows are the stack's rows,
-        so each is solved in place there; reused rows are copied from their
-        entries. j/N rounds to the same x as its reduced fraction, so a node
-        has the same bits whichever rule prepares it.
+        Views of the held stack, after refining it to N or starting a new
+        base at N when N does not divide N_f (see the class docstring). Every
+        node goes through ``node`` on each call, so the solve and reuse counts
+        are those of a per-node loop. A source pole on a new node raises
+        before anything changes, and a failed solve restores the held rule.
         """
-        if self._last is not None and self._last[0] == N:
+        held = self._N, self._stack
+        if self._N % N:
+            s = N // self._N if N % self._N == 0 else N  # N: a new base
+            fresh = np.flatnonzero(np.arange(1, N) % s)
+            stack = self._prepare(fresh + 1, N)
+            if s < N:  # the held rows go to every s-th row of the new stack
+                parts = []
+                for old, new in zip(self._stack, stack):
+                    part = np.empty((N - 1, *new.shape[1:]), dtype=complex)
+                    part[s - 1 :: s], part[fresh] = old, new
+                    parts.append(part)
+                stack = tuple(parts)
+            self._N, self._stack, self._unsolved = N, stack, set(fresh.tolist())
+        try:
             for j in range(1, N):
                 self.node(j, N)
-            return self._last[1]
-        j = np.arange(1, N)
-        g = np.gcd(j, N)
-        keys = list(zip((j // g).tolist(), (N // g).tolist()))
-        fresh, reused = [], []
-        for i, key in enumerate(keys):
-            (reused if key in self.entries else fresh).append(i)
-        z, dz, block = self._prepare(j[fresh], N)
-        if reused:
-            Y = np.empty((N - 1, block.shape[1]), dtype=complex)
-            Y[fresh] = block
-        else:
-            Y = block
-        self._pending = {
-            keys[i]: (zi, dzi, Y[i]) for i, zi, dzi in zip(fresh, z.tolist(), dz.tolist())
-        }
-        try:
-            nodes = [self.node(k, N) for k in range(1, N)]
-        finally:
-            self._pending = {}
-        for i in reused:
-            Y[i] = nodes[i][2]
-        z, dz, _ = zip(*nodes)
-        stack = (np.array(z), np.array(dz), Y)
-        for part in stack:
-            part.flags.writeable = False
-        self._last = (N, stack)
-        return stack
+        except BaseException:
+            self._N, self._stack = held
+            self._unsolved = set()
+            raise
+        s = self._N // N
+        views = tuple(part[s - 1 :: s] for part in self._stack)
+        for view in views:
+            view.flags.writeable = False
+        return views
 
 
 def _rows(stack, t: float, start: int = 0) -> np.ndarray:
@@ -228,8 +215,8 @@ class QuadratureResult:
     node_values is read-only, (N-1, dim), in Schur coordinates: row j-1 is
     e^{zt} yhat(z) dz at node j, and G at node j is Q times it (Q the
     operator's Schur vectors, ``cache.problem.operator.schur_vectors``). It
-    is formed on first access from the rule's stacked nodes (``stack``, the
-    cache's read-only (z, dz, Y)) and t.
+    is formed on first access from the rule's stacked nodes (``stack``,
+    read-only views of the cache's (z, dz, Y)) and t.
     """
 
     N: int

@@ -245,7 +245,7 @@ def test_criterion_09_time_window(bs_problem, bs_window):
     details = []
     reuse_expected = 0
     for i, t in enumerate(times):
-        known = set(plan.cache.entries)
+        known = plan.cache.solve_count
         rep = bm.solve_at(plan, bs_problem, t)
         ok_err = rep.reference_error is not None and rep.reference_error <= 5e-8
         k_t = plan.trunc0.K + (plan.trunc1.K - plan.trunc0.K) * (t - plan.t0) / (plan.t1 - plan.t0)
@@ -254,7 +254,7 @@ def test_criterion_09_time_window(bs_problem, bs_window):
         ok_rule = rep.truncation.K == pytest.approx(k_t, rel=1e-14) and rep.truncation.c == pytest.approx(c_t, rel=1e-14)
         ok = ok and ok_err and ok_rule
         if i > 0:
-            reuse_expected += len(known)  # every previously solved node is reused
+            reuse_expected += known  # every previously solved node is reused
         details.append(f"t={t:g}: err={rep.reference_error:.1e} N={rep.result.N}")
     ok_reuse = plan.cache.reuse_count >= reuse_expected > 0
     ok = ok and ok_reuse

@@ -131,15 +131,12 @@ class TestTrapezoidSum:
         with pytest.raises(SingularSystemError, match="misplaced"):
             bm.trapezoid_sum(prob, scalar_params, 0.3, 1.0, 8)
         # An odd rule has no node at x = 0 and its doubling has one: the
-        # doubled rule's array check raises before any fresh node is solved,
-        # and a lone node there raises too.
+        # doubled rule's array check raises before any fresh node is solved.
         cache = NodeCache(prob, scalar_params, 0.3)
         q = bm.trapezoid_sum(prob, scalar_params, 0.3, 1.0, 7, cache)
         with pytest.raises(SingularSystemError, match="misplaced"):
             bm.refine_doubling(q, prob, scalar_params, 1.0)
-        assert (cache.solve_count, len(cache.entries)) == (6, 6)
-        with pytest.raises(SingularSystemError, match="misplaced"):
-            cache.node(7, 14)
+        assert cache.solve_count == 6
 
 
 class TestRefineDoubling:
@@ -195,12 +192,12 @@ def _lone_node(cache, j, N):
     return z, dz, numerics.schur_solution(cache.problem, z)
 
 
-def _per_node_sum(problem, cache, t, N, node=NodeCache.node):
+def _per_node_sum(problem, cache, t, N, node=_lone_node):
     """The quadrature as a loop over nodes: the reference the array form must match.
 
     Rows e^{zt} yhat dz stay in Schur coordinates and Q maps each loop's sum
-    to x-space once. Each node is node(cache, j, N): by default the cache's
-    own lookup, which solves a node it has not seen on its own."""
+    to x-space once. Each node is node(cache, j, N), by default computed on
+    its own."""
     c = cache.c
     Q = problem.operator.schur_vectors
     values = [np.exp(z * t) * yhat * dz for z, dz, yhat in (node(cache, j, N) for j in range(1, N))]
@@ -307,7 +304,8 @@ def test_row_sum_adds_rows_in_order(m, dim, seed, zero_share, negative_share):
 
 
 class TestRuleMemo:
-    """The cache stacks each rule once; a result forms node_values from its own stack."""
+    """The cache holds one stack and every rule is a view of it; a result forms
+    node_values from its own stack."""
 
     def test_rules_n_2n_n_match_fresh_caches(self, cd_problem, cd_report):
         params, c = cd_report.contour, cd_report.truncation.c
@@ -324,34 +322,46 @@ class TestRuleMemo:
             fresh = bm.trapezoid_sum(cd_problem, params, c, 1.0, q.N)
             assert q.approx.tobytes() == fresh.approx.tobytes()
             assert q.node_values.tobytes() == fresh.node_values.tobytes()
-        assert bm.trapezoid_sum(cd_problem, params, c, 2.0, N, cache).stack is again.stack
+        later = bm.trapezoid_sum(cd_problem, params, c, 2.0, N, cache)
+        held = cache.rule(2 * N)
+        for stack in (later.stack, again.stack):
+            assert all(np.shares_memory(part, whole) for part, whole in zip(stack, held))
         assert not any(part.flags.writeable for part in again.stack)
 
     def test_rule_sequence_matches_lone_nodes(self, cd_problem, cd_report):
-        # Rules that double, halve, repeat and start a new base on one cache:
-        # every stack, node value and sum has the bytes of nodes computed on
-        # their own, also after the later rules, and the counts are those of
-        # a per-node loop.
+        # Rules that double, halve, repeat and start a new base, each sequence
+        # on one cache: every stack, node value and sum has the bytes of nodes
+        # computed on their own, also after the later rules, and the counts
+        # are those of a per-node loop over one chain of nested rules.
         params, c = cd_report.contour, cd_report.truncation.c
-        cache = NodeCache(cd_problem, params, c)
-        results, counts = [], []
-        for N in (7, 14, 28, 14, 9, 18):
-            results.append(bm.trapezoid_sum(cd_problem, params, c, 1.0, N, cache))
-            counts.append((cache.solve_count, cache.reuse_count))
-        assert counts == [(6, 0), (13, 6), (27, 19), (27, 32), (35, 32), (43, 41)]
-        for q in results:
-            lone = [_lone_node(cache, j, q.N) for j in range(1, q.N)]
-            for part, ref in zip(q.stack, zip(*lone)):
-                assert part.tobytes() == np.array(ref).tobytes()
-            approx, values, unfolded, _ = _per_node_sum(cd_problem, cache, 1.0, q.N, _lone_node)
-            assert q.approx.tobytes() == approx.tobytes()
-            assert q.node_values.tobytes() == np.array(values).tobytes()
-            assert full_sum(q).tobytes() == unfolded.tobytes()
-        assert (cache.solve_count, cache.reuse_count) == counts[-1]
+        sequences = {
+            # double twice, halve, then a new base (9 does not divide 28),
+            # whose doubling solves node 1/2 of 18 again
+            (7, 14, 28, 14, 9, 18): [(6, 0), (13, 6), (27, 19), (27, 32), (35, 32), (44, 40)],
+            (7, 28, 7): [(6, 0), (27, 6), (27, 12)],  # refine and coarsen by 4
+            (7, 14, 7, 28): [(6, 0), (13, 6), (13, 12), (27, 25)],  # a view, then a doubling
+            (9, 18, 5, 10): [(8, 0), (17, 8), (21, 8), (26, 12)],  # a new base after a doubling
+        }
+        for rules, counts in sequences.items():
+            cache = NodeCache(cd_problem, params, c)
+            results, seen = [], []
+            for N in rules:
+                results.append(bm.trapezoid_sum(cd_problem, params, c, 1.0, N, cache))
+                seen.append((cache.solve_count, cache.reuse_count))
+            assert seen == counts, rules
+            for q in results:
+                lone = [_lone_node(cache, j, q.N) for j in range(1, q.N)]
+                for part, ref in zip(q.stack, zip(*lone)):
+                    assert part.tobytes() == np.array(ref).tobytes()
+                approx, values, unfolded, _ = _per_node_sum(cd_problem, cache, 1.0, q.N)
+                assert q.approx.tobytes() == approx.tobytes()
+                assert q.node_values.tobytes() == np.array(values).tobytes()
+                assert full_sum(q).tobytes() == unfolded.tobytes()
+            assert (cache.solve_count, cache.reuse_count) == counts[-1]
 
     def test_rows_hold_solutions_when_solved_on_a_copy(self, cd_problem, cd_report, monkeypatch):
         # A solve that leaves its right-hand side alone (trtrs on a copy)
-        # still leaves every stack row and entry holding its solution.
+        # still leaves every stack row holding its solution.
         params, c = cd_report.contour, cd_report.truncation.c
         rules = (7, 14, 5)
         reference = NodeCache(cd_problem, params, c)
@@ -366,16 +376,35 @@ class TestRuleMemo:
         for N, stack in zip(rules, expected):
             for part, ref in zip(cache.rule(N), stack):
                 assert part.tobytes() == ref.tobytes()
-        assert cache.entries.keys() == reference.entries.keys()
-        for key, (z, dz, y) in cache.entries.items():
-            assert y.tobytes() == reference.entries[key][2].tobytes()
-        z, dz, y = cache.node(3, 11)  # a lone node
-        assert y.tobytes() == _lone_node(cache, 3, 11)[2].tobytes()
+
+    def test_failed_doubling_keeps_the_held_rule(self, cd_problem, cd_report, monkeypatch):
+        # A solve that raises partway through a doubling leaves the cache at
+        # the rule it held, so a later refinement solves every node it needs.
+        params, c = cd_report.contour, cd_report.truncation.c
+        cache = NodeCache(cd_problem, params, c)
+        coarse = [part.tobytes() for part in cache.rule(7)]
+        solve_schur = numerics.ShiftedSystem.solve_schur
+        calls = []
+
+        def fails_third(self, rhs):
+            calls.append(self.z)
+            if len(calls) == 3:
+                raise SingularSystemError("injected")
+            return solve_schur(self, rhs)
+
+        monkeypatch.setattr(numerics.ShiftedSystem, "solve_schur", fails_third)
+        with pytest.raises(SingularSystemError, match="injected"):
+            cache.rule(14)
+        monkeypatch.undo()
+        assert [part.tobytes() for part in cache.rule(7)] == coarse
+        fresh = NodeCache(cd_problem, params, c)
+        for part, ref in zip(cache.rule(28), fresh.rule(28)):
+            assert part.tobytes() == ref.tobytes()
 
     def test_cold_ladder_holds_node_data_once(self, bs_problem, bs_window):
-        # Cached entries are rows of the stack they were solved in, so a cold
-        # ladder holds one (N-1, dim) array of node data, not a stack plus an
-        # array per node.
+        # Every rule of the ladder is a view of the cache's one stack, so a
+        # cold ladder holds one (N-1, dim) array of node data, not a stack
+        # plus an array per node.
         import gc
         import tracemalloc
 
@@ -393,6 +422,29 @@ class TestRuleMemo:
         N = max(report.result.N for report in reports)
         assert cold.cache.solve_count == N - 1
         assert held < 1.5 * (N - 1) * bs_problem.dim * 16
+
+    def test_doubling_solve_holds_one_stack(self):
+        # A doubling solve sums rules 9, 18 and 36. The cache keeps only the
+        # 36-point stack, whose rows hold the coarser rules' nodes, so the
+        # kept report holds about one stack of node data, not one per rule.
+        import gc
+        import tracemalloc
+
+        problem = bm.black_scholes_problem()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = bm.solve(problem, 1.0, 1e-8, bm.SolveOptions(grid_pts=50))
+            gc.collect()
+            with_report, _ = tracemalloc.get_traced_memory()
+            rules = [row[0] for row in report.errors_table]
+            del report
+            gc.collect()
+            without, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rules == [9, 18, 36]
+        assert with_report - without < 1.3 * 35 * problem.dim * 16
 
     def test_ladder_reports_share_one_stack(self, bs_problem, bs_window):
         # Ten kept reports of the N-point rule hold one (N-1, dim) stack,

@@ -6,13 +6,16 @@
 is the working tree. Each side runs its own `perfbench/run.py`. For every
 workload in BENCHMARK.json there are ten untraced pairs on seeds 1-10 at
 BENCHMARK.json's run_seconds, with the base side first on odd seeds and the
-change first on even ones. Then each side makes one traced run (seed 1) per
-workload. The file holds every run, the median and quartiles of each
-end-to-end metric per side, the pairs the change wins, and the traced
-counts and per-layer times named in TRACED. Each untraced run also keeps
-its import_s, the median fresh `import bromell.cli` at the reference speed
-that setup_s includes, read from the run's detail line, with its median and
-quartiles per side.
+change first on even ones. Then each workload gets three (TRACED_RUNS)
+alternating traced pairs on seed 1, the base side first in the first pair:
+one traced run's per-layer wall times spread too widely to compare. The
+file holds every run, the median and quartiles of each end-to-end metric
+per side, the pairs the change wins, and per side the median of each traced
+count and per-layer time named in TRACED (`traced`) beside every traced
+run's values (`traced_runs`). Each untraced run also keeps its import_s,
+the median fresh `import bromell.cli` at the reference speed that setup_s
+includes, read from the run's detail line, with its median and quartiles
+per side.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+TRACED_RUNS = 3
 TRACED = (
     "numerics.lu_count",
     "numerics.lu_s",
@@ -117,17 +121,27 @@ def main() -> int:
                 }
             failed = {side: [f"{p[side]['failed']}/{p[side]['attempted']}" for p in runs]
                       for side in trees}
+            traced_runs = []
+            for k in range(TRACED_RUNS):
+                order = ("base", "change") if k % 2 == 0 else ("change", "base")
+                pair = {"first": order[0]}
+                for side in order:
+                    traced_metrics = run(trees[side], name, 1, seconds, 1)["metrics"]
+                    pair[side] = {m: traced_metrics[m]["value"] for m in TRACED if m in traced_metrics}
+                traced_runs.append(pair)
             traced = {}
-            for side, tree in trees.items():
-                t = run(tree, name, 1, seconds, 1)
-                traced[side] = {m: t["metrics"][m]["value"] for m in TRACED if m in t["metrics"]}
-                traced[side]["absent_metrics"] = [m for m in TRACED if m not in t["metrics"]]
+            for side in trees:
+                kept = [m for m in TRACED if all(m in p[side] for p in traced_runs)]
+                traced[side] = {m: statistics.median(p[side][m] for p in traced_runs)
+                                for m in kept}
+                traced[side]["absent_metrics"] = [m for m in TRACED if m not in kept]
             imports = {side: [p[side]["import_s"] for p in runs] for side in trees}
             report["workloads"][name] = {
                 "end_to_end": metrics,
                 "import_s": {side: summary(vals) for side, vals in imports.items()},
                 "failed_items": failed,
-                "traced_seed_1": traced,
+                "traced": traced,
+                "traced_runs": traced_runs,
                 "runs": [{"seed": p["seed"], "first": p["first"],
                           **{side: {**{m: p[side]["metrics"][m]["value"] for m in end_to_end},
                                     "import_s": p[side]["import_s"]}
