@@ -394,6 +394,5 @@ def feasibility_check(
     multiplies the worst one by the stability constant and the unit roundoff.
     A failure is a verdict, not an exception.
     """
-    conds = [resolvent_cond(problem.operator, z) for z in feasibility_shifts(params, c)]
-    max_cond = float(np.max(conds))
+    max_cond = float(np.max(resolvent_cond(problem.operator, feasibility_shifts(params, c))))
     return FeasibilityReport.forecast(max_cond, stability_constant(params, c, t), tol)

@@ -8,20 +8,23 @@ triangular solve per shift), the resolvent apply in Schur coordinates
 yhat(z) = (zI - T)^{-1} (Q* u0 + sum_k Q* v_k / (z + r_k)) at every
 quadrature node (one triangular solve, no product with Q), the norms
 ||uhat(z)|| = ||yhat(z)|| (Q is unitary) at every truncation step and bound
-sample, taken in Schur coordinates too, the triangular condition estimate
-of the feasibility check, dense eigenvalues, and a matrix-exponential
-reference evolution used as validation oracle.
+sample, taken in Schur coordinates too, the feasibility check's condition
+estimates (LAPACK ztrcon's 1-norm estimator, run in lock-step over all shifts
+of a check and bit for bit with ztrcon), dense eigenvalues, and a
+matrix-exponential reference evolution used as validation oracle.
 
 All functions are deterministic and never mutate their inputs, except that
 ShiftedSystem.solve_schur solves a contiguous complex right-hand side in
-place; the only state is the operator's cached Schur form, its diagonal and
-its one shift buffer (with a view of that buffer's diagonal), and the
-problem's cached Schur-coordinate data.
+place; the only state is the operator's cached Schur form, its diagonal,
+its one shift buffer (with a view of that buffer's diagonal) and the
+off-diagonal column sums of |T|, and the problem's cached Schur-coordinate
+data.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,8 +111,8 @@ class Operator:
         """The operator's one shifted matrix: Fortran-order zI - T, -T off the
         diagonal, the diagonal rewritten for each shift (16 n^2 bytes).
 
-        ShiftedSystem (solves and condition estimates) and
-        pseudospectra.SigmaMinEvaluator both work in it, one shift at a time.
+        ShiftedSystem's solves, resolvent_cond's condition estimates and
+        pseudospectra.SigmaMinEvaluator all work in it, one shift at a time.
         """
         return np.asfortranarray(-self.schur_factor)
 
@@ -117,6 +120,18 @@ class Operator:
     def _shift_diagonal(self) -> np.ndarray:
         """A view of the shift buffer's diagonal, which each shift rewrites."""
         return self._shift_buffer.reshape(-1, order="F")[:: self.dim + 1]
+
+    @cached_property
+    def _column_sums(self) -> np.ndarray:
+        """sum_{i<j} |t_ij| for each column j of T (n floats): the part of each
+        column's 1-norm of zI - T that no shift changes.
+
+        The moduli are ``hypot``'s and each sum adds in index order (a reduce
+        down C-order rows), as LAPACK's ``zlantr`` forms them, so
+        resolvent_cond keeps ``ztrcon``'s bits.
+        """
+        T = self.schur_factor
+        return np.add.reduce(np.triu(np.hypot(T.real, T.imag, order="C"), 1), axis=0)
 
 
 def as_operator(A) -> Operator:
@@ -126,7 +141,11 @@ def as_operator(A) -> Operator:
     return Operator(np.asarray(A))
 
 
-_TRTRS, _TRCON = sla.get_lapack_funcs(("trtrs", "trcon"), dtype=complex)
+_TRTRS = sla.get_lapack_funcs("trtrs", dtype=complex)
+# resolvent_cond runs LAPACK zlacn2's iteration: at most this many steps
+# x = e_j, and a modulus at or below the safe minimum gives the sign 1.
+_CONDEST_STEPS = 5
+_SAFE_MINIMUM = np.finfo(float).tiny
 
 
 class ShiftedSystem:
@@ -142,7 +161,7 @@ class ShiftedSystem:
     per Operator (``Operator.schur_factor``; a plain array is wrapped in a
     new Operator, so pass an Operator to share them), and zI - T is written
     into the operator's one shift buffer, whose diagonal each triangular
-    solve and ``cond`` rewrites, as pseudospectra.SigmaMinEvaluator does;
+    solve rewrites, as resolvent_cond and pseudospectra.SigmaMinEvaluator do;
     work on one operator therefore runs one shift at a time. Node reuse across
     quadrature refinements and time windows keeps solutions, not systems:
     ``solver.NodeCache`` holds one stack of them, one row per node of the
@@ -191,12 +210,6 @@ class ShiftedSystem:
             )
         return y
 
-    def cond(self) -> float:
-        """1-norm condition estimate of the triangular zI - T that solve runs
-        (LAPACK ``trcon``, Hager-Higham); inf when its reciprocal is 0."""
-        rcond, _ = _TRCON(self._shifted(), norm="1")
-        return 1.0 / rcond if rcond > 0.0 else np.inf
-
 
 def schur_solution(problem, z: complex) -> np.ndarray:
     """The Laplace-transformed state in Schur coordinates,
@@ -228,18 +241,96 @@ def resolvent_norms(problem, z) -> np.ndarray:
     return np.linalg.norm(Y, axis=-1).reshape(z.shape)
 
 
-def resolvent_cond(A, z: complex) -> float:
-    """Condition estimate of (zI - A) at z; feeds the feasibility check.
+def resolvent_cond(A, z) -> np.ndarray:
+    """Condition estimate of (z_k I - A) at each shift z_k of z, in z's shape;
+    feeds the feasibility check.
 
-    ``ShiftedSystem(A, z).cond()``: an estimate from below of the 1-norm
-    condition number of zI - T, the triangular system every solve at z runs.
-    That number lies within a factor n of the 2-norm condition number, which
-    zI - T shares with zI - A = Q (zI - T) Q*. An eigenvalue shift gives inf.
+    Each value is LAPACK ``ztrcon``'s estimate, bit for bit, of the 1-norm
+    condition number of zI - T, the triangular system every solve at z runs:
+    1 / ((1 / ||zI - T||_1) / est), where est is Higham's estimate from below
+    of ||(zI - T)^{-1}||_1 (ACM TOMS 14, 1988) as LAPACK's ``zlacn2`` runs
+    it. That number lies within a factor n of the 2-norm condition number,
+    which zI - T shares with zI - A = Q (zI - T) Q*. A zero pivot (z is an
+    eigenvalue) and a solve that overflows both give inf; ``ztrcon`` would
+    rescale the overflowing solve instead.
+
+    All shifts of a call run in lock-step. Every diagonal z_k - t_ii is
+    formed at once, and ||zI - T||_1 is the largest of the operator's
+    off-diagonal column sums plus |z_k - t_jj|. Each round of the iteration
+    makes one triangular solve (``trtrs``) per unfinished shift in the
+    operator's shift buffer, then takes the moduli, sums, largest entries
+    and signs of all their iterates at once. ``ztrcon``'s bits hold because
+    every modulus is ``hypot``'s (Fortran's complex abs), every sum runs in
+    index order and each sign x_i / |x_i| is two real divisions.
     """
-    try:
-        return ShiftedSystem(A, z).cond()
-    except SingularSystemError:
-        return np.inf
+    op = as_operator(A)
+    z = np.asarray(z, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = op.dim
+    D = z.reshape(-1, 1) - op.schur_diagonal
+    pivots = np.hypot(D.real, D.imag)
+    anorm = np.max(op._column_sums + pivots, axis=1)
+    ainvnm = np.zeros(len(D))  # stays 0, read as inf, at a zero pivot or an overflow
+    # zlacn2's state per unfinished shift: the iterate x (a row of X); the
+    # entry its solve returns to (1, 3 and 5 after a solve with zI - T, 2
+    # and 4 after one with its conjugate transpose); the estimate; the j of
+    # the last x = e_j; the count of those steps.
+    live = np.flatnonzero(pivots.min(axis=1) > 0.0).tolist()
+    X = np.full((len(live), n), 1.0 / n, dtype=complex)
+    entry = [1] * len(live)
+    est = [0.0] * len(live)
+    j = [0] * len(live)
+    steps = [0] * len(live)
+    alternating = 1.0 + np.arange(n) / max(n - 1, 1)
+    alternating[1::2] *= -1.0
+    M, diagonal = op._shift_buffer, op._shift_diagonal
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live:
+            for x, k, e in zip(X, live, entry):
+                diagonal[...] = D[k]
+                # Positional (lower, trans, unitdiag, lda, overwrite_b): keyword
+                # parsing costs a fifth of a solve at n = 63.
+                _TRTRS(M, x, 0, 2 if e in (2, 4) else 0, 0, n, 1)
+            moduli = np.hypot(X.real, X.imag)
+            totals = np.add.accumulate(moduli, axis=1)[:, -1].tolist()
+            tops = moduli.argmax(axis=1).tolist()  # the first largest modulus
+            if 1 in entry or 3 in entry:  # x / |x|, which only they read
+                np.divide(X.real, moduli, out=X.real)
+                np.divide(X.imag, moduli, out=X.imag)
+                X[moduli <= _SAFE_MINIMUM] = 1.0
+            keep = []
+            for i, (k, e, total) in enumerate(zip(live, entry, totals)):
+                if not math.isfinite(total):  # an overflow: the shift is done
+                    continue
+                if e == 5:  # the last solve, from the alternating vector
+                    ainvnm[k] = max(est[i], 2.0 * (total / (3 * n)))
+                    continue
+                if e == 1:
+                    est[i], entry[i] = total, 2
+                    if n == 1:  # zlacn2 stops at its first solve
+                        ainvnm[k] = total
+                        continue
+                elif e == 3:
+                    grew, est[i] = total > est[i], total
+                    entry[i] = 4 if grew else 5
+                elif e == 2 or (steps[i] < _CONDEST_STEPS
+                                and moduli[i, j[i]] != moduli[i, tops[i]]):
+                    j[i], steps[i], entry[i] = tops[i], 2 if e == 2 else steps[i] + 1, 3
+                    X[i] = 0.0
+                    X[i, j[i]] = 1.0
+                else:  # entry 4 at a repeated largest entry, or after its last step
+                    entry[i] = 5
+                if entry[i] == 5:
+                    X[i] = alternating
+                keep.append(i)
+            if len(keep) < len(live):
+                X = X[keep]
+                live, entry, est, j, steps = (
+                    [v[i] for i in keep] for v in (live, entry, est, j, steps)
+                )
+        rcond = np.where(ainvnm > 0.0, (1.0 / anorm) / ainvnm, 0.0)
+        return (1.0 / rcond).reshape(z.shape)
 
 
 def eigenvalues(A) -> np.ndarray:

@@ -149,14 +149,16 @@ class SigmaMinEvaluator:
     eigenvalues t_ii.
 
     zI - T is the operator's one shift buffer (``Operator._shift_buffer``),
-    which ShiftedSystem shares; each evaluation rewrites its diagonal, so the
-    evaluator allocates no complex n x n matrix of its own. ``lower_bound``
+    which ShiftedSystem and numerics.resolvent_cond share; each evaluation
+    rewrites its diagonal, so the evaluator allocates no complex n x n
+    matrix of its own. ``lower_bound``
     and ``cond_bound`` work the same way in a real n x n buffer that the
     evaluator builds on its first call.
     """
 
     def __init__(self, A):
         op = as_operator(A)
+        self._op = op
         self.dim = op.dim
         self.is_real = op.is_real
         T = op.schur_factor
@@ -165,6 +167,7 @@ class SigmaMinEvaluator:
         self._M = op._shift_buffer
         self._M_diag = op._shift_diagonal
         self._ones = np.ones(self.dim)
+        self._differences = np.empty(self.dim, dtype=complex)  # z - t_ii, for C's diagonal
         self._sterf, self._stevd = sla.get_lapack_funcs(("sterf", "stevd"), dtype=float)
         # Lanczos workspace, shared by every run: the basis vectors as rows,
         # their conjugates, and the tridiagonal's diagonal and off-diagonal.
@@ -186,7 +189,7 @@ class SigmaMinEvaluator:
     def __call__(self, z: complex) -> float:
         self.evaluations += 1
         np.subtract(complex(z), self.schur_diagonal, out=self._M_diag)
-        if not self._M_diag.all():  # a zero pivot: z is an eigenvalue
+        if np.count_nonzero(self._M_diag) < self.dim:  # a zero pivot: z is an eigenvalue
             return 0.0
         sigma = self._lanczos()
         if sigma is None:
@@ -202,6 +205,14 @@ class SigmaMinEvaluator:
         C = np.asfortranarray(-np.abs(self._M))
         return C, C.reshape(-1, order="F")[:: self.dim + 1]
 
+    def _comparison_at(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
+        """The comparison matrix of zI - T and its diagonal, |z - t_ii|
+        written through the evaluator's buffers."""
+        C, C_diag = self._comparison
+        np.subtract(complex(z), self.schur_diagonal, out=self._differences)
+        np.abs(self._differences, out=C_diag)
+        return C, C_diag
+
     def lower_bound(self, z: complex) -> float:
         """A rigorous lower bound on sigma_min(zI - T), from two real triangular solves.
 
@@ -214,23 +225,16 @@ class SigmaMinEvaluator:
         pivot or when the product of the two norms is not finite.
         """
         self.bounds += 1
-        C, C_diag = self._comparison
-        np.abs(complex(z) - self.schur_diagonal, out=C_diag)
+        C, _ = self._comparison_at(z)
         x, info = _DTRTRS(C, self._ones)
         if info:  # a zero pivot: z is an eigenvalue
             return 0.0
         y = _DTRTRS(C, self._ones, trans=1)[0]
+        # Python floats: a NumPy scalar product would warn where it overflows.
         product = float(x.max()) * float(y.max())
         if not 0.0 < product < math.inf:  # NaN and overflow fail too
             return 0.0
         return (1.0 - _BOUND_ROUNDING) / math.sqrt(product)
-
-    @cached_property
-    def _column_sums(self) -> np.ndarray:
-        """sum_{i<j} |t_ij| for each column j of T: the off-diagonal part of
-        each column sum of zI - T, the same at every shift. C is -|T| above
-        its diagonal."""
-        return -np.triu(self._comparison[0], 1).sum(axis=0)
 
     def cond_bound(self, z: complex) -> float:
         """A rigorous upper bound on the 1-norm condition number of zI - T,
@@ -240,15 +244,15 @@ class SigmaMinEvaluator:
         and with the comparison matrix C of lower_bound, |(zI - T)^-1| <= C^-1
         entrywise, so ||(zI - T)^-1||_1 <= ||C^-1||_1 = ||C^-T e||_inf. Their
         product, raised by the rounding allowance, bounds the number that
-        numerics.ShiftedSystem.cond estimates from below. Returns inf on a zero
+        numerics.resolvent_cond estimates from below. The column sums are the
+        operator's, the ones resolvent_cond reads. Returns inf on a zero
         pivot or when the product is not finite.
         """
-        C, C_diag = self._comparison
-        np.abs(complex(z) - self.schur_diagonal, out=C_diag)
+        C, C_diag = self._comparison_at(z)
         y, info = _DTRTRS(C, self._ones, trans=1)
         if info:  # a zero pivot: z is an eigenvalue
             return math.inf
-        product = float((C_diag + self._column_sums).max()) * float(y.max())
+        product = float((C_diag + self._op._column_sums).max()) * float(y.max())
         if not product < math.inf:  # NaN and overflow fail too
             return math.inf
         return (1.0 + _BOUND_ROUNDING) * product

@@ -682,10 +682,15 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
     # sizing check's condition estimates are bounded from above first, at its
     # own shifts, by the grid evaluator's comparison matrix (cond_bound); when
     # ROUNDOFF_SAFETY x that forecast stays within _SIZING_CERTIFIED tol, no
-    # margin can apply and the estimates are skipped.
-    bounds = [prep.grid.evaluator.cond_bound(z) for z in feasibility_shifts(params, 0.5)]
-    bounded = FeasibilityReport.forecast(max(bounds), stability_constant(params, 0.5, t1), tol)
-    if ROUNDOFF_SAFETY * bounded.achievable > _SIZING_CERTIFIED * tol:
+    # margin can apply and the estimates are skipped. The forecast grows with
+    # the condition number, so the first shift whose bound breaks that line
+    # decides, and the rest are not bounded.
+    stability = stability_constant(params, 0.5, t1)
+    if any(
+        ROUNDOFF_SAFETY * FeasibilityReport.forecast(bound, stability, tol).achievable
+        > _SIZING_CERTIFIED * tol
+        for bound in map(prep.grid.evaluator.cond_bound, feasibility_shifts(params, 0.5))
+    ):
         sizing = _stage("feasibility", feasibility_check, problem, params, 0.5, t1, tol)
         excess = ROUNDOFF_SAFETY * sizing.achievable / tol
         if excess > 1.0 and math.isfinite(sizing.max_cond):

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import bromell as bm
+from bromell import contour
 from bromell.contour import conformal_map
 from bromell.errors import DimensionLimitError, SingularSystemError
 from bromell.numerics import schur_solution
@@ -303,6 +304,103 @@ class TestResolventCond:
         assert bm.resolvent_cond(op, z) <= bound
         if where == "eigenvalue":
             assert bound == np.inf
+
+
+_ZTRCON = sla.get_lapack_funcs("trcon", dtype=complex)
+
+
+def _ztrcon(A, z) -> float:
+    """LAPACK ztrcon's 1-norm condition estimate of the triangular zI - T,
+    entry for entry the matrix the shift buffer holds at z; inf at rcond 0."""
+    op = bm.as_operator(A)
+    M = np.asfortranarray(-op.schur_factor)
+    np.fill_diagonal(M, complex(z) - op.schur_diagonal)
+    rcond, info = _ZTRCON(M, norm="1")
+    assert info == 0
+    return 1.0 / rcond if rcond > 0.0 else np.inf
+
+
+def _assert_trcon_bits(A, shifts):
+    got = bm.resolvent_cond(A, shifts)
+    expected = np.array([_ztrcon(A, z) for z in shifts])
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestResolventCondIsTrcon:
+    """resolvent_cond runs ztrcon's estimator in lock-step over all shifts of
+    a call; every value keeps ztrcon's bits."""
+
+    @pytest.mark.parametrize("case", ["bs grid 50", "bs grid 100", "bs tol 1e-10", "cd recipe"])
+    def test_feasibility_shifts(self, case, bs_problem, cd_problem, monkeypatch):
+        problem, t1, tol, opts = {
+            "bs grid 50": (bs_problem, 10.0, 5e-8, bm.SolveOptions(grid_pts=50)),
+            "bs grid 100": (bs_problem, 10.0, 5e-8, bm.SolveOptions(grid_pts=100)),
+            "bs tol 1e-10": (bs_problem, 10.0, 1e-10, bm.SolveOptions(grid_pts=50)),
+            "cd recipe": (cd_problem, 1.0, 5e-8,
+                          bm.SolveOptions(z_l=-40.0, z_r=0.09, prec=1e-2)),
+        }[case]
+        checks = []
+        resolvent_cond = contour.resolvent_cond
+
+        def recorded(A, z):
+            checks.append(np.array(z))
+            return resolvent_cond(A, z)
+
+        monkeypatch.setattr(contour, "resolvent_cond", recorded)
+        plan = bm.plan_window(problem, 1.0, t1, tol, opts)
+        assert [shifts.shape for shifts in checks] in ([(10,)], [(10,), (10,)])
+        for shifts in checks:
+            _assert_trcon_bits(problem.operator, shifts)
+        assert plan.feasibility.max_cond == max(_ztrcon(problem.operator, z) for z in checks[-1])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        complex_entries=st.booleans(),
+        offset=st.complex_numbers(min_magnitude=1.0, max_magnitude=10.0,
+                                  allow_nan=False, allow_infinity=False),
+    )
+    def test_random_non_normal_operators(self, n, seed, complex_entries, offset):
+        # Within 1e-8 |offset| of an eigenvalue, and 3-100 |offset| from the
+        # origin, beyond every eigenvalue's reach for most draws.
+        rng = np.random.default_rng(seed)
+        op = bm.Operator(_non_normal(rng, n, complex_entries))
+        turns = np.exp(2j * np.pi * rng.random(8))
+        near = op.schur_diagonal[rng.integers(n, size=8)] + 1e-8 * offset * turns
+        far = offset * turns * rng.uniform(3.0, 100.0, size=8)
+        _assert_trcon_bits(op, np.concatenate([near, far]))
+
+    def test_array_call_equals_scalar_calls(self, bs_problem, bs_window):
+        op = bs_problem.operator
+        shifts = contour.feasibility_shifts(bs_window.contour, bs_window.c_grid)
+        shifts[3] = op.schur_diagonal[7]  # a zero pivot among the others
+        block = shifts.reshape(2, 5)
+        got = bm.resolvent_cond(op, block)
+        assert got.shape == (2, 5)
+        scalars = [bm.resolvent_cond(op, z) for z in shifts]
+        assert all(value.shape == () for value in scalars)
+        assert got.ravel().tobytes() == np.array(scalars).tobytes()
+        assert got.ravel()[3] == np.inf
+        assert np.isfinite(np.delete(got.ravel(), 3)).all()
+
+    def test_zero_pivot_and_overflowing_solve_are_infinite(self):
+        # At z = 0 the first solve, with -T from (1/2, 1/2), reaches
+        # 1e-10 * 5e159 / 1e-160 in its first entry and overflows (ztrcon's
+        # rescaled solve gives up there too); at t_22 the second pivot is
+        # zero; at z = 1 the estimate is finite.
+        op = bm.Operator(np.array([[1e-160, 1e-10], [0.0, 1e-160]]))
+        shifts = np.array([0.0, op.schur_diagonal[1], 1.0])
+        got = bm.resolvent_cond(op, shifts)
+        assert got[0] == np.inf
+        assert got[1] == np.inf
+        assert np.isfinite(got[2])
+        _assert_trcon_bits(op, shifts[[0, 2]])
+
+    def test_non_finite_shift_is_rejected(self, bs_problem):
+        with pytest.raises(ValueError):
+            bm.resolvent_cond(bs_problem.operator, [1.0, complex(np.nan, 0.0)])
 
 
 def _sigma_min(M) -> float:

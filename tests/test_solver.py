@@ -184,6 +184,20 @@ class TestRefineDoubling:
         assert q.N == 20
 
 
+def _count_estimated_shifts(monkeypatch):
+    """A list that gets, for each feasibility check from here on, the number
+    of shifts whose condition it estimated."""
+    estimated = []
+    resolvent_cond = contour.resolvent_cond
+
+    def counted(A, z):
+        estimated.append(np.size(z))
+        return resolvent_cond(A, z)
+
+    monkeypatch.setattr(contour, "resolvent_cond", counted)
+    return estimated
+
+
 def _lone_node(cache, j, N):
     """Node j of the N-point rule computed on its own: the scalar map at
     node_x(j, N), then one schur_solution. The reference for the cache's
@@ -638,25 +652,18 @@ class TestSolvePipeline:
     def test_cold_ladder_makes_no_lu(self, schur_calls, monkeypatch):
         # Every shifted matrix is the Schur factor's zI - T: the plan's two
         # feasibility checks (the margin's sizing check over the whole arc,
-        # then the plan's own) make one trcon estimate per sample each, and
-        # node solves make none.
-        trcon_calls = []
-        trcon = numerics._TRCON
-
-        def counted(*args, **kwargs):
-            trcon_calls.append(1)
-            return trcon(*args, **kwargs)
-
-        monkeypatch.setattr(numerics, "_TRCON", counted)
+        # then the plan's own) estimate the condition at each of their ten
+        # shifts, and node solves estimate none.
+        estimated = _count_estimated_shifts(monkeypatch)
         problem = bm.black_scholes_problem()
         plan = bm.plan_window(problem, 1.0, 10.0, 5e-8, bm.SolveOptions(grid_pts=50))
-        assert len(trcon_calls) == 20
-        trcon_calls.clear()
+        assert estimated == [10, 10]
+        estimated.clear()
         cold = dataclasses.replace(plan, cache=NodeCache(problem, plan.contour, plan.c_grid))
         for t in np.linspace(1.0, 10.0, 10):
             bm.solve_at(cold, problem, float(t))
         assert cold.cache.solve_count > 0
-        assert trcon_calls == []
+        assert estimated == []
         assert schur_calls == [(problem.operator.dim,) * 2]
 
     def test_cold_ladder_solves_in_schur_coordinates(self, monkeypatch):
@@ -1081,41 +1088,61 @@ class TestRoundoffMargin:
         assert cd_report.contour.a == bm.optimize_a(cd_report.inner, 1.0, 5e-8)
 
     @staticmethod
-    def plan_with_trcon_count(problem, t1, tol, opts, monkeypatch):
-        calls = []
-        trcon = numerics._TRCON
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return trcon(*args, **kwargs)
-
-        monkeypatch.setattr(numerics, "_TRCON", counted)
-        plan = bm.plan_window(problem, 1.0, t1, tol, opts)
-        monkeypatch.setattr(numerics, "_TRCON", trcon)
-        return plan, len(calls)
+    def plan_with_estimate_count(problem, t1, tol, opts, monkeypatch):
+        """The plan, and how many shifts its feasibility checks estimated."""
+        with monkeypatch.context() as patched:
+            estimated = _count_estimated_shifts(patched)
+            plan = bm.plan_window(problem, 1.0, t1, tol, opts)
+        return plan, sum(estimated)
 
     @pytest.mark.parametrize("case", ["cd", "bs t=1"])
     def test_certified_sizing_gives_the_estimated_plan(self, case, cd_problem, bs_problem,
                                                        monkeypatch):
         # The grid's comparison-matrix bounds keep ROUNDOFF_SAFETY x the
-        # sizing forecast under tol / 2 here, so the sizing check's ten trcon
-        # estimates are skipped and only the plan's own ten run. With the
-        # certificate forced to fail, all twenty run, and the plan is the same.
+        # sizing forecast under tol / 2 here, so the sizing check's ten
+        # condition estimates are skipped and only the plan's own ten run.
+        # With the certificate forced to fail, all twenty run, and the plan
+        # is the same.
         problem, opts = {
             "cd": (cd_problem, bm.SolveOptions(z_l=-40.0, z_r=0.09, prec=1e-2)),
             "bs t=1": (bs_problem, bm.SolveOptions(grid_pts=50)),
         }[case]
-        plan, calls = self.plan_with_trcon_count(problem, 1.0, 5e-8, opts, monkeypatch)
-        assert calls == 10
+        plan, estimated = self.plan_with_estimate_count(problem, 1.0, 5e-8, opts, monkeypatch)
+        assert estimated == 10
         monkeypatch.setattr(pseudospectra.SigmaMinEvaluator, "cond_bound",
                             lambda self, z: math.inf)
-        fallback, calls = self.plan_with_trcon_count(problem, 1.0, 5e-8, opts, monkeypatch)
-        assert calls == 20
+        fallback, estimated = self.plan_with_estimate_count(problem, 1.0, 5e-8, opts,
+                                                            monkeypatch)
+        assert estimated == 20
 
         def fields(p):
             return repr((p.contour, p.trunc0, p.trunc1, p.c_grid, p.n_nodes, p.feasibility))
 
         assert fields(plan) == fields(fallback)
+
+    @pytest.mark.parametrize("case", ["cd recipe", "bs window"])
+    def test_sizing_certificate_stops_at_the_first_failing_bound(self, case, cd_problem,
+                                                                  bs_problem, monkeypatch):
+        # The bounded forecast grows with the bound, so the first shift whose
+        # bound breaks the line decides: on the bs window the first bound
+        # does, and the sizing check estimates all ten shifts; on the cd
+        # recipe none does, so all ten are bounded and none is estimated.
+        problem, t1, opts, bounds_made, estimates_made = {
+            "cd recipe": (cd_problem, 1.0, bm.SolveOptions(z_l=-40.0, z_r=0.09, prec=1e-2),
+                          10, 10),
+            "bs window": (bs_problem, 10.0, bm.SolveOptions(grid_pts=50), 1, 20),
+        }[case]
+        bounds = []
+        cond_bound = pseudospectra.SigmaMinEvaluator.cond_bound
+
+        def counted(self, z):
+            bounds.append(z)
+            return cond_bound(self, z)
+
+        monkeypatch.setattr(pseudospectra.SigmaMinEvaluator, "cond_bound", counted)
+        _, estimated = self.plan_with_estimate_count(problem, t1, 5e-8, opts, monkeypatch)
+        assert len(bounds) == bounds_made
+        assert estimated == estimates_made
 
     def test_window_lowers_a_to_the_margin(self, bs_problem, bs_window):
         plan = bs_window

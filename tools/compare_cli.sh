@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-compare sixteen bromell CLI runs between a git revision and the working tree.
+# Byte-compare seventeen bromell CLI runs between a git revision and the working tree.
 #
 #   tools/compare_cli.sh <rev>
 #
@@ -84,7 +84,9 @@ WIN="--problem bs --t0 1 --t1 10 --tol 5e-8"
 # plan's round-off margin moves. The fourteenth's grid has rows below an
 # eigenvalue, which the grid walks up without leaving a column early. The
 # fifteenth stops at the inner-ellipse stage, and the sixteenth, without
-# --u0, has zero data and stops before any stage.
+# --u0, has zero data and stops before any stage. In the seventeenth, at tol
+# 1e-10, the round-off margin lowers a and the plan's condition estimates
+# reach 5.5e3.
 RUNS=(
     "cd-solve|solve $CD --zr 0.09 --grid 40 --validate"
     "cd-convergence|convergence $CD --zr 0.09 --grid 30 --validate"
@@ -102,6 +104,7 @@ RUNS=(
     "block-pseudo|pseudo --problem file --matrix $work/block.mtx --u0 $work/block_u0.txt --t 1 --tol 1e-8 --zr 0.5 --eps1 1e-6 --eps2 1e-9 --grid 40"
     "rotation-solve-default-zr|solve --problem file --matrix $work/rotation.mtx --u0 $work/rotation_u0.txt --t 1 --tol 1e-8"
     "rotation-solve-zero-data|solve --problem file --matrix $work/rotation.mtx --t 1 --tol 1e-8 --zr 0.5"
+    "bs-window-tol1e-10|window --problem bs --t0 1 --t1 10 --tol 1e-10 --grid 50 --times 1,10"
 )
 
 run_side() {  # run_side <src dir> <output root>
