@@ -46,7 +46,7 @@ while True:
     print(f"{q.N:4d} {err:12.3e} {q.est_error:12.3e}")
     if err <= tol or q.N > 200:
         break
-    q = bm.refine_doubling(q, problem, params, t)
+    q = bm.trapezoid_sum(problem, params, trunc.c, t, 2 * q.N, cache=q.cache)
 
 print(f"\nsolves performed: {q.cache.solve_count} "
       f"(doubling reused {q.cache.reuse_count} earlier node values)")

@@ -75,7 +75,6 @@ from .solver import (
     plan_window,
     prepare_contour,
     read_report,
-    refine_doubling,
     rigorous_error_bound,
     solve,
     solve_at,

@@ -225,9 +225,10 @@ def cmd_window(args) -> int:
         f"plan: a = {plan.contour.a:.4f}, grid width c = {plan.c_grid:.4f}, "
         f"{plan.n_nodes} nodes"
     )
+    first = min(plan.n_nodes, plan.opts.n_max)  # each time's first rule
     print(
         f"solves = {plan.cache.solve_count}, reused = {plan.cache.reuse_count} "
-        f"(nodes x (times - 1) = {(plan.n_nodes - 1) * (len(times) - 1)})"
+        f"(nodes x (times - 1) = {(first - 1) * (len(times) - 1)})"
     )
     return EXIT_OK if all_reached else EXIT_ERROR
 
@@ -249,11 +250,11 @@ def _load_config(path) -> dict:
     return values
 
 
-def _apply_config(args, parser):
+def _apply_config(args):
     if args.config:
         for key, raw in _load_config(args.config).items():
             if key not in _FLAGS:
-                parser.error(f"unknown config key '{key}'")
+                raise ValueError(f"unknown config key '{key}'")
             # Flags win: only fill values the command line left unset.
             if getattr(args, key, None) is None:
                 kind = _FLAGS[key][0]
@@ -292,9 +293,14 @@ def main(argv=None) -> int:
     }
     for name in handlers:
         _add_common(sub.add_parser(name))
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser)
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        if exc.code == 2:
+            return EXIT_ERROR
+        raise
+    try:
+        _apply_config(args)
         if args.problem is None:
             raise ValueError("missing required option: --problem")
         return handlers[args.command](args)

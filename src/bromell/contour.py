@@ -76,12 +76,6 @@ class InnerEllipse:
             )
         return self.r / s
 
-    def quadratic_form(self, p: complex) -> float:
-        return _ellipse_form(p, self.z_l, self.semi_major, self.semi_minor)
-
-    def encloses(self, p: complex, slack: float = ENCLOSE_SLACK) -> bool:
-        return self.quadratic_form(complex(p)) <= 1.0 + slack
-
     def boundary_points(self, m: int = 181) -> np.ndarray:
         """Right half of the ellipse, sampled at m parameter values."""
         theta = np.linspace(-math.pi / 2, math.pi / 2, m)

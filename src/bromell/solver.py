@@ -221,7 +221,6 @@ class QuadratureResult:
 
     N: int
     approx: np.ndarray
-    nodes: np.ndarray
     c: float
     t: float
     est_error: float
@@ -291,15 +290,9 @@ def trapezoid_sum(
     else:
         approx = _unfolded_sum(_rows(stack, t), Q, c, N)
 
-    xs = cache.node_x(np.arange(1, N), N)
     est = error_model(params, c, t, N)
     B = b_term(params, c, t, N)
-    return QuadratureResult(N, approx, xs, float(c), float(t), est, B, cache, stack)
-
-
-def refine_doubling(prev: QuadratureResult, problem, params: ContourParams, t: float) -> QuadratureResult:
-    """2N-point result reusing every previous node; N fresh solves."""
-    return trapezoid_sum(problem, params, prev.c, t, 2 * prev.N, cache=prev.cache)
+    return QuadratureResult(N, approx, float(c), float(t), est, B, cache, stack)
 
 
 def full_sum(result: QuadratureResult) -> np.ndarray:
@@ -441,7 +434,10 @@ def truncation_bound(params: ContourParams, c: float, t: float, K_ell: float, to
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tunable pipeline knobs; None means 'derive a default'."""
+    """Tunable pipeline knobs; None means 'derive a default'. Checked when
+    built: z_l and z_r finite when given, eps1, eps2 and prec finite and
+    positive, grid_pts an int of at least 8 and n_max an int of at least 2.
+    """
 
     z_l: float = None
     z_r: float = None
@@ -451,6 +447,22 @@ class SolveOptions:
     prec: float = 0.1
     n_max: int = 1024
     validate: bool = False
+
+    def __post_init__(self):
+        for name in ("eps1", "eps2", "prec"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"need finite {name} > 0, got {value}")
+        for name in ("z_l", "z_r"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"need finite {name}, got {value}")
+        if not (isinstance(self.grid_pts, int) and self.grid_pts >= 8):
+            raise ValueError(f"need an int grid_pts >= 8, got {self.grid_pts!r}")
+        if not isinstance(self.n_max, int):
+            raise ValueError(f"need an int n_max, got {self.n_max!r}")
+        if not self.n_max >= 2:
+            raise ValueError(f"need n_max >= 2, got {self.n_max}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,22 +574,15 @@ def prepare_contour(problem, t_weight: float, t_opt: float, tol: float, opts: So
 
     The weighted level curve uses t_weight while the strip parameter is
     optimized against t_opt (they coincide for a single-time solve).
-    t_weight, t_opt, tol, opts.eps1 and opts.eps2 must be finite and
-    positive, opts.z_l and opts.z_r finite when given, and opts.grid_pts an
-    int of at least 8; they are checked before any stage runs.
+    t_weight, t_opt and tol must be finite and positive; they are checked
+    before any stage runs.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"need tol > 0, got {tol}")
     opts = opts or SolveOptions()
-    checked = {"t_weight": t_weight, "t_opt": t_opt, "eps1": opts.eps1, "eps2": opts.eps2}
-    for name, value in checked.items():
+    for name, value in (("t_weight", t_weight), ("t_opt", t_opt)):
         if not 0 < value < math.inf:
             raise ValueError(f"need finite {name} > 0, got {value}")
-    for name, value in (("z_l", opts.z_l), ("z_r", opts.z_r)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"need finite {name}, got {value}")
-    if not (isinstance(opts.grid_pts, int) and opts.grid_pts >= 8):
-        raise ValueError(f"need an int grid_pts >= 8, got {opts.grid_pts!r}")
     eigs = _stage("eigenvalues", eigenvalues, problem.operator)
     z_l = opts.z_l if opts.z_l is not None else default_z_l(t_weight)
     z_r = (
@@ -639,7 +644,6 @@ class TimeWindowPlan:
     cache: NodeCache = field(repr=False)
     feasibility: FeasibilityReport
     opts: SolveOptions
-    label: str = ""
 
     def k_at(self, t: float) -> float:
         if self.t1 == self.t0:
@@ -659,18 +663,13 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
     meets tol ('t Hout & Weideman, SIAM J. Sci. Comput. 33, 2011). It is
     kept when no a > 0 meets that, when the condition number is infinite,
     or when the lower a would need more than opts.n_max nodes at t1.
-    t0, t1 and opts.prec must be finite and positive with t0 <= t1,
-    opts.n_max at least 2, and u0 or a source vector nonzero (else u(t) = 0);
-    these and prepare_contour's checks run before any stage. The plan keeps
-    opts for every later evaluation.
+    t0 and t1 must be finite and positive with t0 <= t1, and u0 or a source
+    vector nonzero (else u(t) = 0); these and prepare_contour's checks run
+    before any stage. The plan keeps opts for every later evaluation.
     """
     if not 0 < t0 <= t1 < math.inf:
         raise ValueError("need 0 < t0 <= t1 < inf")
     opts = opts or SolveOptions()
-    if not 0 < opts.prec < math.inf:
-        raise ValueError(f"need finite prec > 0, got {opts.prec}")
-    if not opts.n_max >= 2:
-        raise ValueError(f"need n_max >= 2, got {opts.n_max}")
     if not (problem.u0.any() or any(term.vector.any() for term in problem.source_terms)):
         raise ValueError("u0 and every source vector are zero, so u(t) = 0: nothing to invert")
     prep = prepare_contour(problem, t0, t1, tol, opts)
@@ -719,11 +718,10 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
         cache,
         feas,
         opts,
-        problem.label,
     )
 
 
-def _evaluate(plan, problem, t, truncation, feasibility, N) -> SolveReport:
+def _evaluate(plan, t, truncation, feasibility, N) -> SolveReport:
     """Report the plan at time t after doubling the N-point rule on its shared grid.
 
     Every doubling reuses all cached node solves. The stopping signal is the
@@ -734,25 +732,26 @@ def _evaluate(plan, problem, t, truncation, feasibility, N) -> SolveReport:
     check).
     """
     cache, validate, n_max = plan.cache, plan.opts.validate, plan.opts.n_max
+    problem = cache.problem
     q = measured = worst = None
     table = []
     reached = False
     if N is not None:
         N = min(N, n_max)
         reference = _stage("reference", reference_solution, problem, t) if validate else None
-        q = _stage("quadrature", trapezoid_sum, problem, cache.params, cache.c, t, N, cache=cache)
         while True:
+            q = _stage("quadrature", trapezoid_sum, problem, cache.params, cache.c, t, N, cache=cache)
             if reference is not None:
                 measured = float(np.linalg.norm(q.approx - reference))
-            table.append((q.N, measured, q.est_error, q.B_term))
+            table.append((N, measured, q.est_error, q.B_term))
             reached = (q.est_error if reference is None else measured) <= plan.tol
-            if reached or 2 * q.N > n_max:
+            if reached or 2 * N > n_max:
                 break
-            q = _stage("quadrature", refine_doubling, q, problem, cache.params, t)
+            N *= 2
         if reference is not None:
             worst = float(np.max(np.abs(q.approx - reference)))
     return SolveReport(
-        label=plan.label,
+        label=problem.label,
         t=float(t),
         tol=plan.tol,
         inner=plan.inner,
@@ -785,7 +784,7 @@ def solve(problem, t: float, tol: float, opts: SolveOptions = None) -> SolveRepo
     n0 = None
     if plan.feasibility.passed:
         n0 = max(5, math.ceil(predicted_nodes(params.a, trunc.c, params.D, t, tol) / 4))
-    report = _evaluate(plan, problem, t, trunc, plan.feasibility, n0)
+    report = _evaluate(plan, t, trunc, plan.feasibility, n0)
     if report.result is None:
         return report
     k_ell = _stage("truncation-bound", estimate_k_ell, problem, params, t)
@@ -805,13 +804,11 @@ def solve_at(plan: TimeWindowPlan, problem, t: float) -> SolveReport:
         raise ValueError("solve_at needs the problem object the plan was built from")
     if not plan.t0 <= t <= plan.t1:
         raise ValueError(f"t = {t} outside the window [{plan.t0}, {plan.t1}]")
-    if not plan.opts.n_max >= 2:
-        raise ValueError(f"need n_max >= 2, got {plan.opts.n_max}")
     c_t = plan.c_at(t)
     trunc_t = TruncationResult(c_t, plan.k_at(t), 0)
     stab = stability_constant(plan.contour, c_t, t)
     feas = FeasibilityReport.forecast(plan.feasibility.max_cond, stab, plan.tol)
-    return _evaluate(plan, problem, t, trunc_t, feas, plan.n_nodes)
+    return _evaluate(plan, t, trunc_t, feas, plan.n_nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_criterion_02_call_operator_both_times(bs_problem, bs_report_t1, bs_repo
         q = rep.result
         errs = [float(np.linalg.norm(q.approx - ref))]
         for _ in range(3):
-            q = bm.refine_doubling(q, bs_problem, rep.contour, t)
+            q = bm.trapezoid_sum(bs_problem, rep.contour, q.c, t, 2 * q.N, cache=q.cache)
             errs.append(float(np.linalg.norm(q.approx - ref)))
         floor = rep.feasibility.achievable
         ok_stable = all(
@@ -217,7 +217,7 @@ def test_criterion_08_doubling_reuse(cd_problem, cd_report):
     cache = NodeCache(cd_problem, params, c)
     q5 = bm.trapezoid_sum(cd_problem, params, c, 1.0, 5, cache)
     solves_before = cache.solve_count
-    q10 = bm.refine_doubling(q5, cd_problem, params, 1.0)
+    q10 = bm.trapezoid_sum(cd_problem, params, c, 1.0, 2 * q5.N, cache=q5.cache)
     new_solves = cache.solve_count - solves_before
     direct = bm.trapezoid_sum(cd_problem, params, c, 1.0, 10, NodeCache(cd_problem, params, c))
     rel = float(

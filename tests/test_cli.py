@@ -64,6 +64,17 @@ class TestHelp:
         assert "node-count cap (default 512)" in text
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (("--grid", "abc"), "argument --grid: invalid int value: 'abc'"),
+        (("--no-such-flag", "1"), "unrecognized arguments: --no-such-flag 1"),
+    ])
+    def test_usage_error_exits_1(self, argv, message, capsys):
+        # Exit 2 is kept for a failed feasibility check.
+        assert run("solve", "--problem", "bs", "--t", "1", "--tol", "1e-6", *argv) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestImportGraph:
     def test_cli_import_loads_no_scipy_optimize(self):
         # A fresh interpreter: this test session has loaded scipy.optimize itself.
@@ -303,6 +314,18 @@ class TestWindowCommand:
         )
         assert code == 1
 
+    def test_reuse_line_counts_the_capped_first_rule(self, tmp_path, capsys):
+        # The plan has 164 nodes; with --nmax 100 each time's first rule has
+        # 100 nodes, of which the second time reuses all 99.
+        code = run(
+            "window", "--problem", "bs", "--t0", "1", "--t1", "10", "--tol", "5e-8",
+            "--times", "1,10", "--nmax", "100", "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "164 nodes" in out
+        assert "solves = 99, reused = 99 (nodes x (times - 1) = 99)" in out
+
     def test_node_budget_rejected_before_any_stage(self, tmp_path, capsys, monkeypatch):
         stages = []
         for stage in ("eigenvalues", "compute_grid"):
@@ -351,11 +374,11 @@ class TestConfigFile:
         # an explicit flag must beat the config value
         assert run("solve", "--config", str(cfg), "--tol", "1e-30") == 2
 
-    def test_unknown_config_key_rejected(self, diag_files, tmp_path):
+    def test_unknown_config_key_rejected(self, diag_files, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nonsense=1\n")
-        with pytest.raises(SystemExit):
-            run("solve", "--config", str(cfg), "--problem", "cd")
+        assert run("solve", "--config", str(cfg), "--problem", "cd") == 1
+        assert "error: unknown config key 'nonsense'" in capsys.readouterr().err
 
     def test_repeated_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -73,9 +73,11 @@ class TestTrapezoidSum:
         # Even N has the x = 0 node exactly once; odd N does not have it.
         q_even = bm.trapezoid_sum(scalar_problem, scalar_params, 0.3, 1.0, 8)
         q_odd = bm.trapezoid_sum(scalar_problem, scalar_params, 0.3, 1.0, 9)
-        assert np.count_nonzero(q_even.nodes == 0.0) == 1
-        assert np.count_nonzero(q_odd.nodes == 0.0) == 0
-        assert len(q_even.nodes) == 7 and len(q_odd.nodes) == 8
+        even_nodes = q_even.cache.node_x(np.arange(1, q_even.N), q_even.N)
+        odd_nodes = q_odd.cache.node_x(np.arange(1, q_odd.N), q_odd.N)
+        assert np.count_nonzero(even_nodes == 0.0) == 1
+        assert np.count_nonzero(odd_nodes == 0.0) == 0
+        assert len(even_nodes) == 7 and len(odd_nodes) == 8
 
     def test_folded_sum_is_real_and_matches_full_sum(self, cd_problem, cd_report):
         params, c = cd_report.contour, cd_report.truncation.c
@@ -135,7 +137,7 @@ class TestTrapezoidSum:
         cache = NodeCache(prob, scalar_params, 0.3)
         q = bm.trapezoid_sum(prob, scalar_params, 0.3, 1.0, 7, cache)
         with pytest.raises(SingularSystemError, match="misplaced"):
-            bm.refine_doubling(q, prob, scalar_params, 1.0)
+            bm.trapezoid_sum(prob, scalar_params, 0.3, 1.0, 2 * q.N, cache=q.cache)
         assert cache.solve_count == 6
 
 
@@ -143,7 +145,7 @@ class TestRefineDoubling:
     def test_matches_direct_recomputation(self, cd_problem, cd_report):
         params, c = cd_report.contour, cd_report.truncation.c
         q5 = bm.trapezoid_sum(cd_problem, params, c, 1.0, 5)
-        q10 = bm.refine_doubling(q5, cd_problem, params, 1.0)
+        q10 = bm.trapezoid_sum(cd_problem, params, c, 1.0, 2 * q5.N, cache=q5.cache)
         direct = bm.trapezoid_sum(cd_problem, params, c, 1.0, 10)
         assert q10.N == 10
         scale = np.linalg.norm(direct.approx)
@@ -152,7 +154,7 @@ class TestRefineDoubling:
     def test_cached_values_bit_identical(self, cd_problem, cd_report):
         params, c = cd_report.contour, cd_report.truncation.c
         q = bm.trapezoid_sum(cd_problem, params, c, 1.0, 6)
-        refined = bm.refine_doubling(q, cd_problem, params, 1.0)
+        refined = bm.trapezoid_sum(cd_problem, params, c, 1.0, 2 * q.N, cache=q.cache)
         direct = bm.trapezoid_sum(cd_problem, params, c, 1.0, 12)
         for v_ref, v_dir in zip(refined.node_values, direct.node_values):
             assert np.array_equal(v_ref, v_dir)
@@ -162,25 +164,25 @@ class TestRefineDoubling:
         cache = NodeCache(cd_problem, params, c)
         q = bm.trapezoid_sum(cd_problem, params, c, 1.0, 5, cache)
         assert cache.solve_count == 4
-        q = bm.refine_doubling(q, cd_problem, params, 1.0)
+        q = bm.trapezoid_sum(cd_problem, params, c, 1.0, 2 * q.N, cache=q.cache)
         assert cache.solve_count == 4 + 5
-        q = bm.refine_doubling(q, cd_problem, params, 1.0)
+        q = bm.trapezoid_sum(cd_problem, params, c, 1.0, 2 * q.N, cache=q.cache)
         assert cache.solve_count == 9 + 10
 
     def test_node_sets_nest(self, cd_problem, cd_report):
         params, c = cd_report.contour, cd_report.truncation.c
         q = bm.trapezoid_sum(cd_problem, params, c, 1.0, 7)
-        refined = bm.refine_doubling(q, cd_problem, params, 1.0)
-        old = set(q.nodes.tolist())
-        new = set(refined.nodes.tolist())
+        refined = bm.trapezoid_sum(cd_problem, params, c, 1.0, 2 * q.N, cache=q.cache)
+        old = set(q.cache.node_x(np.arange(1, q.N), q.N).tolist())
+        new = set(refined.cache.node_x(np.arange(1, refined.N), refined.N).tolist())
         assert old <= new
         assert len(new) == len(old) + 7
 
     def test_two_refinements_quadruple(self, cd_problem, cd_report):
         params, c = cd_report.contour, cd_report.truncation.c
         q = bm.trapezoid_sum(cd_problem, params, c, 1.0, 5)
-        q = bm.refine_doubling(q, cd_problem, params, 1.0)
-        q = bm.refine_doubling(q, cd_problem, params, 1.0)
+        q = bm.trapezoid_sum(cd_problem, params, c, 1.0, 2 * q.N, cache=q.cache)
+        q = bm.trapezoid_sum(cd_problem, params, c, 1.0, 2 * q.N, cache=q.cache)
         assert q.N == 20
 
 
@@ -240,7 +242,7 @@ class TestArrayQuadrature:
         )
         assert q.approx.tobytes() == approx.tobytes()
         assert full_sum(q).tobytes() == unfolded.tobytes()
-        assert q.nodes.tobytes() == nodes.tobytes()
+        assert q.cache.node_x(np.arange(1, N), N).tobytes() == nodes.tobytes()
         assert q.node_values.shape == (N - 1, problem.dim)
         for row, value in zip(q.node_values, values):
             assert row.tobytes() == value.tobytes()
@@ -715,38 +717,40 @@ class TestEntryValidation:
             ("solve", (math.inf, 1e-6), "need t > 0"),
             ("solve", (1.0, math.nan), "need tol > 0"),
             ("solve", (1.0, -1e-8), "need tol > 0"),
-            ("solve", (1.0, 1e-6, bm.SolveOptions(n_max=-5)), "need n_max >= 2"),
-            ("solve", (1.0, 1e-6, bm.SolveOptions(n_max=1)), "need n_max >= 2"),
-            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(n_max=-5)), "need n_max >= 2"),
-            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(n_max=1)), "need n_max >= 2"),
-            ("solve", (1.0, 1e-6, bm.SolveOptions(eps1=0.0)), "need finite eps1 > 0"),
-            ("solve", (1.0, 1e-6, bm.SolveOptions(eps1=math.nan)), "need finite eps1 > 0"),
-            ("solve", (1.0, 1e-6, bm.SolveOptions(eps2=0.0)), "need finite eps2 > 0"),
-            ("solve", (1.0, 1e-6, bm.SolveOptions(eps2=math.inf)), "need finite eps2 > 0"),
-            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(eps2=-1e-13)),
+            ("solve", (1.0, 1e-6, {"n_max": -5}), "need n_max >= 2"),
+            ("solve", (1.0, 1e-6, {"n_max": 1}), "need n_max >= 2"),
+            ("plan_window", (1.0, 2.0, 1e-8, {"n_max": -5}), "need n_max >= 2"),
+            ("plan_window", (1.0, 2.0, 1e-8, {"n_max": 1}), "need n_max >= 2"),
+            ("solve", (1.0, 1e-6, {"eps1": 0.0}), "need finite eps1 > 0"),
+            ("solve", (1.0, 1e-6, {"eps1": math.nan}), "need finite eps1 > 0"),
+            ("solve", (1.0, 1e-6, {"eps2": 0.0}), "need finite eps2 > 0"),
+            ("solve", (1.0, 1e-6, {"eps2": math.inf}), "need finite eps2 > 0"),
+            ("plan_window", (1.0, 2.0, 1e-8, {"eps2": -1e-13}),
              "need finite eps2 > 0"),
-            ("solve", (1.0, 1e-6, bm.SolveOptions(prec=0.0)), "need finite prec > 0"),
-            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(prec=math.nan)),
+            ("solve", (1.0, 1e-6, {"prec": 0.0}), "need finite prec > 0"),
+            ("plan_window", (1.0, 2.0, 1e-8, {"prec": math.nan}),
              "need finite prec > 0"),
-            ("prepare_contour", (1.0, 1.0, 1e-6, bm.SolveOptions(eps2=0.0)),
+            ("prepare_contour", (1.0, 1.0, 1e-6, {"eps2": 0.0}),
              "need finite eps2 > 0, got 0.0"),
-            ("prepare_contour", (1.0, 1.0, 1e-6, bm.SolveOptions(eps1=-1e-9)),
+            ("prepare_contour", (1.0, 1.0, 1e-6, {"eps1": -1e-9}),
              "need finite eps1 > 0, got -1e-09"),
             ("prepare_contour", (math.nan, math.nan, 1e-6), "need finite t_weight > 0, got nan"),
             ("prepare_contour", (1.0, math.inf, 1e-6), "need finite t_opt > 0, got inf"),
             ("prepare_contour", (1.0, 1.0, -1.0), "need tol > 0, got -1.0"),
             ("prepare_contour", (1.0, 1.0, math.nan), "need tol > 0, got nan"),
-            ("solve", (1.0, 1e-6, bm.SolveOptions(z_r=math.inf)), "need finite z_r, got inf"),
-            ("solve", (1.0, 1e-6, bm.SolveOptions(z_l=-math.inf)), "need finite z_l, got -inf"),
-            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(z_r=math.nan)),
+            ("solve", (1.0, 1e-6, {"z_r": math.inf}), "need finite z_r, got inf"),
+            ("solve", (1.0, 1e-6, {"z_l": -math.inf}), "need finite z_l, got -inf"),
+            ("plan_window", (1.0, 2.0, 1e-8, {"z_r": math.nan}),
              "need finite z_r, got nan"),
-            ("prepare_contour", (1.0, 1.0, 1e-6, bm.SolveOptions(z_l=math.nan)),
+            ("prepare_contour", (1.0, 1.0, 1e-6, {"z_l": math.nan}),
              "need finite z_l, got nan"),
-            ("solve", (1.0, 1e-6, bm.SolveOptions(grid_pts=4)), "need an int grid_pts >= 8, got 4"),
-            ("plan_window", (1.0, 2.0, 1e-8, bm.SolveOptions(grid_pts=7)),
+            ("solve", (1.0, 1e-6, {"grid_pts": 4}), "need an int grid_pts >= 8, got 4"),
+            ("plan_window", (1.0, 2.0, 1e-8, {"grid_pts": 7}),
              "need an int grid_pts >= 8, got 7"),
-            ("prepare_contour", (1.0, 1.0, 1e-6, bm.SolveOptions(grid_pts=50.0)),
+            ("prepare_contour", (1.0, 1.0, 1e-6, {"grid_pts": 50.0}),
              "need an int grid_pts >= 8, got 50.0"),
+            ("solve", (1.0, 1e-6, {"n_max": 3.0}), "need an int n_max, got 3.0"),
+            ("plan_window", (1.0, 2.0, 1e-8, {"n_max": 64.0}), "need an int n_max, got 64.0"),
         ],
     )
     def test_rejected_before_any_stage(self, monkeypatch, bs_problem, entry, args, message):
@@ -755,21 +759,30 @@ class TestEntryValidation:
 
         monkeypatch.setattr(solver, "eigenvalues", stage_ran)
         with pytest.raises(ValueError, match=message):
+            # A dict ends args where options are given: SolveOptions checks
+            # its fields when it is built.
+            if isinstance(args[-1], dict):
+                args = (*args[:-1], bm.SolveOptions(**args[-1]))
             getattr(bm, entry)(bs_problem, *args)
 
 
 class TestNodeBudget:
     @pytest.mark.parametrize("n_max", [-5, 1])
-    def test_solve_at_rejects_a_budget_below_two(self, monkeypatch, diag_problem, diag_plan,
-                                                 n_max):
-        def stage_ran(*_args, **_kwargs):
-            raise AssertionError("a pipeline stage ran")
-
-        monkeypatch.setattr(solver, "trapezoid_sum", stage_ran)
-        monkeypatch.setattr(solver, "stability_constant", stage_ran)
-        plan = dataclasses.replace(diag_plan, opts=dataclasses.replace(diag_plan.opts, n_max=n_max))
+    def test_solve_at_rejects_a_budget_below_two(self, diag_plan, n_max):
+        # Options check themselves, so a plan's options cannot be swapped
+        # for ones with such a budget, and none reaches solve_at.
         with pytest.raises(ValueError, match="need n_max >= 2"):
-            bm.solve_at(plan, diag_problem, 2.0)
+            dataclasses.replace(diag_plan.opts, n_max=n_max)
+
+    def test_doubling_stops_within_budget(self, cd_problem):
+        # The first rule (7 nodes) and its doubling (14) fit in the budget;
+        # the next doubling (28 > 20) does not, so the measured error never
+        # meets tol.
+        opts = bm.SolveOptions(z_l=-40.0, z_r=0.09, grid_pts=30, n_max=20, validate=True)
+        report = bm.solve(cd_problem, 1.0, 5e-8, opts)
+        assert [row[0] for row in report.errors_table] == [7, 14]
+        assert report.result.N == 14
+        assert not report.reached_tol
 
     def test_solve_first_rule_within_budget(self, diag_problem):
         report = bm.solve(diag_problem, 1.0, 1e-8, bm.SolveOptions(grid_pts=24, n_max=3))

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-compare seventeen bromell CLI runs between a git revision and the working tree.
+# Byte-compare nineteen bromell CLI runs between a git revision and the working tree.
 #
 #   tools/compare_cli.sh <rev>
 #
@@ -63,9 +63,9 @@ awk 'BEGIN {
 }' >"$work/block.mtx"
 printf '1\n%.0s' $(seq 16) >"$work/block_u0.txt"
 
-# The last two runs read the 2 x 2 operator [[-1, 2], [-2, -1]], whose
-# eigenvalues -1 +- 2i lie outside the circle about z_l that the default z_r
-# allows, and u0 = (1, 0.5).
+# The fifteenth and sixteenth runs read the 2 x 2 operator [[-1, 2], [-2, -1]],
+# whose eigenvalues -1 +- 2i lie outside the circle about z_l that the default
+# z_r allows, and u0 = (1, 0.5).
 awk 'BEGIN {
     print "%%MatrixMarket matrix coordinate real general"
     print "2 2 4"
@@ -86,7 +86,9 @@ WIN="--problem bs --t0 1 --t1 10 --tol 5e-8"
 # fifteenth stops at the inner-ellipse stage, and the sixteenth, without
 # --u0, has zero data and stops before any stage. In the seventeenth, at tol
 # 1e-10, the round-off margin lowers a and the plan's condition estimates
-# reach 5.5e3.
+# reach 5.5e3. The last two run out of node budget and exit 1: the
+# eighteenth sums rules 7 and 14 and stops before 28 > 20, and the
+# nineteenth caps each time's first rule at 100 of the plan's 164 nodes.
 RUNS=(
     "cd-solve|solve $CD --zr 0.09 --grid 40 --validate"
     "cd-convergence|convergence $CD --zr 0.09 --grid 30 --validate"
@@ -105,6 +107,8 @@ RUNS=(
     "rotation-solve-default-zr|solve --problem file --matrix $work/rotation.mtx --u0 $work/rotation_u0.txt --t 1 --tol 1e-8"
     "rotation-solve-zero-data|solve --problem file --matrix $work/rotation.mtx --t 1 --tol 1e-8 --zr 0.5"
     "bs-window-tol1e-10|window --problem bs --t0 1 --t1 10 --tol 1e-10 --grid 50 --times 1,10"
+    "cd-convergence-nmax|convergence $CD --zr 0.09 --grid 30 --validate --nmax 20"
+    "bs-window-nmax|window $WIN --times 1,10 --nmax 100"
 )
 
 run_side() {  # run_side <src dir> <output root>
