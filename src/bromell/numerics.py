@@ -16,9 +16,9 @@ matrix-exponential reference evolution used as validation oracle.
 All functions are deterministic and never mutate their inputs, except that
 ShiftedSystem.solve_schur solves a contiguous complex right-hand side in
 place; the only state is the operator's cached Schur form, its diagonal,
-its one shift buffer (with a view of that buffer's diagonal) and the
-off-diagonal column sums of |T|, and the problem's cached Schur-coordinate
-data.
+its one shift buffer (with a view of that buffer's diagonal), the
+off-diagonal column sums of |T| and the bound on its numerical abscissa, and
+the problem's cached Schur-coordinate data.
 """
 
 from __future__ import annotations
@@ -133,6 +133,28 @@ class Operator:
         T = self.schur_factor
         return np.add.reduce(np.triu(np.hypot(T.real, T.imag, order="C"), 1), axis=0)
 
+    @cached_property
+    def abscissa_bound(self) -> float:
+        """An upper bound on the numerical abscissa omega(A) = lambda_max((A + A*) / 2).
+
+        For a unit vector v, ||(xI - A) v|| >= Re v*(xI - A) v >= x - omega(A),
+        so sigma_min(xI - A) >= x - omega(A) for real x (Trefethen & Embree,
+        *Spectra and Pseudospectra*, 2005, ch. 17); ``solver.default_z_r``
+        settles its bracket tests right of it. The bound is Gershgorin's on
+        the Hermitian part H: the largest Re a_ii + sum_{j != i} |h_ij|,
+        raised by (n + 3) eps max_i (|Re a_ii| + sum_{j != i} |h_ij|) for the
+        rounding of the sums, whose terms but the first are nonnegative.
+        O(n^2), computed on first use and kept for the operator's lifetime.
+        """
+        A = self.entries
+        centres = A.diagonal().real
+        with np.errstate(over="ignore"):  # an overflow gives inf, which settles nothing
+            H = np.abs(A + A.conj().T)
+            H.flat[:: self.dim + 1] = 0.0
+            radii = 0.5 * H.sum(axis=1)
+            rounding = (self.dim + 3) * np.finfo(float).eps * float(np.max(np.abs(centres) + radii))
+            return float(np.max(centres + radii)) + rounding
+
 
 def as_operator(A) -> Operator:
     """Coerce a matrix-like into an Operator (no copy if already one)."""
@@ -203,7 +225,9 @@ class ShiftedSystem:
         caller that reuses its rhs must pass a copy; any other rhs (real or
         strided) is solved on a copy and left unchanged. Both give the bits
         of a solve on a copy."""
-        y = _TRTRS(self._shifted(), rhs, overwrite_b=True)[0]
+        M = self._shifted()
+        # Positional (lower, trans, unitdiag, lda, overwrite_b), as in resolvent_cond.
+        y = _TRTRS(M, rhs, 0, 0, 0, M.shape[0], 1)[0]
         if np.count_nonzero(np.isfinite(y)) < y.size:
             raise SingularSystemError(
                 f"solve with (zI - A) overflowed at z = {self.z}"

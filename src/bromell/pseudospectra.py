@@ -10,6 +10,7 @@ into the critical curve that the bounding ellipse must enclose.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,13 +55,21 @@ class GridSpec:
         if self.n_pts < 8:
             raise ValueError("need at least 8 points per axis")
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_pts)
+        """The read-only column abscissae, built once per spec."""
+        return _axis(self.x_min, self.x_max, self.n_pts)
 
-    @property
+    @cached_property
     def ys(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.n_pts)
+        """The read-only row ordinates, built once per spec."""
+        return _axis(self.y_min, self.y_max, self.n_pts)
+
+
+def _axis(start: float, stop: float, n_pts: int) -> np.ndarray:
+    axis = np.linspace(start, stop, n_pts)
+    axis.setflags(write=False)
+    return axis
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,9 +153,10 @@ class SigmaMinEvaluator:
     triangular shift runs only when the run is rejected. ``evaluations``,
     ``lanczos_steps`` and ``fallbacks`` count the work done so far, and
     ``bounds`` the calls to ``lower_bound``, a cheap certificate from below
-    that runs no Lanczos. ``cond_bound`` bounds the condition number of
-    zI - T from above in the same way. ``schur_diagonal`` holds the
-    eigenvalues t_ii.
+    that runs no Lanczos; ``range_bound`` is one from the numerical range
+    for real shifts, with no solve at all. ``cond_bound`` bounds the
+    condition number of zI - T from above as lower_bound does.
+    ``schur_diagonal`` holds the eigenvalues t_ii.
 
     zI - T is the operator's one shift buffer (``Operator._shift_buffer``),
     which ShiftedSystem and numerics.resolvent_cond share; each evaluation
@@ -162,7 +172,9 @@ class SigmaMinEvaluator:
         self.dim = op.dim
         self.is_real = op.is_real
         T = op.schur_factor
-        self.abs_error = 10.0 * np.finfo(float).eps * _frobenius(T)
+        frobenius = _frobenius(T)
+        self.abs_error = 10.0 * np.finfo(float).eps * frobenius
+        self._schur_error = self.dim * np.finfo(float).eps * frobenius
         self.schur_diagonal = op.schur_diagonal
         self._M = op._shift_buffer
         self._M_diag = op._shift_diagonal
@@ -235,6 +247,20 @@ class SigmaMinEvaluator:
         if not 0.0 < product < math.inf:  # NaN and overflow fail too
             return 0.0
         return (1.0 - _BOUND_ROUNDING) / math.sqrt(product)
+
+    def range_bound(self, x: float) -> float:
+        """A rigorous lower bound on sigma_min(xI - T) at a real x, from the
+        numerical range, with no solve.
+
+        sigma_min(xI - A) >= x - omega(A) for the numerical abscissa omega(A)
+        <= ``Operator.abscissa_bound``. The computed T is the Schur factor of
+        A + E for a backward error E of order eps ||A||_2 (the QR algorithm
+        is backward stable; Golub & Van Loan, *Matrix Computations*, ch. 7),
+        and by Weyl's inequality E moves sigma_min by at most ||E||_2, for
+        which n eps ||T||_F is allowed. The bound is negative left of
+        omega(A).
+        """
+        return x - self._op.abscissa_bound - self._schur_error
 
     def cond_bound(self, z: complex) -> float:
         """A rigorous upper bound on the 1-norm condition number of zI - T,
@@ -385,31 +411,40 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
     other box evaluates every row.
 
     ``levels`` lists the (eps, t) pairs that ``level_curve`` will extract.
-    Given levels, only the nodes those curves read are evaluated: nodes with
-    y >= 0, walked column by column from the left and up each column from
-    its lowest row, minus every node certified outside all level sets.
-    sigma_min(zI - A) is 1-Lipschitz in z (Weyl's inequality), so node z' is
-    certified once max over evaluated z of s(z)(1 - slack) - abs_error -
-    |z - z'| exceeds max over levels of eps e^{Re(z') t}, where slack and
-    the evaluator's abs_error bound the error of each value s. Before it
-    evaluates a node, the walk tries ``SigmaMinEvaluator.lower_bound``
-    there, a rigorous lower bound b on sigma_min from two real triangular
-    solves: when b(1 - slack) - abs_error already exceeds the node's level,
-    the node is certified without an evaluation, and that value raises its
+    Given levels, only the nodes those curves read are evaluated: in each
+    column with y >= 0, the topmost node inside each level set and the node
+    above it. sigma_min(zI - A) is 1-Lipschitz in z (Weyl's inequality), so
+    node z' is certified outside every level set once max over evaluated z
+    of s(z)(1 - slack) - abs_error - |z - z'| exceeds max over levels of
+    eps e^{Re(z') t}, where slack and the evaluator's abs_error bound the
+    error of each value s. ``SigmaMinEvaluator.lower_bound`` gives a
+    rigorous lower bound b on sigma_min from two real triangular solves:
+    when b(1 - slack) - abs_error already exceeds the node's level, the node
+    is certified without an evaluation, and that value raises its
     neighbours' bounds as an evaluated s would. Another node is at least one
     grid step away, so a value of at most half a step raises no neighbour
-    and updates nothing. From the first row with y >= max(Im t_ii, 0) up,
-    moving up a column moves away from every eigenvalue, so the diagonal of
-    the comparison matrix C grows; C is a triangular M-matrix, so C^-1
-    shrinks entrywise and the bound grows. The first bound that certifies a
-    node from that row on therefore certifies every row above it, and the
-    walk leaves the column there. Rows already certified are jumped over
-    with one search for the column's next uncertified row (bounds only
-    grow, so the same nodes are bounded and evaluated), and each value
+    and updates nothing.
+
+    The walk takes the columns from the left, each in two passes. The first
+    goes up the column from its lowest row and asks the bound at each node
+    not yet certified; a node whose bound fails is queued. From the first
+    row with y >= max(Im t_ii, 0) up, moving up a column moves away from
+    every eigenvalue, so the diagonal of the comparison matrix C grows; C is
+    a triangular M-matrix, so C^-1 shrinks entrywise and the bound grows.
+    The first bound that certifies a node from that row on therefore
+    certifies every row above it, and the pass ends there. Rows already
+    certified are jumped over with one search for the column's next
+    uncertified row. The second pass evaluates the queue from the top down,
+    skipping a node that a value above it has certified meanwhile, and stops
+    once every level has an in-set node in the column: that node is the
+    level's topmost (``_topmost_inside``, which level_curve reads too),
+    because every row above it is certified or was evaluated outside. The
+    in-set test is x t - log s against -log eps, decided by
+    ``_level_values`` itself within 1e-9 of the threshold. Each value
     raises bounds only in the columns the walk has not left. The node
-    directly above each column's topmost in-set node (``_topmost_inside``,
-    which level_curve reads too) is evaluated as well, because level_curve
-    interpolates against it. Every other node, the lower rows included, is
+    directly above each column's topmost in-set node is evaluated as well,
+    because level_curve interpolates against it. Every other node, the
+    lower rows and the queued nodes below the topmost ones included, is
     NaN, which level_curve reads as outside; ``PseudoGrid.completed``
     evaluates them. No rigorous bound certifies an in-set node, so the
     order of the walk moves no curve. Without levels every node is
@@ -437,8 +472,26 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
     reach = 0.5 * min(np.diff(xs).min(), np.diff(ys).min())
     # From row r_up on, y >= Im t_ii for every i: lower_bound grows up each column.
     r_up = int(np.searchsorted(yr, max(float(ev.schur_diagonal.imag.max()), 0.0)))
+    x_axis, y_axis = xs.tolist(), yr.tolist()
+    # The thresholds as level_curve forms them, so _inside decides as it does.
+    level_logs = [(float(-np.log(eps)), t) for eps, t in levels]
+
+    def certify(r, ix, s_low):
+        """Raise the bounds of the nodes within s_low of node (r, ix)."""
+        if s_low <= reach:
+            return
+        # Only nodes within s_low of z gain a positive bound; one more node on
+        # each side keeps rounding in the search from dropping one. The walk
+        # has left the columns left of ix for good.
+        z = nodes[r, ix]
+        r0, r1 = bisect_left(y_axis, z.imag - s_low), bisect_left(y_axis, z.imag + s_low)
+        c0, c1 = bisect_left(x_axis, z.real - s_low), bisect_left(x_axis, z.real + s_low)
+        near = np.s_[max(r0 - 1, 0) : r1 + 1, max(c0 - 1, ix) : c1 + 1]
+        np.maximum(bound[near], s_low - np.abs(nodes[near] - z), out=bound[near])
+
     for ix in range(xs.size):
-        level, r = theta[ix], 0  # bottom row first
+        level, r = float(theta[ix]), 0  # bottom row first
+        queue = []  # rows whose comparison bound failed, bottom up
         while r < rows.size:
             if bound[r, ix] > level:
                 # Jump to the column's next uncertified row in one search;
@@ -446,31 +499,44 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
                 r += int((bound[r:, ix] > level).argmin())
                 if bound[r, ix] > level:
                     break  # every row left is certified
-            z = nodes[r, ix]
             # The comparison-matrix bound is two real triangular solves, a
             # twentieth of an evaluation or less; a node it certifies stays NaN.
-            s_low = _slackened(ev, ev.lower_bound(z))
-            certified = s_low > level
-            if not certified:
-                s = sigma[rows[r], ix] = ev(z)
-                s_low = _slackened(ev, s)
-            if s_low > reach:
-                # Only nodes within s_low of z gain a positive bound; one more
-                # node on each side keeps rounding in the search from dropping
-                # one. The walk has left the columns left of ix for good.
-                r0, r1 = np.searchsorted(yr, (z.imag - s_low, z.imag + s_low))
-                c0, c1 = np.searchsorted(xs, (z.real - s_low, z.real + s_low))
-                near = np.s_[max(r0 - 1, 0) : r1 + 1, max(c0 - 1, ix) : c1 + 1]
-                np.maximum(bound[near], s_low - np.abs(nodes[near] - z), out=bound[near])
-            if certified and r >= r_up:
-                break  # this bound certifies every row above it too
+            s_low = _slackened(ev, ev.lower_bound(nodes[r, ix]))
+            if s_low > level:
+                certify(r, ix, s_low)
+                if r >= r_up:
+                    break  # this bound certifies every row above it too
+            else:
+                queue.append(r)
             r += 1
+        # Evaluate the queue from the top down. The first in-set node of a
+        # level is its topmost in the column: every row above it is certified
+        # or was evaluated outside. level_curve reads no node below it.
+        x, missing = x_axis[ix], level_logs
+        for r in reversed(queue):
+            if bound[r, ix] > level:
+                continue  # a value above it certified it
+            s = sigma[rows[r], ix] = ev(nodes[r, ix])
+            certify(r, ix, _slackened(ev, s))
+            missing = [(L, t) for L, t in missing if not _inside(s, x, t, L)]
+            if not missing:
+                break
     for eps, t in levels:
         above = _topmost_inside(_level_values(sigma[rows], xs, t), -np.log(eps)) + 1
         for ix in np.flatnonzero((above > 0) & (above < rows.size)):
             r = above[ix]
             if np.isnan(sigma[rows[r], ix]):
                 sigma[rows[r], ix] = ev(nodes[r, ix])
+
+
+def _inside(s: float, x: float, t: float, level_log: float) -> bool:
+    """_level_values(s, x, t) >= level_log for one node, by a scalar test
+    that defers to _level_values near the threshold or the cap."""
+    if s > 0.0:
+        value = x * t - math.log(s)
+        if value < _LOG_CAP and abs(value - level_log) > 1e-9 * max(abs(level_log), abs(x * t), 1.0):
+            return value > level_log
+    return bool(_level_values(np.array([s]), np.array([x]), t)[0] >= level_log)
 
 
 def _slackened(ev, s: float) -> float:

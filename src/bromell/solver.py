@@ -436,7 +436,9 @@ def truncation_bound(params: ContourParams, c: float, t: float, K_ell: float, to
 class SolveOptions:
     """Tunable pipeline knobs; None means 'derive a default'. Checked when
     built: z_l and z_r finite when given, eps1, eps2 and prec finite and
-    positive, grid_pts an int of at least 8 and n_max an int of at least 2.
+    positive, grid_pts an int of at least 8, n_max an int of at least 2 and
+    validate a bool. NumPy integers and bools are accepted and stored as
+    Python ones; a bool is not an int here, nor is an integral float.
     """
 
     z_l: float = None
@@ -457,12 +459,21 @@ class SolveOptions:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"need finite {name}, got {value}")
-        if not (isinstance(self.grid_pts, int) and self.grid_pts >= 8):
+        if not (_is_int(self.grid_pts) and self.grid_pts >= 8):
             raise ValueError(f"need an int grid_pts >= 8, got {self.grid_pts!r}")
-        if not isinstance(self.n_max, int):
+        if not _is_int(self.n_max):
             raise ValueError(f"need an int n_max, got {self.n_max!r}")
         if not self.n_max >= 2:
             raise ValueError(f"need n_max >= 2, got {self.n_max}")
+        if not isinstance(self.validate, (bool, np.bool_)):
+            raise ValueError(f"need a bool validate, got {self.validate!r}")
+        for name, kind in (("grid_pts", int), ("n_max", int), ("validate", bool)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+
+
+def _is_int(value) -> bool:
+    """True for a Python or NumPy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,16 +529,27 @@ def default_z_r(problem, eigs, eps1: float) -> float:
     source pole, so the bisection stops once the bracket lies left of that
     clamp: its upper end only falls, and the clamp is then the answer.
 
-    Each test sigma_min(x) < eps1 first asks the evaluator's comparison-matrix
-    ``lower_bound``. When that bound, less the evaluator's error allowances,
-    already reaches eps1, the answer is no and no Lanczos runs: the
-    evaluator's value, accurate to 1e-9 sigma + abs_error, lies above the
-    slackened bound, so it would give the same answer.
+    Each test sigma_min(x) < eps1 asks two certificates from below before
+    the evaluator. The first is the numerical-range bound ``range_bound``:
+    sigma_min(xI - A) >= x - omega(A) for the numerical abscissa omega(A),
+    which ``Operator.abscissa_bound`` bounds from above once per operator
+    by Gershgorin's theorem on (A + A*) / 2, less n eps ||T||_F for the
+    Schur factor's backward error. It needs no solve and settles every
+    bracket point right of omega(A) + eps1 and those allowances. The second
+    is the comparison-matrix ``lower_bound`` (two real triangular solves).
+    When a bound, less the evaluator's error allowances, already reaches
+    eps1, the answer is no and no Lanczos runs: the evaluator's value,
+    accurate to 1e-9 sigma + abs_error, lies above the slackened bound, so
+    it would give the same answer.
     """
     sigma = SigmaMinEvaluator(problem.operator)
 
     def below(x: float) -> bool:
-        return _slackened(sigma, sigma.lower_bound(x)) < eps1 and sigma(x) < eps1
+        return (
+            _slackened(sigma, sigma.range_bound(x)) < eps1
+            and _slackened(sigma, sigma.lower_bound(x)) < eps1
+            and sigma(x) < eps1
+        )
 
     poles = problem.singularities
     floor = max(p.real for p in poles) + 0.01 if poles else -math.inf

@@ -18,7 +18,7 @@ from bromell import contour
 from bromell.contour import conformal_map
 from bromell.errors import DimensionLimitError, SingularSystemError
 from bromell.numerics import schur_solution
-from bromell.pseudospectra import SigmaMinEvaluator
+from bromell.pseudospectra import SigmaMinEvaluator, _slackened
 
 
 def _transformed_solution(problem, z):
@@ -403,6 +403,11 @@ class TestResolventCondIsTrcon:
             bm.resolvent_cond(bs_problem.operator, [1.0, complex(np.nan, 0.0)])
 
 
+def _dense_sigma(M, x: float) -> float:
+    """sigma_min(xI - M) by dense SVD."""
+    return float(np.linalg.svd(x * np.eye(len(M)) - M, compute_uv=False)[-1])
+
+
 def _sigma_min(M) -> float:
     """sigma_min(M) as the grid evaluates it: sigma_min(0 I - A) with A = -M."""
     return SigmaMinEvaluator(bm.Operator(-np.asarray(M)))(0)
@@ -503,6 +508,28 @@ class TestOperator:
         A = bm.Operator(np.eye(2))
         with pytest.raises(ValueError):
             A.entries[0, 0] = 5.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           complex_entries=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_abscissa_bound_is_above_the_numerical_abscissa(self, seed, n, complex_entries,
+                                                            scale):
+        M = scale * _non_normal(np.random.default_rng(seed), n, complex_entries)
+        A = bm.Operator(M)
+        omega = np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1]
+        assert A.abscissa_bound >= omega
+        # Right of it, the evaluator's range bound, less its error
+        # allowances, is below the evaluator's value and dense SVD's.
+        x = A.abscissa_bound + scale
+        ev = SigmaMinEvaluator(A)
+        settled = _slackened(ev, ev.range_bound(x))
+        assert 0.0 < settled <= ev(x)
+        assert settled <= _dense_sigma(M, x)
+
+    def test_abscissa_bound_of_a_diagonal_is_its_largest_real_part(self):
+        A = bm.Operator(np.diag([-3.0 + 2.0j, -1.0 - 5.0j, -2.0]))
+        assert A.abscissa_bound == pytest.approx(-1.0, rel=1e-14)
+        assert A.abscissa_bound >= -1.0
 
 
 def _block_operator() -> np.ndarray:

@@ -751,6 +751,10 @@ class TestEntryValidation:
              "need an int grid_pts >= 8, got 50.0"),
             ("solve", (1.0, 1e-6, {"n_max": 3.0}), "need an int n_max, got 3.0"),
             ("plan_window", (1.0, 2.0, 1e-8, {"n_max": 64.0}), "need an int n_max, got 64.0"),
+            ("solve", (1.0, 1e-6, {"grid_pts": True}), "need an int grid_pts >= 8, got True"),
+            ("solve", (1.0, 1e-6, {"n_max": True}), "need an int n_max, got True"),
+            ("solve", (1.0, 1e-6, {"validate": "false"}), "need a bool validate, got 'false'"),
+            ("plan_window", (1.0, 2.0, 1e-8, {"validate": 1}), "need a bool validate, got 1"),
         ],
     )
     def test_rejected_before_any_stage(self, monkeypatch, bs_problem, entry, args, message):
@@ -764,6 +768,20 @@ class TestEntryValidation:
             if isinstance(args[-1], dict):
                 args = (*args[:-1], bm.SolveOptions(**args[-1]))
             getattr(bm, entry)(bs_problem, *args)
+
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"grid_pts": np.int64(50)}, {"n_max": np.int64(50)}, {"n_max": np.int32(64)},
+         {"validate": np.bool_(True)}],
+    )
+    def test_numpy_scalars_accepted(self, fields):
+        # NumPy integers and bools are stored as Python ones.
+        opts = bm.SolveOptions(**fields)
+        for name, value in fields.items():
+            got = getattr(opts, name)
+            assert got == value
+            assert type(got) is type(value.item())
 
 
 class TestNodeBudget:
@@ -909,14 +927,21 @@ def _unstopped_default_z_r(problem, eigs, eps1: float) -> tuple:
 @pytest.fixture()
 def z_r_evaluators(monkeypatch):
     """List of the SigmaMinEvaluators that solver builds during the test.
-    Each keeps in ``bounded`` the (shift, lower_bound) pairs it returned."""
+    Each keeps in ``ranged`` and ``bounded`` the (shift, bound) pairs that
+    range_bound and lower_bound returned."""
     made = []
 
     class Recorded(pseudospectra.SigmaMinEvaluator):
         def __init__(self, A):
             super().__init__(A)
+            self.ranged = []
             self.bounded = []
             made.append(self)
+
+        def range_bound(self, x):
+            b = super().range_bound(x)
+            self.ranged.append((x, b))
+            return b
 
         def lower_bound(self, z):
             b = super().lower_bound(z)
@@ -934,12 +959,14 @@ class TestDefaultZr:
     # pole at 0.5 and eps1 = 3 the first doubling bracket, [-1, 0], lies
     # left of the clamp, but hi = 0 is not yet an upper end: the crossing
     # is at 2, and stopping the doubling at the clamp would give 0.51.
-    # Each test asks the comparison-matrix bound first; the unstopped loop
-    # evaluates every shift, so where the bound settled a test, the
-    # evaluator's own value must give the same answer.
+    # Each test asks the numerical-range bound first, then the
+    # comparison-matrix bound; the unstopped loop evaluates every shift, so
+    # where a bound settled a test, the evaluator's own value must give the
+    # same answer. The range bound settles every bs bracket point right of
+    # omega(A) (3 evaluations before it), and two of bs-pole-5's (40).
     @pytest.mark.parametrize(
         "case, eps1, count, unstopped_count",
-        [("bs", 1e-9, 3, 42), ("cd", 1e-6, 4, 42), ("bs-pole-5", 1e-9, 40, 42),
+        [("bs", 1e-9, 1, 42), ("cd", 1e-6, 4, 42), ("bs-pole-5", 1e-9, 38, 42),
          ("diag-pole", 3.0, 45, 45)],
     )
     def test_clamp_stop_matches_unstopped_bisection(
@@ -962,10 +989,14 @@ class TestDefaultZr:
         assert [ev.evaluations for ev in z_r_evaluators] == [count]
         assert want_count == unstopped_count
         (ev,) = z_r_evaluators
+        ranged = [x for x, b in ev.ranged if pseudospectra._slackened(ev, b) >= eps1]
+        assert len(ev.bounded) == len(ev.ranged) - len(ranged)
         settled = [x for x, b in ev.bounded if pseudospectra._slackened(ev, b) >= eps1]
         assert len(settled) == len(ev.bounded) - count
         fresh = pseudospectra.SigmaMinEvaluator(problem.operator)
-        assert all(fresh(x) >= eps1 for x in settled)
+        assert all(fresh(x) >= eps1 for x in ranged + settled)
+        if case == "bs":
+            assert len(ranged) == 4
         if case == "diag-pole":
             assert z_r == 2.0
 

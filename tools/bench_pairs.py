@@ -12,10 +12,11 @@ one traced run's per-layer wall times spread too widely to compare. The
 file holds every run, the median and quartiles of each end-to-end metric
 per side, the pairs the change wins, and per side the median of each traced
 count and per-layer time named in TRACED (`traced`) beside every traced
-run's values (`traced_runs`). Each untraced run also keeps its import_s,
-the median fresh `import bromell.cli` at the reference speed that setup_s
-includes, read from the run's detail line, with its median and quartiles
-per side.
+run's values (`traced_runs`), the default z_r search's time
+(`solver.z_r_default_s`) beside the grid's time and σ_min evaluations.
+Each untraced run also keeps its import_s, the median fresh
+`import bromell.cli` at the reference speed that setup_s includes, read
+from the run's detail line, with its median and quartiles per side.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ TRACED = (
     "pseudospectra.sigma_evals",
     "pseudospectra.sigma_eval_ms",
     "pseudospectra.evals_per_node",
+    "solver.z_r_default_s",
     "solver.node_solves",
     "solver.node_reuses",
     "solver.quadrature_s",
