@@ -34,7 +34,7 @@ _CERTIFY_SLACK = 1e-6
 _LANCZOS_STEPS = 40
 _LANCZOS_RTOL = 1e-12
 # Relative allowance for rounding in the triangular solves of lower_bound and
-# cond_bound: every term of their back substitutions is nonnegative, so
+# cond_bound: every term of their substitutions is nonnegative, so
 # nothing cancels.
 _BOUND_ROUNDING = 1e-10
 
@@ -163,7 +163,7 @@ class SigmaMinEvaluator:
     rewrites its diagonal, so the evaluator allocates no complex n x n
     matrix of its own. ``lower_bound``
     and ``cond_bound`` work the same way in a real n x n buffer that the
-    evaluator builds on its first call.
+    evaluator builds on their first call at a shift that is no eigenvalue.
     """
 
     def __init__(self, A):
@@ -180,6 +180,7 @@ class SigmaMinEvaluator:
         self._M_diag = op._shift_diagonal
         self._ones = np.ones(self.dim)
         self._differences = np.empty(self.dim, dtype=complex)  # z - t_ii, for C's diagonal
+        self._eigenvalues = frozenset(self.schur_diagonal.tolist())  # shifts with z - t_ii = 0
         self._sterf, self._stevd = sla.get_lapack_funcs(("sterf", "stevd"), dtype=float)
         # Lanczos workspace, shared by every run: the basis vectors as rows,
         # their conjugates, and the tridiagonal's diagonal and off-diagonal.
@@ -200,9 +201,10 @@ class SigmaMinEvaluator:
 
     def __call__(self, z: complex) -> float:
         self.evaluations += 1
-        np.subtract(complex(z), self.schur_diagonal, out=self._M_diag)
-        if np.count_nonzero(self._M_diag) < self.dim:  # a zero pivot: z is an eigenvalue
+        z = complex(z)
+        if z in self._eigenvalues:  # z - t_ii = 0: a zero pivot
             return 0.0
+        np.subtract(z, self.schur_diagonal, out=self._M_diag)
         sigma = self._lanczos()
         if sigma is None:
             self.fallbacks += 1
@@ -221,32 +223,39 @@ class SigmaMinEvaluator:
         """The comparison matrix of zI - T and its diagonal, |z - t_ii|
         written through the evaluator's buffers."""
         C, C_diag = self._comparison
-        np.subtract(complex(z), self.schur_diagonal, out=self._differences)
+        np.subtract(z, self.schur_diagonal, out=self._differences)
         np.abs(self._differences, out=C_diag)
         return C, C_diag
 
     def lower_bound(self, z: complex) -> float:
-        """A rigorous lower bound on sigma_min(zI - T), from two real triangular solves.
+        """A rigorous lower bound on sigma_min(zI - T), from two chained real
+        triangular solves.
 
         The comparison matrix C of zI - T has |z - t_ii| on its diagonal and
         -|t_ij| above it, so |(zI - T)^-1| <= C^-1 entrywise (Higham,
         *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §8.3) and
-        ||(zI - T)^-1||_2 <= sqrt(||C^-1||_1 ||C^-1||_inf). C^-1 is
-        nonnegative, so its inf- and 1-norms are ||C^-1 e||_inf and
-        ||C^-T e||_inf for the vector e of ones. Returns 0.0 on a zero
-        pivot or when the product of the two norms is not finite.
+        ||(zI - T)^-1||_2 <= ||C^-1||_2. C^-1 is nonnegative, so
+        ||C^-1||_2^2 = rho(C^-T C^-1) <= max_i y_i for y = C^-T (C^-1 e) and
+        the vector e of ones (Collatz-Wielandt; Horn & Johnson, *Matrix
+        Analysis*, Thm 8.1.26), and max_i y_i <= ||C^-1||_inf ||C^-1||_1.
+        The second solve overwrites the first one's result. Both are
+        substitutions in which every term is nonnegative (the second's
+        right-hand side C^-1 e is), so nothing cancels and the rounding
+        allowance covers the chain. Above every Im t_ii, moving up a column
+        grows C's diagonal and shrinks C^-1 entrywise, so the bound grows.
+        Returns 0.0 when z equals some t_ii, before the comparison matrix is
+        touched, or when max_i y_i is not finite.
         """
         self.bounds += 1
+        z = complex(z)
+        if z in self._eigenvalues:  # z - t_ii = 0: a zero pivot
+            return 0.0
         C, _ = self._comparison_at(z)
-        x, info = _DTRTRS(C, self._ones)
-        if info:  # a zero pivot: z is an eigenvalue
+        x = _DTRTRS(C, self._ones)[0]
+        largest = float(np.maximum.reduce(_DTRTRS(C, x, 0, 1, overwrite_b=1)[0]))
+        if not 0.0 < largest < math.inf:  # NaN and overflow fail too
             return 0.0
-        y = _DTRTRS(C, self._ones, trans=1)[0]
-        # Python floats: a NumPy scalar product would warn where it overflows.
-        product = float(x.max()) * float(y.max())
-        if not 0.0 < product < math.inf:  # NaN and overflow fail too
-            return 0.0
-        return (1.0 - _BOUND_ROUNDING) / math.sqrt(product)
+        return (1.0 - _BOUND_ROUNDING) / math.sqrt(largest)
 
     def range_bound(self, x: float) -> float:
         """A rigorous lower bound on sigma_min(xI - T) at a real x, from the
@@ -274,10 +283,11 @@ class SigmaMinEvaluator:
         operator's, the ones resolvent_cond reads. Returns inf on a zero
         pivot or when the product is not finite.
         """
-        C, C_diag = self._comparison_at(z)
-        y, info = _DTRTRS(C, self._ones, trans=1)
-        if info:  # a zero pivot: z is an eigenvalue
+        z = complex(z)
+        if z in self._eigenvalues:  # z - t_ii = 0: a zero pivot
             return math.inf
+        C, C_diag = self._comparison_at(z)
+        y = _DTRTRS(C, self._ones, trans=1)[0]
         product = float((C_diag + self._op._column_sums).max()) * float(y.max())
         if not product < math.inf:  # NaN and overflow fail too
             return math.inf
@@ -418,12 +428,15 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
     of s(z)(1 - slack) - abs_error - |z - z'| exceeds max over levels of
     eps e^{Re(z') t}, where slack and the evaluator's abs_error bound the
     error of each value s. ``SigmaMinEvaluator.lower_bound`` gives a
-    rigorous lower bound b on sigma_min from two real triangular solves:
+    rigorous lower bound b on sigma_min from two chained real triangular
+    solves (the Collatz-Wielandt value of the comparison matrix's inverse):
     when b(1 - slack) - abs_error already exceeds the node's level, the node
     is certified without an evaluation, and that value raises its
     neighbours' bounds as an evaluated s would. Another node is at least one
     grid step away, so a value of at most half a step raises no neighbour
-    and updates nothing.
+    and updates nothing. An update whose rectangle spans every row marks
+    each column it certifies in every row as done, and the walk skips a
+    done column without a search.
 
     The walk takes the columns from the left, each in two passes. The first
     goes up the column from its lowest row and asks the bound at each node
@@ -446,9 +459,10 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
     because level_curve interpolates against it. Every other node, the
     lower rows and the queued nodes below the topmost ones included, is
     NaN, which level_curve reads as outside; ``PseudoGrid.completed``
-    evaluates them. No rigorous bound certifies an in-set node, so the
-    order of the walk moves no curve. Without levels every node is
-    evaluated.
+    evaluates them. When the walk evaluated no node there is no in-set
+    node, so that closing pass is skipped. No rigorous bound certifies an
+    in-set node, so neither the order of the walk nor the strength of its
+    bounds moves a curve. Without levels every node is evaluated.
     """
     ev = SigmaMinEvaluator(as_operator(A))
     sigma = np.full((spec.n_pts, spec.n_pts), np.nan)
@@ -467,6 +481,7 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
     with np.errstate(over="ignore"):
         theta = np.max([eps * np.exp(xs * t) for eps, t in levels], axis=0)
     bound = np.full(nodes.shape, -np.inf)  # certified lower bound on sigma_min
+    done = np.zeros(xs.size, dtype=bool)  # columns certified in every row
     # Every other node is at least one grid step from z, so an s_low of at
     # most half a step gives none of them a positive bound.
     reach = 0.5 * min(np.diff(xs).min(), np.diff(ys).min())
@@ -483,13 +498,20 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
         # Only nodes within s_low of z gain a positive bound; one more node on
         # each side keeps rounding in the search from dropping one. The walk
         # has left the columns left of ix for good.
-        z = nodes[r, ix]
-        r0, r1 = bisect_left(y_axis, z.imag - s_low), bisect_left(y_axis, z.imag + s_low)
-        c0, c1 = bisect_left(x_axis, z.real - s_low), bisect_left(x_axis, z.real + s_low)
-        near = np.s_[max(r0 - 1, 0) : r1 + 1, max(c0 - 1, ix) : c1 + 1]
-        np.maximum(bound[near], s_low - np.abs(nodes[near] - z), out=bound[near])
+        x, y = x_axis[ix], y_axis[r]
+        r0 = max(bisect_left(y_axis, y - s_low) - 1, 0)
+        r1 = bisect_left(y_axis, y + s_low) + 1
+        c0 = max(bisect_left(x_axis, x - s_low) - 1, ix)
+        c1 = bisect_left(x_axis, x + s_low) + 1
+        near = bound[r0:r1, c0:c1]
+        np.maximum(near, s_low - np.abs(nodes[r0:r1, c0:c1] - nodes[r, ix]), out=near)
+        if r0 == 0 and r1 >= rows.size:  # the update spans whole columns
+            done[c0:c1] |= (near > theta[c0:c1]).all(axis=0)
 
+    evaluated = ev.evaluations
     for ix in range(xs.size):
+        if done[ix]:
+            continue  # certified in every row from a column to its left
         level, r = float(theta[ix]), 0  # bottom row first
         queue = []  # rows whose comparison bound failed, bottom up
         while r < rows.size:
@@ -521,6 +543,8 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
             missing = [(L, t) for L, t in missing if not _inside(s, x, t, L)]
             if not missing:
                 break
+    if ev.evaluations == evaluated:
+        return  # no value, so no in-set node and nothing above one
     for eps, t in levels:
         above = _topmost_inside(_level_values(sigma[rows], xs, t), -np.log(eps)) + 1
         for ix in np.flatnonzero((above > 0) & (above < rows.size)):

@@ -14,6 +14,7 @@ window can share one contour's node solves.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -435,10 +436,11 @@ def truncation_bound(params: ContourParams, c: float, t: float, K_ell: float, to
 @dataclass(frozen=True)
 class SolveOptions:
     """Tunable pipeline knobs; None means 'derive a default'. Checked when
-    built: z_l and z_r finite when given, eps1, eps2 and prec finite and
-    positive, grid_pts an int of at least 8, n_max an int of at least 2 and
-    validate a bool. NumPy integers and bools are accepted and stored as
-    Python ones; a bool is not an int here, nor is an integral float.
+    built: z_l and z_r real and finite when given, eps1, eps2 and prec real,
+    finite and positive, grid_pts an int of at least 8, n_max an int of at
+    least 2 and validate a bool. The real fields are stored as given; NumPy
+    integers and bools are accepted and stored as Python ones. A bool is not
+    a real number or an int here, nor is an integral float an int.
     """
 
     z_l: float = None
@@ -451,6 +453,10 @@ class SolveOptions:
     validate: bool = False
 
     def __post_init__(self):
+        for name in ("z_l", "z_r", "eps1", "eps2", "prec"):
+            value = getattr(self, name)
+            if value is not None and not _is_real(value):
+                raise ValueError(f"need a real {name}, got {value!r}")
         for name in ("eps1", "eps2", "prec"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
@@ -474,6 +480,11 @@ class SolveOptions:
 def _is_int(value) -> bool:
     """True for a Python or NumPy integer that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """True for a real number (Python, NumPy or numbers.Real) that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)

@@ -755,6 +755,9 @@ class TestEntryValidation:
             ("solve", (1.0, 1e-6, {"n_max": True}), "need an int n_max, got True"),
             ("solve", (1.0, 1e-6, {"validate": "false"}), "need a bool validate, got 'false'"),
             ("plan_window", (1.0, 2.0, 1e-8, {"validate": 1}), "need a bool validate, got 1"),
+            ("solve", (1.0, 1e-6, {"eps1": True}), "need a real eps1, got True"),
+            ("solve", (1.0, 1e-6, {"z_r": "0.1"}), "need a real z_r, got '0.1'"),
+            ("plan_window", (1.0, 2.0, 1e-8, {"prec": "0.1"}), "need a real prec, got '0.1'"),
         ],
     )
     def test_rejected_before_any_stage(self, monkeypatch, bs_problem, entry, args, message):

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Byte-compare nineteen bromell CLI runs between a git revision and the working tree.
+# Byte-compare twenty-one bromell CLI runs between a git revision and the working tree.
 #
 #   tools/compare_cli.sh <rev>
 #
@@ -86,9 +86,13 @@ WIN="--problem bs --t0 1 --t1 10 --tol 5e-8"
 # fifteenth stops at the inner-ellipse stage, and the sixteenth, without
 # --u0, has zero data and stops before any stage. In the seventeenth, at tol
 # 1e-10, the round-off margin lowers a and the plan's condition estimates
-# reach 5.5e3. The last two run out of node budget and exit 1: the
-# eighteenth sums rules 7 and 14 and stops before 28 > 20, and the
-# nineteenth caps each time's first rule at 100 of the plan's 164 nodes.
+# reach 5.5e3. The eighteenth and nineteenth run out of node budget and
+# exit 1: the eighteenth sums rules 7 and 14 and stops before 28 > 20, and
+# the nineteenth caps each time's first rule at 100 of the plan's 164 nodes.
+# The last two are perfbench's cd recipe box at the default grid 100: its
+# solve, whose grid walk evaluates no node and skips 35 of its 100 columns
+# as certified in every row, and its export, which evaluates every node the
+# walk left out.
 RUNS=(
     "cd-solve|solve $CD --zr 0.09 --grid 40 --validate"
     "cd-convergence|convergence $CD --zr 0.09 --grid 30 --validate"
@@ -109,6 +113,8 @@ RUNS=(
     "bs-window-tol1e-10|window --problem bs --t0 1 --t1 10 --tol 1e-10 --grid 50 --times 1,10"
     "cd-convergence-nmax|convergence $CD --zr 0.09 --grid 30 --validate --nmax 20"
     "bs-window-nmax|window $WIN --times 1,10 --nmax 100"
+    "cd-solve-grid100|solve $CD --zr 0.09 --validate"
+    "cd-pseudo|pseudo $CD --zr 0.09"
 )
 
 run_side() {  # run_side <src dir> <output root>
