@@ -57,6 +57,8 @@ _FLAGS = {
     "out": (str, None, "output directory (default: current)"),
     "times": (str, None, "comma-separated sample times (window)"),
 }
+# A config file's booleans, in any case; any other value is rejected.
+_BOOLEANS = dict.fromkeys(("1", "true", "yes"), True) | dict.fromkeys(("0", "false", "no"), False)
 
 
 def _parse_kv_params(text: str) -> dict:
@@ -258,8 +260,9 @@ def _apply_config(args):
             # Flags win: only fill values the command line left unset.
             if getattr(args, key, None) is None:
                 kind = _FLAGS[key][0]
-                value = raw.lower() in ("1", "true", "yes") if kind is bool else kind(raw)
-                setattr(args, key, value)
+                if kind is bool and raw.lower() not in _BOOLEANS:
+                    raise ValueError(f"config key '{key}' takes 1/true/yes or 0/false/no, got '{raw}'")
+                setattr(args, key, _BOOLEANS[raw.lower()] if kind is bool else kind(raw))
 
 
 def _default(field: str) -> str:

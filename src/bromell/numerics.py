@@ -15,10 +15,11 @@ matrix-exponential reference evolution used as validation oracle.
 
 All functions are deterministic and never mutate their inputs, except that
 ShiftedSystem.solve_schur solves a contiguous complex right-hand side in
-place; the only state is the operator's cached Schur form, its diagonal,
-its one shift buffer (with a view of that buffer's diagonal), the
-off-diagonal column sums of |T| and the bound on its numerical abscissa, and
-the problem's cached Schur-coordinate data.
+place; the only state is the operator's cached Schur form, its diagonal and
+the set of its entries, its one shift buffer zI - T and comparison matrix
+-|T| (each with a view of its diagonal; only Operator._shift_to writes the
+buffer's), the off-diagonal column sums of |T| and the bound on its
+numerical abscissa, and the problem's cached Schur-coordinate data.
 """
 
 from __future__ import annotations
@@ -107,12 +108,20 @@ class Operator:
         return d
 
     @cached_property
+    def _eigenvalue_set(self) -> frozenset:
+        """The t_ii as a set: z - t_ii = 0 exactly when z = t_ii in IEEE
+        arithmetic, so ``z in`` it is every consumer's zero-pivot test."""
+        return frozenset(self.schur_diagonal.tolist())
+
+    @cached_property
     def _shift_buffer(self) -> np.ndarray:
         """The operator's one shifted matrix: Fortran-order zI - T, -T off the
         diagonal, the diagonal rewritten for each shift (16 n^2 bytes).
 
-        ShiftedSystem's solves, resolvent_cond's condition estimates and
+        ShiftedSystem, resolvent_cond, resolvent_cond_bound and
         pseudospectra.SigmaMinEvaluator all work in it, one shift at a time.
+        ``_shift_to`` alone writes its diagonal, each consumer immediately
+        before its own solves, and nothing reads the diagonal between calls.
         """
         return np.asfortranarray(-self.schur_factor)
 
@@ -120,6 +129,26 @@ class Operator:
     def _shift_diagonal(self) -> np.ndarray:
         """A view of the shift buffer's diagonal, which each shift rewrites."""
         return self._shift_buffer.reshape(-1, order="F")[:: self.dim + 1]
+
+    def _shift_to(self, z: complex) -> np.ndarray:
+        """The shift buffer holding zI - T: z - t_ii written on its diagonal."""
+        np.subtract(z, self.schur_diagonal, out=self._shift_diagonal)
+        return self._shift_buffer
+
+    @cached_property
+    def _comparison(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real Fortran-order -|T|, the off-diagonal of the comparison matrix
+        of every shift zI - T, and a view of its diagonal (8 n^2 bytes)."""
+        C = np.asfortranarray(-np.abs(self._shift_buffer))
+        return C, C.reshape(-1, order="F")[:: self.dim + 1]
+
+    def _comparison_at(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
+        """The comparison matrix of zI - T and its diagonal |z - t_ii|, the
+        moduli of the diagonal ``_shift_to`` writes."""
+        C, C_diag = self._comparison
+        self._shift_to(z)
+        np.abs(self._shift_diagonal, out=C_diag)
+        return C, C_diag
 
     @cached_property
     def _column_sums(self) -> np.ndarray:
@@ -164,6 +193,11 @@ def as_operator(A) -> Operator:
 
 
 _TRTRS = sla.get_lapack_funcs("trtrs", dtype=complex)
+_DTRTRS = sla.get_lapack_funcs("trtrs", dtype=float)
+# Relative allowance for rounding in the real triangular solves of
+# resolvent_cond_bound and pseudospectra's lower_bound: every term of their
+# substitutions is nonnegative, so nothing cancels.
+_BOUND_ROUNDING = 1e-10
 # resolvent_cond runs LAPACK zlacn2's iteration: at most this many steps
 # x = e_j, and a modulus at or below the safe minimum gives the sign 1.
 _CONDEST_STEPS = 5
@@ -181,32 +215,24 @@ class ShiftedSystem:
     coordinates (Q* b), and it writes y over a contiguous complex
     right-hand side (pass a copy to keep one). T and Q are computed once
     per Operator (``Operator.schur_factor``; a plain array is wrapped in a
-    new Operator, so pass an Operator to share them), and zI - T is written
-    into the operator's one shift buffer, whose diagonal each triangular
-    solve rewrites, as resolvent_cond and pseudospectra.SigmaMinEvaluator do;
-    work on one operator therefore runs one shift at a time. Node reuse across
-    quadrature refinements and time windows keeps solutions, not systems:
-    ``solver.NodeCache`` holds one stack of them, one row per node of the
-    finest rule solved.
+    new Operator, so pass an Operator to share them). The system keeps only
+    z and the operator: each triangular solve writes zI - T into the
+    operator's one shift buffer (``Operator._shift_to``), as resolvent_cond
+    and pseudospectra.SigmaMinEvaluator do, so work on one operator runs one
+    shift at a time. Node reuse across quadrature refinements and time
+    windows keeps solutions, not systems: ``solver.NodeCache`` holds one
+    stack of them, one row per node of the finest rule solved.
     """
 
     def __init__(self, A, z: complex):
         self.z = complex(z)
         if not cmath.isfinite(self.z):
             raise ValueError("array must not contain infs or NaNs")
-        self._op = op = as_operator(A)
-        self._diag = self.z - op.schur_diagonal
-        # A zero pivot of zI - T: z is an eigenvalue (count_nonzero is the
-        # cheaper test).
-        if np.count_nonzero(self._diag) < self._diag.size:
+        self._op = as_operator(A)
+        if self.z in self._op._eigenvalue_set:  # a zero pivot of zI - T
             raise SingularSystemError(
                 f"(zI - A) is numerically singular at z = {self.z}"
             )
-
-    def _shifted(self) -> np.ndarray:
-        """The operator's shift buffer, holding zI - T at this shift."""
-        self._op._shift_diagonal[...] = self._diag
-        return self._op._shift_buffer
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs)
@@ -225,7 +251,7 @@ class ShiftedSystem:
         caller that reuses its rhs must pass a copy; any other rhs (real or
         strided) is solved on a copy and left unchanged. Both give the bits
         of a solve on a copy."""
-        M = self._shifted()
+        M = self._op._shift_to(self.z)
         # Positional (lower, trans, unitdiag, lda, overwrite_b), as in resolvent_cond.
         y = _TRTRS(M, rhs, 0, 0, 0, M.shape[0], 1)[0]
         if np.count_nonzero(np.isfinite(y)) < y.size:
@@ -278,29 +304,29 @@ def resolvent_cond(A, z) -> np.ndarray:
     eigenvalue) and a solve that overflows both give inf; ``ztrcon`` would
     rescale the overflowing solve instead.
 
-    All shifts of a call run in lock-step. Every diagonal z_k - t_ii is
-    formed at once, and ||zI - T||_1 is the largest of the operator's
+    All shifts of a call run in lock-step. Every pivot |z_k - t_ii| is
+    formed at once, only for ||zI - T||_1, the largest of the operator's
     off-diagonal column sums plus |z_k - t_jj|. Each round of the iteration
     makes one triangular solve (``trtrs``) per unfinished shift in the
-    operator's shift buffer, then takes the moduli, sums, largest entries
-    and signs of all their iterates at once. ``ztrcon``'s bits hold because
-    every modulus is ``hypot``'s (Fortran's complex abs), every sum runs in
-    index order and each sign x_i / |x_i| is two real divisions.
+    operator's shift buffer, each written just before its solve, then takes
+    the moduli, sums, largest entries and signs of all their iterates at
+    once. ``ztrcon``'s bits hold because every modulus is ``hypot``'s
+    (Fortran's complex abs), every sum runs in index order and each sign
+    x_i / |x_i| is two real divisions.
     """
     op = as_operator(A)
     z = np.asarray(z, dtype=complex)
     if not np.isfinite(z).all():
         raise ValueError("array must not contain infs or NaNs")
-    n = op.dim
+    n, shifts = op.dim, z.ravel().tolist()
     D = z.reshape(-1, 1) - op.schur_diagonal
-    pivots = np.hypot(D.real, D.imag)
-    anorm = np.max(op._column_sums + pivots, axis=1)
+    anorm = np.max(op._column_sums + np.hypot(D.real, D.imag), axis=1)
     ainvnm = np.zeros(len(D))  # stays 0, read as inf, at a zero pivot or an overflow
     # zlacn2's state per unfinished shift: the iterate x (a row of X); the
     # entry its solve returns to (1, 3 and 5 after a solve with zI - T, 2
     # and 4 after one with its conjugate transpose); the estimate; the j of
     # the last x = e_j; the count of those steps.
-    live = np.flatnonzero(pivots.min(axis=1) > 0.0).tolist()
+    live = [k for k, zk in enumerate(shifts) if zk not in op._eigenvalue_set]
     X = np.full((len(live), n), 1.0 / n, dtype=complex)
     entry = [1] * len(live)
     est = [0.0] * len(live)
@@ -308,14 +334,12 @@ def resolvent_cond(A, z) -> np.ndarray:
     steps = [0] * len(live)
     alternating = 1.0 + np.arange(n) / max(n - 1, 1)
     alternating[1::2] *= -1.0
-    M, diagonal = op._shift_buffer, op._shift_diagonal
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live:
             for x, k, e in zip(X, live, entry):
-                diagonal[...] = D[k]
                 # Positional (lower, trans, unitdiag, lda, overwrite_b): keyword
                 # parsing costs a fifth of a solve at n = 63.
-                _TRTRS(M, x, 0, 2 if e in (2, 4) else 0, 0, n, 1)
+                _TRTRS(op._shift_to(shifts[k]), x, 0, 2 if e in (2, 4) else 0, 0, n, 1)
             moduli = np.hypot(X.real, X.imag)
             totals = np.add.accumulate(moduli, axis=1)[:, -1].tolist()
             tops = moduli.argmax(axis=1).tolist()  # the first largest modulus
@@ -355,6 +379,32 @@ def resolvent_cond(A, z) -> np.ndarray:
                 )
         rcond = np.where(ainvnm > 0.0, (1.0 / anorm) / ainvnm, 0.0)
         return (1.0 / rcond).reshape(z.shape)
+
+
+def resolvent_cond_bound(A, z: complex) -> float:
+    """A rigorous upper bound on resolvent_cond(A, z), the 1-norm condition
+    number of zI - T, from one real triangular solve.
+
+    ||zI - T||_1 is the largest column sum |z - t_jj| + sum_{i<j} |t_ij|.
+    The comparison matrix C of zI - T has |z - t_ii| on its diagonal and
+    -|t_ij| above it, so |(zI - T)^-1| <= C^-1 entrywise (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., §8.3) and
+    ||(zI - T)^-1||_1 <= ||C^-1||_1 = ||C^-T e||_inf. Their product, raised
+    by the rounding allowance, bounds the number resolvent_cond estimates
+    from below; the column sums are the ones it reads. Returns inf on a zero
+    pivot, before the comparison matrix is built, or when the product is
+    not finite.
+    """
+    op = as_operator(A)
+    z = complex(z)
+    if z in op._eigenvalue_set:  # z - t_ii = 0: a zero pivot
+        return math.inf
+    C, C_diag = op._comparison_at(z)
+    y = _DTRTRS(C, np.ones(op.dim), trans=1)[0]
+    product = float((C_diag + op._column_sums).max()) * float(y.max())
+    if not product < math.inf:  # NaN and overflow fail too
+        return math.inf
+    return (1.0 + _BOUND_ROUNDING) * product
 
 
 def eigenvalues(A) -> np.ndarray:

@@ -18,10 +18,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import GeometryError
-from .numerics import _TRTRS, as_operator
+from .numerics import _BOUND_ROUNDING, _DTRTRS, _TRTRS, as_operator
 from .problems import write_csv
-
-_DTRTRS = sla.get_lapack_funcs("trtrs", dtype=float)
 
 _LOG_CAP = 700.0  # exp(700) is near the double-precision overflow edge
 # Relative slack on an evaluated sigma_min before it certifies neighbours: the
@@ -33,10 +31,6 @@ _CERTIFY_SLACK = 1e-6
 # at the second when the 2 x 2 residual bound is this small relative.
 _LANCZOS_STEPS = 40
 _LANCZOS_RTOL = 1e-12
-# Relative allowance for rounding in the triangular solves of lower_bound and
-# cond_bound: every term of their substitutions is nonnegative, so
-# nothing cancels.
-_BOUND_ROUNDING = 1e-10
 
 
 @dataclass(frozen=True)
@@ -154,16 +148,10 @@ class SigmaMinEvaluator:
     ``lanczos_steps`` and ``fallbacks`` count the work done so far, and
     ``bounds`` the calls to ``lower_bound``, a cheap certificate from below
     that runs no Lanczos; ``range_bound`` is one from the numerical range
-    for real shifts, with no solve at all. ``cond_bound`` bounds the
-    condition number of zI - T from above as lower_bound does.
-    ``schur_diagonal`` holds the eigenvalues t_ii.
-
-    zI - T is the operator's one shift buffer (``Operator._shift_buffer``),
-    which ShiftedSystem and numerics.resolvent_cond share; each evaluation
-    rewrites its diagonal, so the evaluator allocates no complex n x n
-    matrix of its own. ``lower_bound``
-    and ``cond_bound`` work the same way in a real n x n buffer that the
-    evaluator builds on their first call at a shift that is no eigenvalue.
+    for real shifts, with no solve at all. ``schur_diagonal`` holds the
+    eigenvalues t_ii. Each evaluation and bound works in the operator's
+    shift buffer zI - T or its comparison matrix (``Operator._shift_to``,
+    ``Operator._comparison_at``); the evaluator owns no n x n matrix.
     """
 
     def __init__(self, A):
@@ -177,10 +165,7 @@ class SigmaMinEvaluator:
         self._schur_error = self.dim * np.finfo(float).eps * frobenius
         self.schur_diagonal = op.schur_diagonal
         self._M = op._shift_buffer
-        self._M_diag = op._shift_diagonal
         self._ones = np.ones(self.dim)
-        self._differences = np.empty(self.dim, dtype=complex)  # z - t_ii, for C's diagonal
-        self._eigenvalues = frozenset(self.schur_diagonal.tolist())  # shifts with z - t_ii = 0
         self._sterf, self._stevd = sla.get_lapack_funcs(("sterf", "stevd"), dtype=float)
         # Lanczos workspace, shared by every run: the basis vectors as rows,
         # their conjugates, and the tridiagonal's diagonal and off-diagonal.
@@ -202,30 +187,14 @@ class SigmaMinEvaluator:
     def __call__(self, z: complex) -> float:
         self.evaluations += 1
         z = complex(z)
-        if z in self._eigenvalues:  # z - t_ii = 0: a zero pivot
+        if z in self._op._eigenvalue_set:  # z - t_ii = 0: a zero pivot
             return 0.0
-        np.subtract(z, self.schur_diagonal, out=self._M_diag)
+        self._op._shift_to(z)
         sigma = self._lanczos()
         if sigma is None:
             self.fallbacks += 1
             sigma = self._dense_sigma_min()
         return sigma
-
-    @cached_property
-    def _comparison(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real Fortran-order -|T|, the off-diagonal of the comparison matrix
-        of zI - T, and a view of its diagonal, which lower_bound rewrites
-        with |z - t_ii| for each shift (8 n^2 bytes). M is -T off the diagonal."""
-        C = np.asfortranarray(-np.abs(self._M))
-        return C, C.reshape(-1, order="F")[:: self.dim + 1]
-
-    def _comparison_at(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        """The comparison matrix of zI - T and its diagonal, |z - t_ii|
-        written through the evaluator's buffers."""
-        C, C_diag = self._comparison
-        np.subtract(z, self.schur_diagonal, out=self._differences)
-        np.abs(self._differences, out=C_diag)
-        return C, C_diag
 
     def lower_bound(self, z: complex) -> float:
         """A rigorous lower bound on sigma_min(zI - T), from two chained real
@@ -248,9 +217,9 @@ class SigmaMinEvaluator:
         """
         self.bounds += 1
         z = complex(z)
-        if z in self._eigenvalues:  # z - t_ii = 0: a zero pivot
+        if z in self._op._eigenvalue_set:  # z - t_ii = 0: a zero pivot
             return 0.0
-        C, _ = self._comparison_at(z)
+        C, _ = self._op._comparison_at(z)
         x = _DTRTRS(C, self._ones)[0]
         largest = float(np.maximum.reduce(_DTRTRS(C, x, 0, 1, overwrite_b=1)[0]))
         if not 0.0 < largest < math.inf:  # NaN and overflow fail too
@@ -270,28 +239,6 @@ class SigmaMinEvaluator:
         omega(A).
         """
         return x - self._op.abscissa_bound - self._schur_error
-
-    def cond_bound(self, z: complex) -> float:
-        """A rigorous upper bound on the 1-norm condition number of zI - T,
-        from one real triangular solve.
-
-        ||zI - T||_1 is the largest column sum |z - t_jj| + sum_{i<j} |t_ij|,
-        and with the comparison matrix C of lower_bound, |(zI - T)^-1| <= C^-1
-        entrywise, so ||(zI - T)^-1||_1 <= ||C^-1||_1 = ||C^-T e||_inf. Their
-        product, raised by the rounding allowance, bounds the number that
-        numerics.resolvent_cond estimates from below. The column sums are the
-        operator's, the ones resolvent_cond reads. Returns inf on a zero
-        pivot or when the product is not finite.
-        """
-        z = complex(z)
-        if z in self._eigenvalues:  # z - t_ii = 0: a zero pivot
-            return math.inf
-        C, C_diag = self._comparison_at(z)
-        y = _DTRTRS(C, self._ones, trans=1)[0]
-        product = float((C_diag + self._op._column_sums).max()) * float(y.max())
-        if not product < math.inf:  # NaN and overflow fail too
-            return math.inf
-        return (1.0 + _BOUND_ROUNDING) * product
 
     def _dense_sigma_min(self) -> float:
         """sigma_min of the current shift by dense SVD, for a stalled iteration."""
@@ -454,13 +401,14 @@ def compute_grid(A, spec: GridSpec, levels=()) -> PseudoGrid:
     because every row above it is certified or was evaluated outside. The
     in-set test is x t - log s against -log eps, decided by
     ``_level_values`` itself within 1e-9 of the threshold. Each value
-    raises bounds only in the columns the walk has not left. The node
-    directly above each column's topmost in-set node is evaluated as well,
-    because level_curve interpolates against it. Every other node, the
-    lower rows and the queued nodes below the topmost ones included, is
-    NaN, which level_curve reads as outside; ``PseudoGrid.completed``
-    evaluates them. When the walk evaluated no node there is no in-set
-    node, so that closing pass is skipped. No rigorous bound certifies an
+    raises bounds only in the columns the walk has not left. When a level
+    first finds its in-set node, the node directly above it is evaluated
+    there too, unless it already holds a value, because level_curve
+    interpolates against it; that node is certified or above the column's
+    ceiling, so it lies outside every level and certifies nothing. Every
+    other node, the lower rows and the queued nodes below the topmost ones
+    included, is NaN, which level_curve reads as outside;
+    ``PseudoGrid.completed`` evaluates them. No rigorous bound certifies an
     in-set node, so neither the order of the walk nor the strength of its
     bounds moves a curve. Without levels every node is evaluated.
     """
@@ -508,7 +456,6 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
         if r0 == 0 and r1 >= rows.size:  # the update spans whole columns
             done[c0:c1] |= (near > theta[c0:c1]).all(axis=0)
 
-    evaluated = ev.evaluations
     for ix in range(xs.size):
         if done[ix]:
             continue  # certified in every row from a column to its left
@@ -533,24 +480,21 @@ def _evaluate_read_nodes(ev, sigma, xs, ys, levels) -> None:
             r += 1
         # Evaluate the queue from the top down. The first in-set node of a
         # level is its topmost in the column: every row above it is certified
-        # or was evaluated outside. level_curve reads no node below it.
+        # or was evaluated outside. level_curve reads no node below it, and
+        # the node above it, outside every level, is evaluated uncertified.
         x, missing = x_axis[ix], level_logs
         for r in reversed(queue):
             if bound[r, ix] > level:
                 continue  # a value above it certified it
             s = sigma[rows[r], ix] = ev(nodes[r, ix])
             certify(r, ix, _slackened(ev, s))
-            missing = [(L, t) for L, t in missing if not _inside(s, x, t, L)]
+            outside = [(L, t) for L, t in missing if not _inside(s, x, t, L)]
+            if (len(outside) < len(missing) and r + 1 < rows.size
+                    and math.isnan(sigma[rows[r + 1], ix])):
+                sigma[rows[r + 1], ix] = ev(nodes[r + 1, ix])
+            missing = outside
             if not missing:
                 break
-    if ev.evaluations == evaluated:
-        return  # no value, so no in-set node and nothing above one
-    for eps, t in levels:
-        above = _topmost_inside(_level_values(sigma[rows], xs, t), -np.log(eps)) + 1
-        for ix in np.flatnonzero((above > 0) & (above < rows.size)):
-            r = above[ix]
-            if np.isnan(sigma[rows[r], ix]):
-                sigma[rows[r], ix] = ev(nodes[r, ix])
 
 
 def _inside(s: float, x: float, t: float, level_log: float) -> bool:

@@ -44,6 +44,7 @@ from .numerics import (
     ShiftedSystem,
     eigenvalues,
     reference_solution,
+    resolvent_cond_bound,
     resolvent_norms,
     schur_solution,
 )
@@ -712,7 +713,7 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
     # optimize_a's a only the exponent moves, so ROUNDOFF_SAFETY x forecast
     # <= tol bounds A1 and a_within_reach gives the a that meets it. The
     # sizing check's condition estimates are bounded from above first, at its
-    # own shifts, by the grid evaluator's comparison matrix (cond_bound); when
+    # own shifts, by the operator's comparison matrix (resolvent_cond_bound); when
     # ROUNDOFF_SAFETY x that forecast stays within _SIZING_CERTIFIED tol, no
     # margin can apply and the estimates are skipped. The forecast grows with
     # the condition number, so the first shift whose bound breaks that line
@@ -721,7 +722,8 @@ def plan_window(problem, t0: float, t1: float, tol: float, opts: SolveOptions = 
     if any(
         ROUNDOFF_SAFETY * FeasibilityReport.forecast(bound, stability, tol).achievable
         > _SIZING_CERTIFIED * tol
-        for bound in map(prep.grid.evaluator.cond_bound, feasibility_shifts(params, 0.5))
+        for bound in (resolvent_cond_bound(problem.operator, z)
+                      for z in feasibility_shifts(params, 0.5))
     ):
         sizing = _stage("feasibility", feasibility_check, problem, params, 0.5, t1, tol)
         excess = ROUNDOFF_SAFETY * sizing.achievable / tol

@@ -390,6 +390,29 @@ class TestConfigFile:
         assert f"{cfg}:4: key 'grid' given more than once" in capsys.readouterr().err
         assert not (out / "grid.csv").exists()
 
+    @pytest.mark.parametrize("word, value", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False),
+    ])
+    def test_config_booleans_in_any_case(self, word, value, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"validate={word}\n")
+        args = argparse.Namespace(config=str(cfg), validate=None)
+        cli._apply_config(args)
+        assert args.validate is value
+
+    @pytest.mark.parametrize("word", ["on", "ture", ""])
+    def test_config_boolean_outside_the_words_rejected(self, word, tmp_path, capsys,
+                                                       monkeypatch):
+        # validate=on once ran the cd solve without validation and exited 0.
+        stages = []
+        monkeypatch.setattr(solver, "eigenvalues", lambda *args: stages.append(1))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem=cd:d=40,n=12\nt=1\ntol=1e-4\nvalidate={word}\n")
+        assert run("solve", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert (f"error: config key 'validate' takes 1/true/yes or 0/false/no, got '{word}'"
+                in capsys.readouterr().err)
+        assert not stages
+
     def test_builtin_problem_selectors(self, tmp_path):
         code = run(
             "solve", "--problem", "cd:d=40,n=12", "--t", "1", "--tol", "1e-4",

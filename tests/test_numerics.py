@@ -17,7 +17,7 @@ import bromell as bm
 from bromell import contour
 from bromell.contour import conformal_map
 from bromell.errors import DimensionLimitError, SingularSystemError
-from bromell.numerics import schur_solution
+from bromell.numerics import resolvent_cond_bound, schur_solution
 from bromell.pseudospectra import SigmaMinEvaluator, _slackened
 
 
@@ -254,7 +254,7 @@ class TestResolventCond:
             n = T.shape[0]
             got = bm.resolvent_cond(A, z)
             assert got <= np.linalg.cond(complex(z) * np.eye(n) - T, 1) * (1 + 1e-12)
-            assert got <= SigmaMinEvaluator(A).cond_bound(z)
+            assert got <= resolvent_cond_bound(A, z)
             cond2 = np.linalg.cond(_shifted(A, z), 2)
             assert cond2 / n <= got <= n * cond2
 
@@ -293,14 +293,14 @@ class TestResolventCond:
     )
     def test_comparison_bound_is_above_the_estimate(self, n, seed, complex_entries, where,
                                                     offset):
-        # SigmaMinEvaluator.cond_bound bounds the 1-norm condition number of
+        # resolvent_cond_bound bounds the 1-norm condition number of
         # zI - T from above, which trcon estimates from below: at an
         # eigenvalue t_ii, within 1e-6 |offset| of one, and anywhere else.
         rng = np.random.default_rng(seed)
         op = bm.Operator(_non_normal(rng, n, complex_entries))
         t = complex(op.schur_diagonal[rng.integers(n)])
         z = {"eigenvalue": t, "near": t + 1e-6 * offset, "far": offset}[where]
-        bound = SigmaMinEvaluator(op).cond_bound(z)
+        bound = resolvent_cond_bound(op, z)
         assert bm.resolvent_cond(op, z) <= bound
         if where == "eigenvalue":
             assert bound == np.inf
@@ -530,6 +530,32 @@ class TestOperator:
         A = bm.Operator(np.diag([-3.0 + 2.0j, -1.0 - 5.0j, -2.0]))
         assert A.abscissa_bound == pytest.approx(-1.0, rel=1e-14)
         assert A.abscissa_bound >= -1.0
+
+
+class TestZeroPivotRule:
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_every_consumer_at_a_schur_entry_and_its_neighbours(self, complex_entries):
+        # zI - T has a zero pivot exactly at a diagonal entry t_ii: every
+        # consumer of the shift answers it there, and none does one ulp away.
+        op = bm.Operator(_non_normal(np.random.default_rng(12), 8, complex_entries))
+        ev = SigmaMinEvaluator(op)
+        rhs = np.ones(op.dim)
+        for t in op.schur_diagonal.tolist():
+            with pytest.raises(SingularSystemError):
+                bm.ShiftedSystem(op, t)
+            assert ev(t) == 0.0
+            assert ev.lower_bound(t) == 0.0
+            assert resolvent_cond_bound(op, t) == math.inf
+            assert bm.resolvent_cond(op, t) == math.inf
+            neighbours = [complex(np.nextafter(t.real, d), t.imag) for d in (-np.inf, np.inf)]
+            if t.imag:
+                neighbours += [complex(t.real, np.nextafter(t.imag, d)) for d in (-np.inf, np.inf)]
+            for z in neighbours:
+                assert np.isfinite(bm.ShiftedSystem(op, z).solve(rhs)).all()
+                assert ev(z) > 0.0
+                assert ev.lower_bound(z) > 0.0
+                assert resolvent_cond_bound(op, z) < math.inf
+                assert bm.resolvent_cond(op, z) < math.inf
 
 
 def _block_operator() -> np.ndarray:

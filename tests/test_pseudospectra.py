@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import bromell as bm
 from bromell.errors import GeometryError
+from bromell.numerics import resolvent_cond_bound
 from bromell.pseudospectra import _CERTIFY_SLACK, _LOG_CAP, SigmaMinEvaluator, _level_values
 
 
@@ -459,11 +460,13 @@ class TestSigmaMinEvaluator:
     def test_bound_at_an_eigenvalue_builds_no_comparison_matrix(self, bs_problem):
         # default_z_r asks the bound at the rightmost eigenvalue, which on bs
         # is real: a zero pivot, answered before the n x n -|T| buffer exists.
-        ev = SigmaMinEvaluator(bs_problem.operator)
-        rightmost = float(np.max(bm.eigenvalues(bs_problem.operator).real))
+        # A fresh operator: the session's has built its buffer already.
+        op = bm.Operator(bs_problem.operator.entries)
+        ev = SigmaMinEvaluator(op)
+        rightmost = float(np.max(bm.eigenvalues(op).real))
         assert ev.lower_bound(rightmost) == 0.0
-        assert ev.cond_bound(rightmost) == math.inf
-        assert "_comparison" not in ev.__dict__
+        assert resolvent_cond_bound(op, rightmost) == math.inf
+        assert "_comparison" not in op.__dict__
 
     def test_dim_two_near_eigenvalue_shifts_without_fallback(self):
         # At n = 2 two Lanczos steps span the whole space; a third would

@@ -875,6 +875,25 @@ class TestOnePipeline:
         assert report.feasibility == plan.feasibility
         assert report.stability == bm.stability_constant(plan.contour, plan.trunc0.c, t)
 
+    def test_one_comparison_matrix_per_operator(self, monkeypatch):
+        # On [[-1, 2], [-2, -1]] the default z_r search bounds sigma_min at
+        # x = -1, which is no eigenvalue, and the grid walk bounds its nodes;
+        # both solve with the operator's one -|T| (lower_bound's real trtrs).
+        # The solve stops at the inner-ellipse stage, after the grid.
+        matrices = []
+        trtrs = pseudospectra._DTRTRS
+
+        def recorded(C, *args, **kwargs):
+            if not any(C is M for M in matrices):
+                matrices.append(C)
+            return trtrs(C, *args, **kwargs)
+
+        monkeypatch.setattr(pseudospectra, "_DTRTRS", recorded)
+        A = bm.Operator(np.array([[-1.0, 2.0], [-2.0, -1.0]]))
+        with pytest.raises(StageError, match="inner"):
+            bm.prepare_contour(bm.LaplaceProblem(A, np.array([1.0, 0.5])), 1.0, 1.0, 1e-8)
+        assert len(matrices) == 1
+
     def test_plan_keeps_its_feasibility_report(self, bs_problem, bs_window):
         plan = bs_window
         check = bm.feasibility_check(bs_problem, plan.contour, plan.c_grid, plan.t1, plan.tol)
@@ -1156,8 +1175,7 @@ class TestRoundoffMargin:
         }[case]
         plan, estimated = self.plan_with_estimate_count(problem, 1.0, 5e-8, opts, monkeypatch)
         assert estimated == 10
-        monkeypatch.setattr(pseudospectra.SigmaMinEvaluator, "cond_bound",
-                            lambda self, z: math.inf)
+        monkeypatch.setattr(solver, "resolvent_cond_bound", lambda A, z: math.inf)
         fallback, estimated = self.plan_with_estimate_count(problem, 1.0, 5e-8, opts,
                                                             monkeypatch)
         assert estimated == 20
@@ -1180,13 +1198,13 @@ class TestRoundoffMargin:
             "bs window": (bs_problem, 10.0, bm.SolveOptions(grid_pts=50), 1, 20),
         }[case]
         bounds = []
-        cond_bound = pseudospectra.SigmaMinEvaluator.cond_bound
+        cond_bound = solver.resolvent_cond_bound
 
-        def counted(self, z):
+        def counted(A, z):
             bounds.append(z)
-            return cond_bound(self, z)
+            return cond_bound(A, z)
 
-        monkeypatch.setattr(pseudospectra.SigmaMinEvaluator, "cond_bound", counted)
+        monkeypatch.setattr(solver, "resolvent_cond_bound", counted)
         _, estimated = self.plan_with_estimate_count(problem, t1, 5e-8, opts, monkeypatch)
         assert len(bounds) == bounds_made
         assert estimated == estimates_made

@@ -13,7 +13,8 @@ file holds every run, the median and quartiles of each end-to-end metric
 per side, the pairs the change wins, and per side the median of each traced
 count and per-layer time named in TRACED (`traced`) beside every traced
 run's values (`traced_runs`), the default z_r search's time
-(`solver.z_r_default_s`) beside the grid's time and σ_min evaluations.
+(`solver.z_r_default_s`) beside the grid's time and σ_min evaluations, and
+the level curves' time (`pseudospectra.curves_s`) after the grid's.
 Each untraced run also keeps its import_s, the median fresh
 `import bromell.cli` at the reference speed that setup_s includes, read
 from the run's detail line, with its median and quartiles per side.
@@ -40,6 +41,7 @@ TRACED = (
     "pseudospectra.sigma_evals",
     "pseudospectra.sigma_eval_ms",
     "pseudospectra.evals_per_node",
+    "pseudospectra.curves_s",
     "solver.z_r_default_s",
     "solver.node_solves",
     "solver.node_reuses",
